@@ -5,16 +5,13 @@ package main
 // runs the same distributed job twice, and asserts (a) both results match
 // what the iseexplore CLI prints for the identical kernel/machine/parameters
 // — the fleet determinism contract end to end over real processes and real
-// HTTP — (b) the second job is served from the shared eval-cache tier
-// (ise_cluster_cache_remote_hits_total grows, because every shard's base-
-// schedule evaluation is already published), (c) the merged Chrome trace
-// shows the coordinator's dispatch spans plus both workers' uploaded span
-// tracks on one monotone timeline, (d) both jobs record the identical
-// convergence ("round") flight series, and (e) GET /v1/fleet/metrics renders
-// a valid node-labeled exposition covering the coordinator and both workers.
-// It finishes by scraping the coordinator's /metrics for the cluster
-// families and SIGTERMing all three daemons. Gated behind ISECLUSTER_SMOKE
-// so `go test ./...` stays fast.
+// HTTP — (b) the merged Chrome trace shows the coordinator's dispatch spans
+// plus both workers' uploaded span tracks on one monotone timeline, (c) both
+// jobs record the identical convergence ("round") flight series, (d) the
+// coordinator's /metrics carries the cluster families after each job, and
+// (e) GET /v1/fleet/metrics renders a valid node-labeled exposition covering
+// the coordinator and both workers. It finishes by SIGTERMing all three
+// daemons. Gated behind ISECLUSTER_SMOKE so `go test ./...` stays fast.
 
 import (
 	"bufio"
@@ -26,7 +23,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
-	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -72,9 +68,8 @@ func TestClusterSmoke(t *testing.T) {
 		t.Logf("worker %d at %s", i, url)
 	}
 
-	// Two identical distributed jobs, back to back. Job A pays the
-	// evaluations and publishes them; job B's workers start with empty local
-	// caches, so their base-schedule lookups are guaranteed remote hits.
+	// Two identical distributed jobs, back to back; each shard starts with
+	// an empty local eval cache.
 	p := core.FastParams()
 	p.Seed = 1
 	spec := map[string]any{
@@ -85,7 +80,6 @@ func TestClusterSmoke(t *testing.T) {
 		"trace":       true,
 		"distributed": map[string]int{"shards": 2},
 	}
-	hitsAfterA := -1.0
 	rounds := map[string]string{}
 	for _, run := range []string{"A", "B"} {
 		id, base, final, shardEvents := runDistributedJob(t, coordURL, spec)
@@ -98,20 +92,8 @@ func TestClusterSmoke(t *testing.T) {
 		}
 		checkMergedTrace(t, coordURL, id)
 		rounds[run] = fetchRoundSeries(t, coordURL, id)
-		hits, exposition := scrapeClusterMetrics(t, coordURL)
-		if run == "A" {
-			hitsAfterA = hits
-		} else {
-			if hits <= hitsAfterA {
-				t.Fatalf("shared tier served no remote hits on the second job: %v -> %v", hitsAfterA, hits)
-			}
-			// The remote-hit family is created lazily on the first hit, so
-			// require it only once the tier has provably served one.
-			if !strings.Contains(exposition, "ise_cluster_cache_remote_hits_total") {
-				t.Fatalf("/metrics missing family ise_cluster_cache_remote_hits_total:\n%s", exposition)
-			}
-		}
-		t.Logf("job %s: %d -> %d cycles, remote hits %v", run, base, final, hits)
+		scrapeClusterMetrics(t, coordURL)
+		t.Logf("job %s: %d -> %d cycles", run, base, final)
 	}
 	// The convergence journal is deterministic: two identical jobs — each
 	// sharded across two processes, with shard B's rounds rebased onto global
@@ -384,11 +366,9 @@ func checkFleetMetrics(t *testing.T, baseURL string) {
 	t.Logf("fleet exposition: %d bytes, nodes %v", len(exposition), nodes)
 }
 
-// scrapeClusterMetrics validates the coordinator's exposition, requires the
-// always-registered cluster families, and returns the summed remote-cache
-// hit count (0 while the lazily-created family is absent) plus the raw
-// exposition for further checks.
-func scrapeClusterMetrics(t *testing.T, baseURL string) (float64, string) {
+// scrapeClusterMetrics validates the coordinator's exposition and requires
+// the cluster families.
+func scrapeClusterMetrics(t *testing.T, baseURL string) {
 	t.Helper()
 	resp, err := http.Get(baseURL + "/metrics")
 	if err != nil {
@@ -411,14 +391,4 @@ func scrapeClusterMetrics(t *testing.T, baseURL string) (float64, string) {
 			t.Fatalf("/metrics missing family %s:\n%s", family, exposition)
 		}
 	}
-	re := regexp.MustCompile(`(?m)^ise_cluster_cache_remote_hits_total\{[^}]*\} (\S+)$`)
-	var hits float64
-	for _, m := range re.FindAllStringSubmatch(string(exposition), -1) {
-		v, err := strconv.ParseFloat(m[1], 64)
-		if err != nil {
-			t.Fatalf("bad remote-hit sample %q: %v", m[0], err)
-		}
-		hits += v
-	}
-	return hits, string(exposition)
 }

@@ -271,7 +271,7 @@ func runOnce(ctx context.Context, d *dfg.DFG, cfg machine.Config, p core.Params,
 		}
 		res.Iterations += iters
 		res.Rounds++
-		cand, serial := e.bestCandidate(curSerial)
+		cand, serial := e.bestCandidate(curSerial, ws.kern)
 		if cand == nil {
 			break
 		}
@@ -806,9 +806,14 @@ func (e *explorer) convergedNow() bool {
 // bestCandidate extracts the converged hardware selection, shapes it into
 // legal candidates, and returns the one with the best *serial* gain — the
 // single-issue objective — together with the resulting serial cycle count.
-// It runs once per round (not per iteration), so it stays off the zero-alloc
-// contract and uses the allocating shaping helpers directly.
-func (e *explorer) bestCandidate(curSerial int) (*core.ISE, int) {
+// A part that kern rejects together with the accepted ISEs is skipped: each
+// part is convex on its own, but with the accepted groups it can still close
+// a dependence cycle in the contracted graph, and the final schedule would
+// fail. Only the winner is checked, and the next best is taken when it is
+// rejected, so a round whose winner is accepted schedules once. It runs once
+// per round (not per iteration), so it stays off the zero-alloc contract and
+// uses the allocating shaping helpers directly.
+func (e *explorer) bestCandidate(curSerial int, kern *sched.Scheduler) (*core.ISE, int) {
 	d := e.d
 	taken := graph.NewNodeSet(d.Len())
 	optOf := map[int]int{}
@@ -825,8 +830,7 @@ func (e *explorer) bestCandidate(curSerial int) (*core.ISE, int) {
 	if taken.Empty() {
 		return nil, curSerial
 	}
-	var best *core.ISE
-	bestSerial := curSerial
+	var parts []*core.ISE
 	for _, comp := range d.G.ConnectedComponents(taken) {
 		for _, convex := range core.MakeConvex(d, comp) {
 			feasible := core.TrimPorts(d, convex, e.cfg.ReadPorts, e.cfg.WritePorts)
@@ -836,18 +840,45 @@ func (e *explorer) bestCandidate(curSerial int) (*core.ISE, int) {
 				if part.Len() < 2 {
 					continue
 				}
-				ise := core.NewISE(d, part, optOf)
-				// Serial gain: members leave the 1-cycle stream, ISE joins.
-				serial := curSerial - part.Len() + ise.Cycles
-				if serial > curSerial {
-					continue
-				}
-				if best == nil || serial < bestSerial ||
-					(serial == bestSerial && ise.AreaUM2 < best.AreaUM2) {
-					best, bestSerial = ise, serial
-				}
+				parts = append(parts, core.NewISE(d, part, optOf))
 			}
 		}
 	}
+	for {
+		i, serial := bestSerialPart(parts, curSerial)
+		if i < 0 {
+			return nil, curSerial
+		}
+		if e.schedulable(parts[i], kern) {
+			return parts[i], serial
+		}
+		parts = append(parts[:i], parts[i+1:]...)
+	}
+}
+
+// bestSerialPart returns the index of the part with the lowest serial cycle
+// count that does not exceed curSerial, ties broken by smaller area and then
+// by position, with that count; the index is -1 when no part qualifies.
+func bestSerialPart(parts []*core.ISE, curSerial int) (int, int) {
+	best, bestSerial := -1, curSerial
+	for i, ise := range parts {
+		// Serial gain: members leave the 1-cycle stream, ISE joins.
+		serial := curSerial - ise.Nodes.Len() + ise.Cycles
+		if serial > curSerial {
+			continue
+		}
+		if best < 0 || serial < bestSerial ||
+			(serial == bestSerial && ise.AreaUM2 < parts[best].AreaUM2) {
+			best, bestSerial = i, serial
+		}
+	}
 	return best, bestSerial
+}
+
+// schedulable reports whether kern accepts ise together with the accepted
+// ISEs.
+func (e *explorer) schedulable(ise *core.ISE, kern *sched.Scheduler) bool {
+	ises := append(e.fixed[:len(e.fixed):len(e.fixed)], ise)
+	_, err := kern.Schedule(e.d, core.BuildAssignment(e.d, ises), e.cfg)
+	return err == nil
 }

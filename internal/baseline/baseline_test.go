@@ -158,3 +158,41 @@ func TestBaselineSchedulesOnTargetMachine(t *testing.T) {
 		t.Fatalf("FinalCycles %d but schedule %d", r.FinalCycles, s.Length)
 	}
 }
+
+// TestBaselineKeepsISESetSchedulable: on these design points a round's best
+// serial candidate, convex on its own, closed a dependence cycle with the
+// already accepted ISEs — through several groups on rijndael, between two on
+// sha — and the final schedule failed. Every round must now keep the
+// accepted set schedulable, and the result must verify.
+func TestBaselineKeepsISESetSchedulable(t *testing.T) {
+	for _, tc := range []struct {
+		bench string
+		cfg   machine.Config
+	}{
+		{"rijndael", machine.New(2, 4, 2)},
+		{"sha", machine.New(2, 6, 3)},
+	} {
+		t.Run(tc.bench, func(t *testing.T) {
+			d := hotBenchDFG(t, tc.bench, "O3")
+			p := core.FastParams()
+			p.Seed = 1
+			r, err := Explore(d, tc.cfg, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(r.ISEs) == 0 || r.FinalCycles >= r.BaseCycles {
+				t.Fatalf("no improvement: %d ISEs, %d -> %d cycles", len(r.ISEs), r.BaseCycles, r.FinalCycles)
+			}
+			s, err := sched.ListSchedule(d, r.Assignment, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sched.Verify(d, r.Assignment, tc.cfg, s); err != nil {
+				t.Fatal(err)
+			}
+			if s.Length != r.FinalCycles {
+				t.Fatalf("FinalCycles %d but schedule %d", r.FinalCycles, s.Length)
+			}
+		})
+	}
+}

@@ -7,8 +7,6 @@
 //	POST /v1/shards/claim                    worker pulls the next shard
 //	POST /v1/shards/{job}/{shard}/heartbeat  lease renewal + snapshot upload
 //	POST /v1/shards/{job}/{shard}/result     shard result (or error) delivery
-//	GET  /v1/cache/{key}                     shared eval-cache lookup
-//	PUT  /v1/cache/{key}                     shared eval-cache publish
 //
 // A shard is a contiguous restart range of one job (parallel.SplitRanges):
 // restart r of the job runs with seed Params.Seed + r*7919 no matter which
@@ -28,12 +26,8 @@
 // resumes it via core.ResumeFrom — RNG replay makes the retried shard
 // reproduce the lost one exactly (DESIGN.md §11, §15).
 //
-// The shared eval-cache tier is a coordinator-hosted map keyed on
-// (dfg.Fingerprint, machine config, sched.KeyHash); workers attach a
-// CacheClient as their local cache's core.RemoteEvalCache, so evaluations
-// paid by any node are hits for every node. Remote values are outputs of the
-// same deterministic scheduler for the same key, so the tier is semantically
-// transparent; fleet results stay byte-identical with it on or off.
+// Each worker shard memoizes schedule evaluations in its own local
+// core.EvalCache; no cache is shared across the fleet.
 package cluster
 
 import (

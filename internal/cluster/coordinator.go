@@ -32,8 +32,6 @@ type Options struct {
 	// Leases are fault tolerance, not semantics: results are byte-identical
 	// whatever the clock does.
 	Now func() time.Time
-	// CacheMax bounds the shared eval-cache tier (default 1<<20 entries).
-	CacheMax int
 	// Logf receives operational log lines (default: discard).
 	Logf func(format string, args ...any)
 	// Trace, when non-nil, records one span per shard dispatch on track 0 —
@@ -75,17 +73,15 @@ func (o Options) withDefaults() Options {
 }
 
 // Coordinator owns the shard queue, the per-shard leases and snapshots, the
-// deterministic reduction of shard results, and the shared eval-cache tier.
+// deterministic reduction of shard results.
 // Workers talk to it exclusively through the HTTP surface (Mount); the
 // embedding process drives it through ExploreBlock.
 //
 // Locking: every exported entry point takes mu itself and touches shard and
 // job state only inside its own critical section; the OnShardDone callback
-// and all RPC decoding/encoding run outside it. The shared cache tier has
-// its own lock (cacheServer.mu) and is never touched under mu.
+// and all RPC decoding/encoding run outside it.
 type Coordinator struct {
-	opts  Options
-	cache *cacheServer
+	opts Options
 
 	mu      sync.Mutex
 	jobs    map[string]*dJob        // guarded by mu
@@ -168,8 +164,8 @@ type dJob struct {
 	failed      error         // guarded by Coordinator.mu — first terminal failure
 	canceled    bool          // guarded by Coordinator.mu — ExploreBlock gave up (ctx)
 	done        chan struct{} // closed (under Coordinator.mu) when remaining==0 or failed
-	cacheHits   uint64        // guarded by Coordinator.mu — summed worker L1 hits
-	cacheMisses uint64        // guarded by Coordinator.mu — summed worker L1 misses
+	cacheHits   uint64        // guarded by Coordinator.mu — summed worker local-cache hits
+	cacheMisses uint64        // guarded by Coordinator.mu — summed worker local-cache misses
 	onShardDone func(ShardEvent)
 }
 
@@ -196,7 +192,7 @@ type shard struct {
 	snap      *core.Snapshot    // guarded by Coordinator.mu — last uploaded checkpoint
 	retries   int               // guarded by Coordinator.mu
 	result    *core.ResultState // guarded by Coordinator.mu
-	hits      uint64            // guarded by Coordinator.mu — last cumulative L1 report
+	hits      uint64            // guarded by Coordinator.mu — last cumulative local-cache report
 	misses    uint64            // guarded by Coordinator.mu
 	span      obs.Span          // guarded by Coordinator.mu — open dispatch span
 
@@ -204,12 +200,11 @@ type shard struct {
 	hitC, missC *obs.Counter
 }
 
-// NewCoordinator builds a coordinator with its shared cache tier.
+// NewCoordinator builds a coordinator.
 func NewCoordinator(opts Options) *Coordinator {
 	o := opts.withDefaults()
 	return &Coordinator{
 		opts:  o,
-		cache: newCacheServer(o.CacheMax),
 		jobs:  make(map[string]*dJob),
 		fleet: make(map[string]*fleetWorker),
 	}
@@ -478,8 +473,9 @@ func (c *Coordinator) expire(now time.Time) {
 
 // Heartbeat renews worker's lease on a shard, stores the uploaded snapshot
 // (if any) as the shard's re-dispatch checkpoint, and folds the worker's
-// cumulative L1 cache counters into the per-shard metric series. ErrGone
-// tells the worker its lease is lost and the shard should be abandoned.
+// cumulative local eval-cache counters into the per-shard metric series.
+// ErrGone tells the worker its lease is lost and the shard should be
+// abandoned.
 func (c *Coordinator) Heartbeat(jobID string, shard int, req heartbeatRequest) error {
 	now := c.opts.Now()
 	c.registerWorker(req.Worker, "", now)
@@ -501,8 +497,8 @@ func (c *Coordinator) Heartbeat(jobID string, shard int, req heartbeatRequest) e
 		s.snap = req.Snapshot
 		obsSnapshotUploads.Inc()
 	}
-	// Fold the delta between the worker's cumulative L1 report and the last
-	// one seen into the shard's labeled counters and the job totals. A
+	// Fold the delta between the worker's cumulative local-cache report and
+	// the last one seen into the shard's labeled counters and the job totals. A
 	// re-dispatched shard's counters restart from zero; a backwards report
 	// resets the baseline so the retried work is re-counted (which is what
 	// actually happened).
@@ -682,21 +678,4 @@ func (c *Coordinator) reduce(j *dJob) (*core.Result, error) {
 	best.CacheHits, best.CacheMisses = hits, misses
 	obsJobsDone.Inc()
 	return best, nil
-}
-
-// CacheGet serves a shared-cache lookup, attributing the hit/miss to the
-// requesting shard's metric series.
-func (c *Coordinator) CacheGet(key string, shard int) (int, bool) {
-	n, ok := c.cache.get(key)
-	if ok {
-		remoteCacheHits(shard).Inc()
-	} else {
-		remoteCacheMisses(shard).Inc()
-	}
-	return n, ok
-}
-
-// CachePut stores a published evaluation in the shared tier.
-func (c *Coordinator) CachePut(key string, n int) {
-	c.cache.put(key, n)
 }

@@ -10,8 +10,7 @@ import (
 
 // TestExploreBlockMatchesSingleNode is the fleet determinism contract: the
 // distributed answer is byte-identical to the single-node one at every shard
-// count, with multiple workers racing on the claim queue and the shared
-// cache tier attached.
+// count, with multiple workers racing on the claim queue.
 func TestExploreBlockMatchesSingleNode(t *testing.T) {
 	wl := testWorkload(6, 1)
 	want := stateJSON(t, singleNode(t, wl, 0))
@@ -48,59 +47,5 @@ func TestExploreBlockMatchesSingleNode(t *testing.T) {
 				t.Fatalf("OnShardDone fired %d times, want %d", events.Load(), shards)
 			}
 		})
-	}
-}
-
-// TestSharedCacheServesSecondJob: a second identical job on the same
-// coordinator is served from the shared tier — every shard's base-schedule
-// evaluation (and most others) is a guaranteed remote hit, visible on the
-// per-shard remote-hit counters. Both jobs still return the single-node
-// answer: the tier saves work, never changes results.
-func TestSharedCacheServesSecondJob(t *testing.T) {
-	const shards = 2
-	wl := testWorkload(4, 1)
-	want := stateJSON(t, singleNode(t, wl, 0))
-
-	coord, url := startCoordinator(t, Options{})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var done []<-chan struct{}
-	for i := 0; i < 2; i++ {
-		done = append(done, startWorker(ctx, WorkerOptions{
-			Coordinator: url,
-			Poll:        2 * time.Millisecond,
-			Logf:        t.Logf,
-		}))
-	}
-
-	remoteHits := func() float64 {
-		var sum float64
-		for i := 0; i < shards; i++ {
-			sum += remoteCacheHits(i).Value()
-		}
-		return sum
-	}
-
-	r1, err := coord.ExploreBlock(t.Context(), wl, 0, BlockOptions{Shards: shards})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := remoteHits()
-	r2, err := coord.ExploreBlock(t.Context(), wl, 0, BlockOptions{Shards: shards})
-	cancel()
-	for _, d := range done {
-		<-d
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := stateJSON(t, r1); got != want {
-		t.Fatalf("first job diverged: %s vs %s", got, want)
-	}
-	if got := stateJSON(t, r2); got != want {
-		t.Fatalf("second job diverged: %s vs %s", got, want)
-	}
-	if hits := remoteHits() - before; hits <= 0 {
-		t.Fatalf("second identical job saw %v remote cache hits, want > 0", hits)
 	}
 }

@@ -17,8 +17,6 @@ const maxBodyBytes = 16 << 20 // snapshots of large jobs ride in heartbeats
 //	POST /v1/shards/claim                    claim the next pending shard (204 when idle)
 //	POST /v1/shards/{job}/{shard}/heartbeat  renew lease, optionally upload a snapshot (410 lease gone)
 //	POST /v1/shards/{job}/{shard}/result     deliver the shard result or error (410 lease gone)
-//	GET  /v1/cache/{key}                     shared eval-cache lookup (404 miss; ?shard=N attributes metrics)
-//	PUT  /v1/cache/{key}                     shared eval-cache publish
 //
 // The surface is mounted alongside the service mux in cmd/iseserve when
 // -coordinator is set, so one listener serves both jobs and the fleet.
@@ -70,28 +68,6 @@ func Mount(mux *http.ServeMux, c *Coordinator) {
 			writeRPCError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
-	})
-	mux.HandleFunc("GET /v1/cache/{key}", func(w http.ResponseWriter, r *http.Request) {
-		shard := 0
-		if v := r.URL.Query().Get("shard"); v != "" {
-			if n, err := strconv.Atoi(v); err == nil && n >= 0 {
-				shard = n
-			}
-		}
-		n, ok := c.CacheGet(r.PathValue("key"), shard)
-		if !ok {
-			writeJSON(w, http.StatusNotFound, map[string]string{"error": "miss"})
-			return
-		}
-		writeJSON(w, http.StatusOK, cacheValue{N: n})
-	})
-	mux.HandleFunc("PUT /v1/cache/{key}", func(w http.ResponseWriter, r *http.Request) {
-		var v cacheValue
-		if !decodeBody(w, r, &v) {
-			return
-		}
-		c.CachePut(r.PathValue("key"), v.N)
 		writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
 	})
 }

@@ -7,10 +7,10 @@ import (
 )
 
 // Fleet metrics on the obs.Default registry, served by whichever process's
-// /metrics scrapes them: shard lifecycle and retry counters plus the
-// shared-cache server tallies live on the coordinator; lookup latency and
-// publish-window counters live on the workers. All observation-only — no
-// exploration decision ever reads them back (obspurity).
+// /metrics scrapes them: shard lifecycle and retry counters live on the
+// coordinator, shard run/abandon counters on the workers. All
+// observation-only — no exploration decision ever reads them back
+// (obspurity).
 var (
 	obsShardsCreated = obs.Default.Counter("ise_cluster_shards_total",
 		"Shards created by the coordinator (one per contiguous restart range per block job).")
@@ -26,14 +26,6 @@ var (
 		"Distributed block jobs finished, by outcome.", "outcome", "done")
 	obsJobsFailed = obs.Default.Counter("ise_cluster_jobs_total",
 		"Distributed block jobs finished, by outcome.", "outcome", "failed")
-	obsCacheEntries = obs.Default.Gauge("ise_cluster_cache_entries",
-		"Entries in the coordinator-hosted shared eval cache.")
-	obsCachePublishes = obs.Default.Counter("ise_cluster_cache_publishes_total",
-		"Shared-cache publishes sent by this node's cache clients.")
-	obsCachePublishDrops = obs.Default.Counter("ise_cluster_cache_publish_dropped_total",
-		"Shared-cache publishes dropped because the bounded in-flight window was full.")
-	obsCacheLookupSeconds = obs.Default.Histogram("ise_cluster_cache_lookup_seconds",
-		"Round-trip latency of one shared-cache lookup from a worker.", nil)
 	obsWorkerShardsRun = obs.Default.Counter("ise_cluster_worker_shards_total",
 		"Shards this worker ran to a posted result (successful or error).")
 	obsWorkerAbandoned = obs.Default.Counter("ise_cluster_worker_abandoned_total",
@@ -41,23 +33,9 @@ var (
 )
 
 // Per-shard-index counter families, created lazily per label value (the
-// registry get-or-creates series). The remote hit/miss pair counts
-// shared-cache traffic attributed to the shard that issued it; the shard
-// cache pair mirrors each worker's local (L1) eval-cache counters so
-// distributed cache efficacy is observable per shard on one coordinator
-// scrape.
-func remoteCacheHits(shard int) *obs.Counter {
-	return obs.Default.Counter("ise_cluster_cache_remote_hits_total",
-		"Shared eval-cache lookups served from the coordinator tier, by requesting shard index.",
-		"shard", strconv.Itoa(shard))
-}
-
-func remoteCacheMisses(shard int) *obs.Counter {
-	return obs.Default.Counter("ise_cluster_cache_remote_misses_total",
-		"Shared eval-cache lookups that found no entry, by requesting shard index.",
-		"shard", strconv.Itoa(shard))
-}
-
+// registry get-or-creates series). The pair mirrors each worker's local
+// eval-cache counters so cache efficacy is observable per shard on one
+// coordinator scrape.
 func shardCacheHits(shard int) *obs.Counter {
 	return obs.Default.Counter("ise_cluster_shard_cache_hits_total",
 		"Worker-local eval-cache hits, by shard index (reported with heartbeats and results).",

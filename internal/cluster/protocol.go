@@ -1,12 +1,8 @@
 package cluster
 
 import (
-	"fmt"
-
 	"repro/internal/core"
-	"repro/internal/machine"
 	"repro/internal/obs"
-	"repro/internal/sched"
 )
 
 // ShardSpec identifies one shard: a contiguous restart window of one job's
@@ -58,7 +54,7 @@ type claimRequest struct {
 
 // heartbeatRequest renews a shard's lease. Snapshot, when present, replaces
 // the shard's re-dispatch checkpoint. CacheHits/CacheMisses are the worker's
-// cumulative local (L1) eval-cache counters for the shard, exposed per shard
+// cumulative local eval-cache counters for the shard, exposed per shard
 // index on the coordinator's /metrics.
 type heartbeatRequest struct {
 	Worker      string         `json:"worker"`
@@ -86,47 +82,4 @@ type resultRequest struct {
 	Trace       obs.TraceExport    `json:"trace,omitempty"`
 	Clock       obs.ClockState     `json:"clock,omitempty"`
 	Flight      []obs.FlightSample `json:"flight,omitempty"`
-}
-
-// cacheValue is the wire form of one shared eval-cache entry.
-type cacheValue struct {
-	N int `json:"n"`
-}
-
-// configHash folds a machine configuration into 64 bits for the shared
-// cache's wire key, covering every Config field (two multiply–mix passes
-// per word, the same construction as sched.KeyHash's chains). Distinct
-// configurations collide with probability ~2^-64 — far below the ~2^-128
-// assignment-hash collision bound the eval cache already accepts (DESIGN.md
-// §10), and the config space actually explored is tiny.
-func configHash(cfg machine.Config) uint64 {
-	const m1, m2 = 0x9e3779b97f4a7c15, 0xc2b2ae3d27d4eb4f
-	h := uint64(0x8b7a1d5c3f2e9b41)
-	mix := func(v uint64) {
-		h ^= v
-		h *= m1
-		h ^= h >> 29
-		h *= m2
-		h ^= h >> 32
-	}
-	mix(uint64(cfg.IssueWidth))
-	mix(uint64(cfg.ReadPorts))
-	mix(uint64(cfg.WritePorts))
-	mix(uint64(cfg.ASFUs))
-	for _, n := range cfg.FUs {
-		mix(uint64(n))
-	}
-	for i := 0; i < len(cfg.Name); i++ {
-		mix(uint64(cfg.Name[i]))
-	}
-	mix(uint64(len(cfg.Name)))
-	return h
-}
-
-// cacheKeyString renders the shared-cache wire key: 80 fixed hex digits —
-// DFG fingerprint (128 bits), machine config hash (64), assignment key hash
-// (128). The coordinator's cache never parses it; string equality is key
-// equality.
-func cacheKeyString(dfp [2]uint64, cfg machine.Config, h sched.KeyHash) string {
-	return fmt.Sprintf("%016x%016x%016x%016x%016x", dfp[0], dfp[1], configHash(cfg), h[0], h[1])
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"strconv"
@@ -37,12 +38,6 @@ type WorkerOptions struct {
 	// /v1/fleet/metrics aggregator). Empty: the worker is registered but
 	// not scraped.
 	MetricsURL string
-	// NoSharedCache detaches the worker's local eval cache from the
-	// coordinator's shared tier. Results are identical either way; the tier
-	// only saves recomputation.
-	NoSharedCache bool
-	// CacheWindow bounds concurrent shared-cache publishes (default 32).
-	CacheWindow int
 	// Logf receives operational log lines (default: discard).
 	Logf func(format string, args ...any)
 
@@ -190,24 +185,14 @@ func (w *Worker) runShard(ctx context.Context, env *ShardEnvelope, tc obs.TraceC
 	}
 	cfg := spec.Workload.MachineConfig()
 
-	// The shard context bounds everything the shard does, including the
-	// cache client's in-flight traffic.
-	shardCtx, cancelShard := context.WithCancel(ctx)
-	defer cancelShard()
-
 	cache := core.NewEvalCache()
-	if !w.opts.NoSharedCache {
-		cc := NewCacheClient(shardCtx, w.opts.Coordinator, spec.Shard, w.opts.Client, w.opts.CacheWindow)
-		cache.SetRemote(cc)
-		defer cc.Close()
-	}
 	w.scratch.Prewarm(d)
 	ropts := core.ResumeOptions{Cache: cache, Scratch: w.scratch, Trace: tr, Flight: fl}
 	p := spec.shardParams()
 
 	snap := env.Snapshot
 	for {
-		sliceCtx, cancelSlice := context.WithTimeout(shardCtx, w.opts.CheckpointEvery)
+		sliceCtx, cancelSlice := context.WithTimeout(ctx, w.opts.CheckpointEvery)
 		var (
 			res  *core.Result
 			next *core.Snapshot
@@ -332,4 +317,9 @@ func (w *Worker) post(ctx context.Context, url string, v any, tc obs.TraceContex
 	}
 	w.clock.Observe(sent, w.opts.now().UnixMicro(), resp.Header)
 	return resp, nil
+}
+
+func drainClose(rc io.ReadCloser) {
+	_, _ = io.Copy(io.Discard, rc)
+	_ = rc.Close()
 }

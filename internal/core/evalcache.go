@@ -61,25 +61,6 @@ type evalShard struct {
 	m  map[evalKey]*evalEntry // guarded by mu
 }
 
-// RemoteEvalCache is a second, fleet-shared cache tier consulted when the
-// local cache misses. The distributed layer (internal/cluster) implements it
-// over HTTP against a coordinator-hosted cache service; the key triple is
-// exactly the local evalKey with the machine configuration passed whole so
-// the remote side can fold it into its own wire key. Lookup returns the
-// memoized schedule length when the tier has one; Publish offers a locally
-// computed value to the tier (best-effort — implementations may drop it).
-//
-// Determinism: a remote value is the output of the same deterministic
-// scheduler for the same (DFG fingerprint, machine, assignment hash) key, so
-// serving it instead of recomputing cannot change any result — the same
-// argument that makes the local memo semantically transparent (DESIGN.md
-// §10) applies fleet-wide. Implementations must be safe for concurrent use;
-// they are called from every exploration worker.
-type RemoteEvalCache interface {
-	Lookup(dfp [2]uint64, cfg machine.Config, h sched.KeyHash) (int, bool)
-	Publish(dfp [2]uint64, cfg machine.Config, h sched.KeyHash, n int)
-}
-
 // EvalCache memoizes schedule evaluations. The exploration loop and the
 // flow's candidate pricing both call the scheduler on assignments they have
 // already priced — every ACO round re-evaluates the accepted-ISE prefix plus
@@ -108,12 +89,6 @@ type RemoteEvalCache interface {
 type EvalCache struct {
 	shards [evalShards]evalShard
 
-	// remote is the optional fleet-shared second tier, consulted by the
-	// singleflight leader of a local miss before it runs the scheduler and
-	// published to after it does. Set once via SetRemote before the cache is
-	// shared with workers; never mutated afterwards.
-	remote RemoteEvalCache
-
 	hits, misses atomic.Uint64
 }
 
@@ -125,18 +100,6 @@ func NewEvalCache() *EvalCache {
 		c.shards[i].m = make(map[evalKey]*evalEntry)
 	}
 	return c
-}
-
-// SetRemote attaches a fleet-shared second cache tier. It must be called
-// before the cache is handed to concurrent workers (the field is read
-// without synchronization on the lookup path); passing nil detaches the
-// tier. A remote hit counts as a local hit — the lookup was served a
-// successful result without a scheduler invocation — so the exact-counter
-// contract of Stats is unchanged.
-func (c *EvalCache) SetRemote(r RemoteEvalCache) {
-	if c != nil {
-		c.remote = r
-	}
 }
 
 // Schedule returns the list-schedule length of d under assignment a on cfg,
@@ -173,21 +136,6 @@ func (c *EvalCache) ScheduleWith(kern *sched.Scheduler, d *dfg.DFG, a sched.Assi
 	e := &evalEntry{done: make(chan struct{})}
 	sh.m[k] = e
 	sh.mu.Unlock()
-	// This lookup is the singleflight leader for k. Before paying for a
-	// scheduler run, consult the fleet tier (no locks held — the remote call
-	// may block on the network; local waiters block on e.done meanwhile). A
-	// remote hit is served without a scheduler invocation, so it is a hit by
-	// the counter contract; a remote miss (or error, or no tier) falls
-	// through to the scheduler and publishes the computed value back.
-	if rc := c.remote; rc != nil {
-		if n, ok := rc.Lookup(k.dfp, k.cfg, k.h); ok {
-			c.hits.Add(1)
-			obsCacheHits[si].Inc()
-			e.n = n
-			close(e.done)
-			return n, nil
-		}
-	}
 	c.misses.Add(1)
 	obsCacheMisses[si].Inc()
 	n, err := scheduleLen(kern, d, a, cfg)
@@ -201,9 +149,6 @@ func (c *EvalCache) ScheduleWith(kern *sched.Scheduler, d *dfg.DFG, a sched.Assi
 	}
 	e.n = n
 	close(e.done)
-	if rc := c.remote; rc != nil {
-		rc.Publish(k.dfp, k.cfg, k.h, n)
-	}
 	return n, nil
 }
 

@@ -108,6 +108,32 @@ func TestFlowSIAlgorithm(t *testing.T) {
 	}
 }
 
+// TestFlowSIEvaluatesCyclicDesignPoint: on rijndael/O3, 2-issue 4/2, seed
+// 3, replacement placed ISE instances that were pairwise free of mutual
+// dependence but closed a cycle through three of them, and the block failed
+// to schedule. Every selection must now evaluate.
+func TestFlowSIEvaluatesCyclicDesignPoint(t *testing.T) {
+	bm, err := bench.Get("rijndael", "O3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := core.FastParams()
+	p.Seed = 3
+	pool, err := BuildPool(bm, Options{Machine: machine.New(2, 4, 2), Params: p, Algorithm: SI, HotBlocks: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n <= 8; n++ {
+		rep, err := pool.Evaluate(selection.Constraints{MaxISEs: n})
+		if err != nil {
+			t.Fatalf("MaxISEs %d: %v", n, err)
+		}
+		if rep.FinalCycles > rep.BaseCycles {
+			t.Fatalf("MaxISEs %d: SI made program slower: %v -> %v", n, rep.BaseCycles, rep.FinalCycles)
+		}
+	}
+}
+
 func TestFlowUnknownAlgorithm(t *testing.T) {
 	bm, err := bench.Get("crc32", "O0")
 	if err != nil {

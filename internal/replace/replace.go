@@ -48,9 +48,37 @@ func ApplyWith(kern *sched.Scheduler, d *dfg.DFG, cfg machine.Config, selected [
 		return ordered[i].Gain > ordered[j].Gain
 	})
 
+	instances := deploy(d, cfg, ordered, nil)
+	a := assignment(d, instances)
+	s, err := schedule(kern, d, a, cfg)
+	if err != nil {
+		// Instances pairwise free of mutual dependence can still close a
+		// cycle through three or more of them. Deploy again, skipping each
+		// instance the scheduler rejects together with those placed before
+		// it. That keeps the set a check on every placement would keep,
+		// since a set that schedules has no unschedulable subset, and only
+		// a failing block pays for the checks.
+		instances = deploy(d, cfg, ordered, func(insts []Instance) bool {
+			_, err := schedule(kern, d, assignment(d, insts), cfg)
+			return err == nil
+		})
+		a = assignment(d, instances)
+		s, err = schedule(kern, d, a, cfg)
+	}
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("replace: %s: %w", d.Name, err)
+	}
+	return s, a, instances, nil
+}
+
+// deploy places the instances of the gain-ordered candidates in Apply's two
+// passes. An instance is skipped when it is mutually dependent with one
+// already placed, or when schedulable is non-nil and rejects the placed
+// instances plus it.
+func deploy(d *dfg.DFG, cfg machine.Config, ordered []*merging.Candidate, schedulable func([]Instance) bool) []Instance {
 	used := graph.NewNodeSet(d.Len())
 	var instances []Instance
-	deploy := func(inst Instance, ok bool) {
+	place := func(inst Instance, ok bool) {
 		if !ok {
 			return
 		}
@@ -61,37 +89,41 @@ func ApplyWith(kern *sched.Scheduler, d *dfg.DFG, cfg machine.Config, selected [
 				return
 			}
 		}
+		if schedulable != nil && !schedulable(append(instances[:len(instances):len(instances)], inst)) {
+			return
+		}
 		instances = append(instances, inst)
 		used = used.Union(inst.Nodes)
 	}
 	for _, cand := range ordered {
 		if cand.DFG == d {
-			deploy(ownInstance(d, cfg, cand, used))
+			place(ownInstance(d, cfg, cand, used))
 		}
 	}
 	for _, cand := range ordered {
 		for _, inst := range crossMatches(d, cfg, cand, used) {
-			deploy(inst, true)
+			place(inst, true)
 		}
 	}
+	return instances
+}
 
+// assignment maps instance gi's nodes to hardware group gi.
+func assignment(d *dfg.DFG, instances []Instance) sched.Assignment {
 	a := sched.AllSoftware(d.Len())
 	for gi, inst := range instances {
 		for _, v := range inst.Nodes.Values() {
 			a[v] = sched.NodeChoice{Kind: sched.KindHW, Opt: inst.Option[v], Group: gi}
 		}
 	}
-	var s *sched.Schedule
-	var err error
+	return a
+}
+
+func schedule(kern *sched.Scheduler, d *dfg.DFG, a sched.Assignment, cfg machine.Config) (*sched.Schedule, error) {
 	if kern != nil {
-		s, err = kern.Schedule(d, a, cfg)
-	} else {
-		s, err = sched.ListSchedule(d, a, cfg)
+		return kern.Schedule(d, a, cfg)
 	}
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("replace: %s: %w", d.Name, err)
-	}
-	return s, a, instances, nil
+	return sched.ListSchedule(d, a, cfg)
 }
 
 // legalInstance checks non-overlap, eligibility, convexity and port limits.

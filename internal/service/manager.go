@@ -743,8 +743,11 @@ func (m *Manager) interrupted(j *job, ctx context.Context, blocks []BlockResult,
 }
 
 // finish moves a running job to a terminal state and emits the terminal
-// event.
+// event. The checkpoint is deleted before the terminal state is published:
+// a client that sees the job finished must never find its checkpoint, and a
+// process that dies in between would otherwise reload and re-run it.
 func (m *Manager) finish(j *job, state State, errMsg string) {
+	m.discard(j.id)
 	now := time.Now()
 	m.mu.Lock()
 	j.state = state
@@ -768,7 +771,6 @@ func (m *Manager) finish(j *job, state State, errMsg string) {
 		m.met.incCanceled()
 		evType = EventCanceled
 	}
-	m.discard(j.id)
 	j.events.publish(Event{Type: evType, Time: now, State: state, Error: errMsg})
 	j.events.close()
 }
