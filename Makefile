@@ -1,4 +1,4 @@
-.PHONY: tier1 race lint bench benchcheck benchsched benchall fmt serve-smoke cluster-smoke profile
+.PHONY: tier1 race lint bench benchall fmt serve-smoke cluster-smoke profile
 
 # Tier 1: the fast correctness gate.
 tier1:
@@ -24,36 +24,18 @@ race: lint
 	go vet ./...
 	go test -race ./...
 
-# Benchmarks: the exploration + flow benchmarks (ExploreMI / ExploreSI /
-# Headline / BuildPool plus the engine-ablation pair) and the instrumented
-# round-loop pair from internal/core (ExploreIter{Trace,Flight}{Off,On} —
-# the nil-path ones must stay at 0 allocs/op, see DESIGN.md §16), 5
-# repetitions each, folded into BENCH_pool.json with per-benchmark ns/op and
-# allocs/op deltas against the committed exploration-era report
-# BENCH_explore.json — the committed file is read, never regenerated here, so
-# it stays the fixed comparison point for the cross-block arena-reuse work.
-# Deltas worse than +10% land in the report's `regressions` section, which
-# `make benchcheck` turns into an exit status (PR 6's ExploreSI/Headline
-# regressions landed silently in the JSON; this makes that impossible).
-# `make benchsched` refreshes BENCH_sched.json itself (kernel benchmarks
-# against the pre-kernel text baseline); `make benchall` runs everything
-# without JSON post-processing.
+# Benchmarks: one Go benchmark per layer, 5 repetitions each, printed as
+# plain `go test` output: VMProfile (profiling), SchedSteadyState (the
+# scheduling kernel), MatchFind (subgraph matching), ExploreMI / ExploreSI
+# plus the engine-ablation pair (exploration), BuildPool and Headline (the
+# flow), and internal/core's instrumented round-loop pair
+# ExploreIter{Trace,Flight}{Off,On}, whose nil-path variants must stay at
+# 0 allocs/op (DESIGN.md §16). End-to-end numbers come from perfbench:
+# `bash perfbench/run.sh --steady K` interleaves two sets of runs and
+# `--trace 1` attributes time per layer. `make benchall` runs every root
+# benchmark.
 bench:
-	go test -bench 'Explore|Headline|BuildPool' -benchmem -count 5 -run XXX . ./internal/core \
-		| go run ./cmd/benchjson -prev BENCH_explore.json -maxdelta 10 \
-			-cmd "go test -bench 'Explore|Headline|BuildPool' -benchmem -count 5 -run XXX . ./internal/core" \
-			-o BENCH_pool.json
-	@cat BENCH_pool.json
-
-# Fail if the committed bench report records regressions against its -prev
-# comparison point.
-benchcheck:
-	go run ./cmd/benchjson -check BENCH_pool.json
-
-benchsched:
-	go test -bench 'Sched|Explore|Headline' -benchmem -count 5 \
-		| go run ./cmd/benchjson -baseline BENCH_baseline.txt -o BENCH_sched.json
-	@cat BENCH_sched.json
+	go test -bench 'Explore|Headline|BuildPool|MatchFind|VMProfile|SchedSteadyState' -benchmem -count 5 -run '^$$' . ./internal/core
 
 benchall:
 	go test -bench=. -benchmem

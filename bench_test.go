@@ -429,7 +429,7 @@ func BenchmarkExploreSI(b *testing.B) {
 
 // BenchmarkBuildPool measures the full profile+explore+merge pipeline, and
 // reports the schedule-evaluation cache hit rate of the last build so the
-// cross-block cache behavior is visible in the BENCH files, like
+// cross-block cache behavior is visible in the benchmark output, like
 // BenchmarkHeadline's custom metrics.
 func BenchmarkBuildPool(b *testing.B) {
 	bm, err := bench.Get("bitcount", "O3")

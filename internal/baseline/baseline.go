@@ -207,26 +207,19 @@ type explorer struct {
 	hwCycles  []int         // arena: per-option subgraph cycles
 	hwAreas   []float64     // arena: per-option subgraph areas
 
-	// IN/OUT counting scratch: ioMark era-stamps dedup keys (producer node
-	// id, or Len()+register for live-ins), ioMembers holds the queried set's
-	// members. Replaces dfg.In/Out's per-call map on the merit hot path.
-	ioMark    []int // arena: era-stamped operand dedup marks
-	ioMembers []int // arena: member extraction buffer
-	ioEra     int
-	ioMarkFor *dfg.DFG // DFG ioMark was sized for
+	io dfg.IOScratch // IN/OUT counting without dfg.In/Out's per-call map
 
 	convex graph.Scratch // reusable convexity-check traversal buffers
 }
 
 // reset rebinds a pooled explorer to one restart's inputs, keeping every
-// warmed arena. Per-DFG caches (topo order, table structure, IO-mark sizing)
-// survive across restarts on the same DFG and are dropped when it changes;
-// per-iteration scratch needs no reset — each use fully overwrites it.
+// warmed arena. Per-DFG caches (topo order, table structure) survive across
+// restarts on the same DFG and are dropped when it changes; per-iteration
+// scratch needs no reset — each use fully overwrites it.
 func (e *explorer) reset(d *dfg.DFG, cfg machine.Config, p core.Params, rng *rand.Rand) {
 	if e.d != d {
 		e.topo, e.topoPos = nil, nil
 		e.tablesFor = nil
-		e.ioMarkFor = nil
 	}
 	e.d, e.cfg, e.p, e.rng = d, cfg, p, rng
 	e.fixed = e.fixed[:0]
@@ -579,74 +572,6 @@ func (e *explorer) membersInTopoOrder(vs graph.NodeSet) []int {
 	return members
 }
 
-// countIn is dfg.In without the per-call map: the number of distinct
-// register values s consumes from outside itself, deduplicated with
-// era-stamped marks (external producers by node id, live-in operands by
-// register).
-func (e *explorer) countIn(s graph.NodeSet) int {
-	d := e.d
-	n := d.Len()
-	if e.ioMarkFor != d {
-		need := n
-		for i := range d.Nodes {
-			for _, src := range d.Nodes[i].Inputs {
-				if src.Producer < 0 && n+int(src.Reg) >= need {
-					need = n + int(src.Reg) + 1
-				}
-			}
-		}
-		// Stale marks hold earlier eras and never collide: ioEra only grows.
-		e.ioMark = growInts(e.ioMark, need)
-		e.ioMarkFor = d
-	}
-	e.ioEra++
-	era := e.ioEra
-	members := s.AppendValues(e.ioMembers[:0])
-	e.ioMembers = members
-	in := 0
-	for _, id := range members {
-		for _, src := range d.Nodes[id].Inputs {
-			if src.Producer >= 0 && s.Contains(src.Producer) {
-				continue // internal value
-			}
-			idx := n + int(src.Reg)
-			if src.Producer >= 0 {
-				idx = src.Producer // identified by producer alone
-			}
-			if e.ioMark[idx] != era {
-				e.ioMark[idx] = era
-				in++
-			}
-		}
-	}
-	return in
-}
-
-// countOut is dfg.Out without the member-slice allocation: the number of
-// nodes in s whose value escapes s.
-func (e *explorer) countOut(s graph.NodeSet) int {
-	d := e.d
-	members := s.AppendValues(e.ioMembers[:0])
-	e.ioMembers = members
-	out := 0
-	for _, id := range members {
-		node := d.Nodes[id]
-		escapes := node.LiveOut
-		if !escapes {
-			for _, succ := range node.DataSuccs {
-				if !s.Contains(succ) {
-					escapes = true
-					break
-				}
-			}
-		}
-		if escapes {
-			out++
-		}
-	}
-	return out
-}
-
 //alloc:free
 func (e *explorer) trailUpdate(chosen []int, improved bool) {
 	for x := 0; x < e.d.Len(); x++ {
@@ -734,7 +659,7 @@ func (e *explorer) hwMerit(chosen []int, x int) {
 		return
 	}
 	violated := false
-	if e.countIn(vs) > e.cfg.ReadPorts || e.countOut(vs) > e.cfg.WritePorts {
+	if e.d.InScratch(vs, &e.io) > e.cfg.ReadPorts || e.d.OutScratch(vs, &e.io) > e.cfg.WritePorts {
 		for j := range hw {
 			e.merit[x][base+j] *= p.BetaIO
 		}

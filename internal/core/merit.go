@@ -241,7 +241,7 @@ func (e *explorer) hwMerit(res *walkResult, x int) {
 
 	// Case 3: constraint violations.
 	violated := false
-	if e.countIn(vs) > e.cfg.ReadPorts || e.countOut(vs) > e.cfg.WritePorts {
+	if e.d.InScratch(vs, &e.io) > e.cfg.ReadPorts || e.d.OutScratch(vs, &e.io) > e.cfg.WritePorts {
 		for j := range hw {
 			e.merit[x][base+j] *= p.BetaIO
 		}

@@ -14,10 +14,9 @@ import "repro/internal/dfg"
 // arenaBounds derives the presize bounds one DFG imposes on an explorer:
 // node count, total option-table entries, the widest per-node option row,
 // total edge endpoints (the criticalNodes CSR bound), and the IN-counting
-// mark space (nodes plus the highest live-in register, mirroring countIn).
+// mark space (dfg.InKeys).
 func arenaBounds(d *dfg.DFG) (n, totalOpts, maxRow, edges, ioNeed int) {
 	n = d.Len()
-	ioNeed = n
 	for i := 0; i < n; i++ {
 		node := d.Nodes[i]
 		opts := len(node.SW) + len(node.HW)
@@ -26,13 +25,8 @@ func arenaBounds(d *dfg.DFG) (n, totalOpts, maxRow, edges, ioNeed int) {
 			maxRow = opts
 		}
 		edges += len(d.G.Succs(i))
-		for _, src := range node.Inputs {
-			if src.Producer < 0 && n+int(src.Reg) >= ioNeed {
-				ioNeed = n + int(src.Reg) + 1
-			}
-		}
 	}
-	return n, totalOpts, maxRow, edges, ioNeed
+	return n, totalOpts, maxRow, edges, d.InKeys()
 }
 
 // presize grows every counter-tracked arena of the explorer to the given
@@ -40,7 +34,7 @@ func arenaBounds(d *dfg.DFG) (n, totalOpts, maxRow, edges, ioNeed int) {
 // ise_explore_arena_grows_total); the payoff is that every later exploration
 // of a DFG within the bounds reslices warm memory and grows nothing — the
 // property TestScratchPrewarmPinsArenaGrows pins. The per-DFG table and
-// I/O-mark bindings are invalidated so the next initTables/countIn rebuilds
+// I/O-mark bindings are invalidated so the next initTables/InScratch rebuilds
 // row structure over the (possibly replaced) backing arrays; the rebuild is
 // pure reslicing once the arrays are warm.
 //
@@ -48,7 +42,9 @@ func arenaBounds(d *dfg.DFG) (n, totalOpts, maxRow, edges, ioNeed int) {
 func (e *explorer) presize(n, totalOpts, maxRow, edges, ioNeed int) {
 	e.fixedGroupOf = growInts(e.fixedGroupOf, n)
 	e.sp = growFloats(e.sp, n)
-	e.ioMark = growInts(e.ioMark, ioNeed)
+	if e.io.Reserve(ioNeed) {
+		obsExploreArenaGrows.Inc()
+	}
 	e.unitOf = growInts(e.unitOf, n)
 	e.unitMark = growInts(e.unitMark, n)
 	e.unitIndeg0 = growInts(e.unitIndeg0, n)
@@ -84,7 +80,7 @@ func (e *explorer) presize(n, totalOpts, maxRow, edges, ioNeed int) {
 	e.trailBuf = growFloats(e.trailBuf, totalOpts)
 	e.meritBuf = growFloats(e.meritBuf, totalOpts)
 	// The grown arrays carry unspecified content; unbind the per-DFG caches
-	// so the next exploration rebuilds row structure and mark sizing.
+	// so the next exploration rebuilds row structure (Reserve unbound the
+	// marks).
 	e.tablesFor = nil
-	e.ioMarkFor = nil
 }

@@ -118,13 +118,8 @@ type explorer struct {
 	cDown      []int // arena: downward longest path
 	cUp        []int // arena: upward longest path
 
-	// IN/OUT counting scratch: ioMark era-stamps dedup keys (producer node
-	// id, or Len()+register for live-ins), ioMembers holds the queried set's
-	// members. Replaces dfg.In/Out's per-call map on the packing hot path.
-	ioMark    []int // arena: era-stamped operand dedup marks
-	ioMembers []int // arena: member extraction buffer
-	ioEra     int
-	ioMarkFor *dfg.DFG // DFG ioMark was sized for
+	io      dfg.IOScratch // IN/OUT counting without dfg.In/Out's per-call map
+	members []int         // arena: group member extraction buffer
 
 	// Merit-sweep scratch. arena: reused for every node's hardware shaping.
 	vsSet      graph.NodeSet // arena: virtualSubgraph's result set
@@ -145,7 +140,6 @@ func (e *explorer) reset(d *dfg.DFG, cfg machine.Config, p Params, rng *rand.Ran
 	if e.d != d {
 		e.topo, e.topoPos = nil, nil
 		e.tablesFor = nil
-		e.ioMarkFor = nil
 	}
 	e.d, e.cfg, e.p = d, cfg, p
 	e.rng, e.rngSrc = rng, rngSrc
@@ -202,74 +196,6 @@ func (e *explorer) membersInTopoOrder(vs graph.NodeSet) []int {
 	e.vsMembers = members
 	//lint:ignore arenaescape callers consume the member list before the next membersInTopoOrder call
 	return members
-}
-
-// countIn is dfg.In without the per-call map: the number of distinct
-// register values s consumes from outside itself, deduplicated with
-// era-stamped marks (external producers by node id, live-in operands by
-// register).
-func (e *explorer) countIn(s graph.NodeSet) int {
-	d := e.d
-	n := d.Len()
-	if e.ioMarkFor != d {
-		need := n
-		for i := range d.Nodes {
-			for _, src := range d.Nodes[i].Inputs {
-				if src.Producer < 0 && n+int(src.Reg) >= need {
-					need = n + int(src.Reg) + 1
-				}
-			}
-		}
-		// Stale marks hold earlier eras and never collide: ioEra only grows.
-		e.ioMark = growInts(e.ioMark, need)
-		e.ioMarkFor = d
-	}
-	e.ioEra++
-	era := e.ioEra
-	members := s.AppendValues(e.ioMembers[:0])
-	e.ioMembers = members
-	in := 0
-	for _, id := range members {
-		for _, src := range d.Nodes[id].Inputs {
-			if src.Producer >= 0 && s.Contains(src.Producer) {
-				continue // internal value
-			}
-			idx := n + int(src.Reg)
-			if src.Producer >= 0 {
-				idx = src.Producer // identified by producer alone
-			}
-			if e.ioMark[idx] != era {
-				e.ioMark[idx] = era
-				in++
-			}
-		}
-	}
-	return in
-}
-
-// countOut is dfg.Out without the member-slice allocation: the number of
-// nodes in s whose value escapes s.
-func (e *explorer) countOut(s graph.NodeSet) int {
-	d := e.d
-	members := s.AppendValues(e.ioMembers[:0])
-	e.ioMembers = members
-	out := 0
-	for _, id := range members {
-		node := d.Nodes[id]
-		escapes := node.LiveOut
-		if !escapes {
-			for _, succ := range node.DataSuccs {
-				if !s.Contains(succ) {
-					escapes = true
-					break
-				}
-			}
-		}
-		if escapes {
-			out++
-		}
-	}
-	return out
 }
 
 // walkGroup is an ISE instruction formed during one iteration's ant walk.
@@ -580,7 +506,7 @@ func (e *explorer) scheduleHW(res *walkResult, table *sched.Table, x, opt, lts, 
 	lat := sched.CyclesForDelay(delay)
 	g := e.appendGroup(res)
 	g.nodes.Add(x)
-	reads, writes := e.countIn(g.nodes), e.countOut(g.nodes)
+	reads, writes := e.d.InScratch(g.nodes, &e.io), e.d.OutScratch(g.nodes, &e.io)
 	cts := lts + 1
 	for !table.FitsNewISE(cts, lat, reads, writes) {
 		cts++
@@ -627,7 +553,7 @@ func (e *explorer) tryPack(res *walkResult, table *sched.Table, g *walkGroup, x,
 		return false
 	}
 	g.nodes.Add(x)
-	newReads, newWrites := e.countIn(g.nodes), e.countOut(g.nodes)
+	newReads, newWrites := e.d.InScratch(g.nodes, &e.io), e.d.OutScratch(g.nodes, &e.io)
 	if !table.FitsISEUpdate(c, g.lat, newLat, g.reads, newReads, g.writes, newWrites) {
 		g.nodes.Remove(x)
 		return false
@@ -635,8 +561,8 @@ func (e *explorer) tryPack(res *walkResult, table *sched.Table, g *walkGroup, x,
 	// Extending the latency must not invalidate already scheduled consumers
 	// of the group's results.
 	if newLat > g.lat {
-		members := g.nodes.AppendValues(e.ioMembers[:0])
-		e.ioMembers = members
+		members := g.nodes.AppendValues(e.members[:0])
+		e.members = members
 		for _, m := range members {
 			for _, y := range d.Nodes[m].DataSuccs {
 				if g.nodes.Contains(y) || doneCycle[y] == 0 {
@@ -657,8 +583,8 @@ func (e *explorer) tryPack(res *walkResult, table *sched.Table, g *walkGroup, x,
 	res.depthNS[x] = depth
 	issueCycle[x] = c
 	done := c + newLat - 1
-	members := g.nodes.AppendValues(e.ioMembers[:0])
-	e.ioMembers = members
+	members := g.nodes.AppendValues(e.members[:0])
+	e.members = members
 	for _, m := range members {
 		doneCycle[m] = done
 	}
@@ -684,16 +610,16 @@ func (e *explorer) criticalNodes(res *walkResult) {
 	lats := e.cLats[:0]
 	for gi := range res.groups {
 		g := &res.groups[gi]
-		members := g.nodes.AppendValues(e.ioMembers[:0])
-		e.ioMembers = members
+		members := g.nodes.AppendValues(e.members[:0])
+		e.members = members
 		for _, v := range members {
 			finalOf[v] = len(lats)
 		}
 		lats = append(lats, g.lat)
 	}
 	for _, f := range e.fixed {
-		members := f.Nodes.AppendValues(e.ioMembers[:0])
-		e.ioMembers = members
+		members := f.Nodes.AppendValues(e.members[:0])
+		e.members = members
 		for _, v := range members {
 			finalOf[v] = len(lats)
 		}

@@ -243,9 +243,92 @@ func (d *DFG) In(s graph.NodeSet) int {
 
 // Out returns OUT(S): the number of nodes in S whose value escapes S —
 // consumed by an outside node or live out of the block.
-func (d *DFG) Out(s graph.NodeSet) int {
+func (d *DFG) Out(s graph.NodeSet) int { return d.out(s, s.Values()) }
+
+// IOScratch holds reusable buffers for the allocation-free IN/OUT counters
+// InScratch and OutScratch, as graph.Scratch does for IsConvexScratch. A
+// zero IOScratch is ready to use; callers reusing one across calls (an
+// explorer's arena) amortize its buffers to zero steady-state allocations.
+// An IOScratch must not be shared between goroutines.
+type IOScratch struct {
+	// mark era-stamps In's dedup keys (producer node id, or Len()+register
+	// for live-ins). Stale marks hold earlier eras and never collide: era
+	// only grows.
+	mark    []int // arena: era-stamped operand dedup marks
+	members []int // arena: member extraction buffer
+	era     int
+	markFor *DFG // DFG mark was sized for
+}
+
+// InKeys returns the size of In's dedup key space: one key per node plus
+// one per register up to the highest live-in the block reads.
+func (d *DFG) InKeys() int {
+	n := d.Len()
+	keys := n
+	for i := range d.Nodes {
+		for _, src := range d.Nodes[i].Inputs {
+			if src.Producer < 0 && n+int(src.Reg) >= keys {
+				keys = n + int(src.Reg) + 1
+			}
+		}
+	}
+	return keys
+}
+
+// Reserve presizes sc's marks for DFGs of up to keys InKeys and reports
+// whether the buffer had to grow. The next InScratch rebinds to its DFG.
+//
+//alloc:amortized grows the mark buffer only when a larger key space arrives; later calls reslice it
+func (sc *IOScratch) Reserve(keys int) bool {
+	sc.markFor = nil
+	if cap(sc.mark) >= keys {
+		sc.mark = sc.mark[:keys]
+		return false
+	}
+	sc.mark = make([]int, keys)
+	return true
+}
+
+// InScratch is In with sc's era-stamped marks in place of the per-call map.
+func (d *DFG) InScratch(s graph.NodeSet, sc *IOScratch) int {
+	n := d.Len()
+	if sc.markFor != d {
+		sc.Reserve(d.InKeys())
+		sc.markFor = d
+	}
+	sc.era++
+	era := sc.era
+	members := s.AppendValues(sc.members[:0])
+	sc.members = members
+	in := 0
+	for _, id := range members {
+		for _, src := range d.Nodes[id].Inputs {
+			if src.Producer >= 0 && s.Contains(src.Producer) {
+				continue // internal value
+			}
+			idx := n + int(src.Reg)
+			if src.Producer >= 0 {
+				idx = src.Producer // identified by producer alone
+			}
+			if sc.mark[idx] != era {
+				sc.mark[idx] = era
+				in++
+			}
+		}
+	}
+	return in
+}
+
+// OutScratch is Out with sc's member buffer in place of a fresh slice.
+func (d *DFG) OutScratch(s graph.NodeSet, sc *IOScratch) int {
+	sc.members = s.AppendValues(sc.members[:0])
+	return d.out(s, sc.members)
+}
+
+// out counts the members of s whose value escapes s.
+func (d *DFG) out(s graph.NodeSet, members []int) int {
 	out := 0
-	for _, id := range s.Values() {
+	for _, id := range members {
 		n := d.Nodes[id]
 		escapes := n.LiveOut
 		if !escapes {

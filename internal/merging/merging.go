@@ -115,6 +115,7 @@ func Merge(cands []*Candidate) []Group {
 // latency at least that of the matched sub-datapath (merge condition 1).
 func SubgraphOf(b, a *Candidate) bool {
 	ms := match.Find(b.DFG, b.ISE.Nodes, a.DFG, 0)
+	var assign sched.Assignment // a's chosen options, built on first use
 	for _, m := range ms {
 		inside := true
 		for _, t := range m {
@@ -128,7 +129,9 @@ func SubgraphOf(b, a *Candidate) bool {
 		}
 		// Latency of the matched sub-datapath under a's chosen options.
 		sub := m.Targets(a.DFG.Len())
-		assign := core.BuildAssignment(a.DFG, []*core.ISE{a.ISE})
+		if assign == nil {
+			assign = core.BuildAssignment(a.DFG, []*core.ISE{a.ISE})
+		}
 		subDelay := sched.GroupDelayNS(a.DFG, sub, assign)
 		if b.ISE.Cycles >= sched.CyclesForDelay(subDelay) {
 			return true

@@ -334,20 +334,30 @@ func (m *Manager) Cancel(id string) (JobStatus, error) {
 		m.mu.Unlock()
 		return m.status(j), ErrFinished
 	case j.state == StateQueued:
-		keep := make([]*job, 0, len(m.queue)-1)
+		keep := make([]*job, 0, len(m.queue))
 		for _, q := range m.queue {
 			if q != j {
 				keep = append(keep, q)
 			}
 		}
 		m.queue = keep
+		m.mu.Unlock()
+		// Out of the queue, no runner can claim the job. Delete its
+		// checkpoint before the canceled state becomes visible, so a process
+		// that dies in between reloads a queued job, never one already
+		// reported canceled.
+		m.discard(id)
+		m.mu.Lock()
+		if j.state != StateQueued { // a concurrent Cancel finished it first
+			m.mu.Unlock()
+			return m.status(j), ErrFinished
+		}
 		j.state = StateCanceled
 		j.errMsg = errCancelCause.Error()
 		j.finished = time.Now()
 		j.cp = nil
 		m.mu.Unlock()
 		m.met.incCanceled()
-		m.discard(id)
 		j.events.publish(Event{Type: EventCanceled, Time: time.Now(),
 			State: StateCanceled, Error: errCancelCause.Error()})
 		j.events.close()
@@ -355,9 +365,7 @@ func (m *Manager) Cancel(id string) (JobStatus, error) {
 	default: // running: the runner observes the cause and finalizes
 		cancel := j.cancel
 		m.mu.Unlock()
-		if cancel != nil {
-			cancel(errCancelCause)
-		}
+		cancel(errCancelCause)
 		return m.status(j), nil
 	}
 }
@@ -439,7 +447,7 @@ func (m *Manager) Drain(ctx context.Context) error {
 	if !m.draining {
 		m.draining = true
 		for _, j := range m.jobs {
-			if j.state == StateRunning && j.cancel != nil {
+			if j.state == StateRunning {
 				j.cancel(errDrainCause)
 			}
 		}
@@ -474,54 +482,57 @@ func (m *Manager) discard(id string) {
 func (m *Manager) runner() {
 	defer m.wg.Done()
 	for {
-		j := m.next()
+		j, ctx, cancel := m.next()
 		if j == nil {
 			return
 		}
-		m.run(j)
+		m.run(ctx, j)
+		cancel(nil)
 		m.signalWake() // more queued work may be waiting for a free runner
 	}
 }
 
-// next blocks until a job is available or the manager shuts down.
-func (m *Manager) next() *job {
+// next blocks until a job is available or the manager shuts down. The job's
+// run context is created, and its cancel function published, in the same
+// critical section that marks the job running, so a Cancel or Drain that
+// sees the running state always reaches the run.
+func (m *Manager) next() (*job, context.Context, context.CancelCauseFunc) {
 	for {
 		m.mu.Lock()
 		if m.draining {
 			m.mu.Unlock()
-			return nil
+			return nil, nil, nil
 		}
 		if len(m.queue) > 0 {
 			j := m.queue[0]
 			m.queue = m.queue[1:]
+			ctx, cancel := context.WithCancelCause(m.runCtx)
 			j.state = StateRunning
+			j.cancel = cancel
 			j.started = time.Now()
 			wait := j.started.Sub(j.submitted)
 			m.running++
 			m.mu.Unlock()
 			m.met.observeQueueWait(wait)
-			return j
+			return j, ctx, cancel
 		}
 		m.mu.Unlock()
 		select {
 		case <-m.runCtx.Done():
-			return nil
+			return nil, nil, nil
 		case <-m.wake:
 		}
 	}
 }
 
 // run executes one job to a checkpoint or a terminal state.
-func (m *Manager) run(j *job) {
-	ctx, cancel := context.WithCancelCause(m.runCtx)
-	defer cancel(nil)
+func (m *Manager) run(ctx context.Context, j *job) {
 	if d := j.spec.deadline(m.cfg.DefaultDeadline); d > 0 {
 		var cancelT context.CancelFunc
 		ctx, cancelT = context.WithTimeoutCause(ctx, d, errDeadlineCause)
 		defer cancelT()
 	}
 	m.mu.Lock()
-	j.cancel = cancel
 	cp := j.cp
 	m.mu.Unlock()
 	j.events.publish(Event{Type: EventStarted, Time: time.Now(), State: StateRunning})

@@ -3,6 +3,9 @@ package service
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -166,10 +169,10 @@ func TestQueueOverflowRejects(t *testing.T) {
 	}
 }
 
-func TestCancelQueuedJob(t *testing.T) {
-	// Queue capacity but zero progress: occupy the single runner first.
-	m := newTestManager(t, Config{Runners: 1, QueueSize: 8})
-	// Pin the runner so the second job cannot leave the queue.
+// queueBehindHeavy pins a single-runner manager with a long job and queues
+// a second one behind it, which therefore cannot leave the queue.
+func queueBehindHeavy(t *testing.T, m *Manager) (first, second JobStatus) {
+	t.Helper()
 	heavy := testSpec(1)
 	p := core.DefaultParams()
 	p.Restarts = 64
@@ -179,10 +182,17 @@ func TestCancelQueuedJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, m, first.ID, StateRunning)
-	second, err := m.Submit(testSpec(1))
+	second, err = m.Submit(testSpec(1))
 	if err != nil {
 		t.Fatal(err)
 	}
+	return first, second
+}
+
+func TestCancelQueuedJob(t *testing.T) {
+	// Queue capacity but zero progress: occupy the single runner first.
+	m := newTestManager(t, Config{Runners: 1, QueueSize: 8})
+	first, second := queueBehindHeavy(t, m)
 	if _, err := m.Cancel(second.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -198,6 +208,88 @@ func TestCancelQueuedJob(t *testing.T) {
 	}
 	if _, err := m.Cancel("does-not-exist"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("cancel unknown: %v, want ErrNotFound", err)
+	}
+	if _, err := m.Cancel(first.ID); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m, first.ID, StateCanceled)
+}
+
+// TestCancelQueuedDeletesCheckpointFirst: canceling a queued job deletes its
+// checkpoint before the canceled state becomes visible, so a process that
+// dies in between reloads a queued job, never one already reported canceled.
+// The checkpoint is swapped for a non-empty directory so the delete fails and
+// logs; the log hook records the state a reader sees at that moment.
+func TestCancelQueuedDeletesCheckpointFirst(t *testing.T) {
+	dir := t.TempDir()
+	var (
+		m       *Manager
+		target  string
+		atFirst []State
+	)
+	logf := func(format string, args ...any) {
+		t.Logf(format, args...)
+		if strings.HasPrefix(format, "service: delete checkpoint") && args[0] == target {
+			st, err := m.Get(target)
+			if err != nil {
+				t.Error(err)
+			}
+			atFirst = append(atFirst, st.State)
+		}
+	}
+	m = newTestManager(t, Config{Runners: 1, QueueSize: 8, StateDir: dir, Logf: logf})
+	first, second := queueBehindHeavy(t, m)
+	cp := filepath.Join(dir, "job-"+second.ID+".json")
+	if err := os.Remove(cp); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(cp, "pin"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	target = second.ID
+	st, err := m.Cancel(second.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateCanceled {
+		t.Fatalf("Cancel returned state %s, want %s", st.State, StateCanceled)
+	}
+	if len(atFirst) != 1 || atFirst[0] != StateQueued {
+		t.Fatalf("states seen while deleting the checkpoint: %v, want [%s]", atFirst, StateQueued)
+	}
+	if _, err := m.Cancel(first.ID); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m, first.ID, StateCanceled)
+}
+
+// TestConcurrentCancelQueuedJob: racing Cancels of one queued job cancel it
+// once; every other call reports ErrFinished.
+func TestConcurrentCancelQueuedJob(t *testing.T) {
+	m := newTestManager(t, Config{Runners: 1, QueueSize: 8, StateDir: t.TempDir()})
+	first, second := queueBehindHeavy(t, m)
+	const callers = 4
+	errs := make(chan error, callers)
+	for i := 0; i < callers; i++ {
+		go func() {
+			_, err := m.Cancel(second.ID)
+			errs <- err
+		}()
+	}
+	won := 0
+	for i := 0; i < callers; i++ {
+		switch err := <-errs; {
+		case err == nil:
+			won++
+		case !errors.Is(err, ErrFinished):
+			t.Fatalf("cancel: %v, want nil or ErrFinished", err)
+		}
+	}
+	if won != 1 {
+		t.Fatalf("%d Cancel calls succeeded, want 1", won)
+	}
+	if n := m.Metrics()["jobs_canceled_total"].(uint64); n != 1 {
+		t.Fatalf("jobs_canceled_total = %d, want 1", n)
 	}
 	if _, err := m.Cancel(first.ID); err != nil {
 		t.Fatal(err)
