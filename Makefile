@@ -1,4 +1,4 @@
-.PHONY: tier1 race lint bench benchall fmt serve-smoke cluster-smoke profile
+.PHONY: tier1 race lint bench benchall fmt results serve-smoke cluster-smoke profile
 
 # Tier 1: the fast correctness gate.
 tier1:
@@ -26,22 +26,36 @@ race: lint
 
 # Benchmarks: one Go benchmark per layer, 5 repetitions each, printed as
 # plain `go test` output: VMProfile (profiling), SchedSteadyState (the
-# scheduling kernel), MatchFind (subgraph matching), ExploreMI / ExploreSI
-# plus the engine-ablation pair (exploration), BuildPool and Headline (the
-# flow), and internal/core's instrumented round-loop pair
+# scheduling kernel), MatchFind (subgraph matching), Merge (the merging
+# stage's matching) and Evaluate (a cold Pool.Evaluate, mostly replacement
+# matching) on the crc32/O3 pool, ExploreMI / ExploreSI plus the
+# engine-ablation pair (exploration), BuildPool and Headline (the flow), and
+# internal/core's instrumented round-loop pair
 # ExploreIter{Trace,Flight}{Off,On}, whose nil-path variants must stay at
 # 0 allocs/op (DESIGN.md §16). End-to-end numbers come from perfbench:
 # `bash perfbench/run.sh --steady K` interleaves two sets of runs and
 # `--trace 1` attributes time per layer. `make benchall` runs every root
 # benchmark.
 bench:
-	go test -bench 'Explore|Headline|BuildPool|MatchFind|VMProfile|SchedSteadyState' -benchmem -count 5 -run '^$$' . ./internal/core
+	go test -bench 'Explore|Headline|BuildPool|MatchFind|Merge|Evaluate|VMProfile|SchedSteadyState' -benchmem -count 5 -run '^$$' . ./internal/core
 
 benchall:
 	go test -bench=. -benchmem
 
 fmt:
 	gofmt -l .
+
+# Pin the paper's numbers to the code: regenerate every table and figure
+# and diff the output against results_full.txt line for line, ignoring only
+# the run's `done in` timing line and the `wrote figs/...` lines that
+# -svg adds to the committed capture. No -svg here, so nothing is written
+# into figs/. A change that moves a number fails until it regenerates the
+# file (`go run ./cmd/isebench -all -stats -svg figs > results_full.txt`).
+results:
+	@out=$$(mktemp) && trap 'rm -f "$$out"' EXIT && \
+	go run ./cmd/isebench -all -stats > "$$out" && \
+	diff -u -I '^done in ' -I '^wrote ' results_full.txt "$$out" && \
+	echo "results: isebench -all -stats reproduces results_full.txt"
 
 # End-to-end smoke test of the service daemon: builds the real iseserve and
 # iseexplore binaries, boots the daemon on a random port, submits a job over
@@ -63,7 +77,11 @@ cluster-smoke:
 	ISECLUSTER_SMOKE=1 go test -run TestClusterSmoke -v ./cmd/iseserve/
 
 # CPU-profile the headline benchmark and print the top-10 hot functions.
-# Artifacts land in /tmp so the repo stays clean.
+# Artifacts land in /tmp so the repo stays clean. On a 2-core x86-64 VM the
+# run takes about 4.5 s: match.Find is 34-41% of CPU (about 25% replacement's
+# cross-block matches, 11-14% merging) and MI/SI exploration most of the
+# rest. The full matrix has another mix (exploration about 86%, match.Find
+# 10.5%); profile it with `go run ./cmd/isebench -all -cpuprofile <file>`.
 profile:
 	go run ./cmd/isebench -headline -fast -cpuprofile /tmp/ise-cpu.out
 	go tool pprof -top -nodecount=10 /tmp/ise-cpu.out

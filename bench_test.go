@@ -20,8 +20,10 @@ import (
 	"repro/internal/hwsw"
 	"repro/internal/machine"
 	"repro/internal/match"
+	"repro/internal/merging"
 	"repro/internal/netlist"
 	"repro/internal/sched"
+	"repro/internal/selection"
 	"repro/internal/vm"
 )
 
@@ -299,6 +301,72 @@ func BenchmarkMatchFind(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if ms := match.Find(d, pat, d, 0); len(ms) == 0 {
 			b.Fatal("no matches")
+		}
+	}
+}
+
+// matchPool is the pool BenchmarkMerge and BenchmarkEvaluate run on:
+// crc32/O3 under MI on the 2-issue 4/2 machine, the kernel whose design
+// points spend most of their time in subgraph matching.
+var matchPool = sync.OnceValue(func() *flow.Pool {
+	bm, err := bench.Get("crc32", "O3")
+	if err != nil {
+		panic(err)
+	}
+	opts := flow.Options{Machine: machine.New(2, 4, 2), Params: core.FastParams(), Algorithm: flow.MI, HotBlocks: 3}
+	pool, err := flow.BuildPool(bm, opts)
+	if err != nil {
+		panic(err)
+	}
+	return pool
+})
+
+// coldCopy copies a candidate without its memoized matches, so every use of
+// the copy matches afresh.
+func coldCopy(c *merging.Candidate) *merging.Candidate {
+	return &merging.Candidate{ISE: c.ISE, DFG: c.DFG, Gain: c.Gain}
+}
+
+// BenchmarkMerge measures the merging stage (canonical hashing plus the
+// subgraph matching of merging.SubgraphOf) over the crc32/O3 pool's
+// candidates.
+func BenchmarkMerge(b *testing.B) {
+	var cands []*merging.Candidate
+	for _, g := range matchPool().Groups {
+		for _, c := range g.Members {
+			cands = append(cands, coldCopy(c))
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if gs := merging.Merge(cands); len(gs) == 0 {
+			b.Fatal("no groups")
+		}
+	}
+}
+
+// BenchmarkEvaluate measures a cold Pool.Evaluate at the unconstrained
+// point on the crc32/O3 pool: selection, replacement with every
+// candidate's cross-block matches found afresh, and final scheduling.
+func BenchmarkEvaluate(b *testing.B) {
+	pool := matchPool()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cold := &flow.Pool{Benchmark: pool.Benchmark, Machine: pool.Machine, Algorithm: pool.Algorithm,
+			DFGs: pool.DFGs, Hot: pool.Hot, BaseCycles: pool.BaseCycles}
+		for _, g := range pool.Groups {
+			cg := merging.Group{AreaUM2: g.AreaUM2}
+			for _, c := range g.Members {
+				cg.Members = append(cg.Members, coldCopy(c))
+			}
+			cold.Groups = append(cold.Groups, cg)
+		}
+		b.StartTimer()
+		if _, err := cold.Evaluate(selection.Constraints{}); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

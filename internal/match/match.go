@@ -26,99 +26,156 @@ const DefaultLimit = 200000
 // pNodes of pd onto nodes of td such that opcodes agree and the induced
 // dataflow edges are identical. Candidate target nodes are restricted to
 // ISE-eligible operations. maxMatches <= 0 means unlimited.
+//
+// The enumeration order is part of the contract, not an accident of the
+// implementation: callers that cap maxMatches keep a prefix of it (replace's
+// crossMatches takes the first 64 occurrences and claims them greedily), so
+// a different order yields different instances. Pattern nodes are bound
+// most-constrained first (fewest candidates, then most internal edges, then
+// lowest ID), and each is tried against its candidates in ascending target
+// ID order.
+//
+// A call explores at most DefaultLimit search states. A call that exhausts
+// the budget returns the mappings found so far, silently truncated: the
+// result does not say whether the search was complete.
 func Find(pd *dfg.DFG, pNodes graph.NodeSet, td *dfg.DFG, maxMatches int) []Mapping {
-	pids := pNodes.Values()
-	if len(pids) == 0 {
-		return nil
+	ms, _ := find(pd, pNodes, td, maxMatches, DefaultLimit)
+	return ms
+}
+
+// Pattern-adjacency bits of searcher.adj.
+const (
+	edgeOut uint8 = 1 << iota // lv[d].p -> lv[e].p
+	edgeIn                    // lv[e].p -> lv[d].p
+)
+
+// level is one depth of the search: the pattern node bound there, its
+// candidate targets and its edges to the pattern nodes of earlier levels.
+type level struct {
+	p     int   // pattern node
+	cands []int // candidate target nodes, ascending
+	deg   int   // p's edges inside the pattern (an ordering key)
+	nOut  int   // edges from p to earlier levels' pattern nodes
+	nIn   int   // edges to p from earlier levels' pattern nodes
+	t     int   // target bound here while the search is deeper
+}
+
+// find is Find with an explicit search-state budget. It also returns the
+// number of search states it visited; states == limit means the budget was
+// used up, so the result may be truncated.
+func find(pd *dfg.DFG, pNodes graph.NodeSet, td *dfg.DFG, maxMatches, limit int) (ms []Mapping, states int) {
+	n := pNodes.Len()
+	if n == 0 {
+		return nil, 0
 	}
-	// Candidate lists per pattern node, by opcode.
-	cands := make(map[int][]int, len(pids))
-	for _, p := range pids {
+	lv := make([]level, 0, n)
+	for _, p := range pNodes.Values() {
+		l := level{p: p}
+		// Candidate lists are built once per opcode and shared.
 		op := pd.Nodes[p].Instr.Op
-		var cs []int
-		for t := 0; t < td.Len(); t++ {
-			if td.Nodes[t].Instr.Op == op && td.Nodes[t].ISEEligible() {
-				cs = append(cs, t)
+		for _, prev := range lv {
+			if pd.Nodes[prev.p].Instr.Op == op {
+				l.cands = prev.cands
+				break
 			}
 		}
-		if len(cs) == 0 {
-			return nil
+		if l.cands == nil {
+			for t := 0; t < td.Len(); t++ {
+				if td.Nodes[t].Instr.Op == op && td.Nodes[t].ISEEligible() {
+					l.cands = append(l.cands, t)
+				}
+			}
 		}
-		cands[p] = cs
-	}
-	// Order pattern nodes most-constrained first: fewest candidates, then
-	// most internal adjacency.
-	order := append([]int(nil), pids...)
-	adj := func(p int) int {
-		n := 0
+		if len(l.cands) == 0 {
+			return nil, 0
+		}
 		for _, q := range pd.Data.Succs(p) {
 			if pNodes.Contains(q) {
-				n++
+				l.deg++
 			}
 		}
 		for _, q := range pd.Data.Preds(p) {
 			if pNodes.Contains(q) {
-				n++
+				l.deg++
 			}
 		}
-		return n
+		lv = append(lv, l)
 	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if len(cands[a]) != len(cands[b]) {
-			return len(cands[a]) < len(cands[b])
+	// Order pattern nodes most-constrained first: fewest candidates, then
+	// most internal adjacency, then lowest ID.
+	sort.Slice(lv, func(i, j int) bool {
+		a, b := &lv[i], &lv[j]
+		if len(a.cands) != len(b.cands) {
+			return len(a.cands) < len(b.cands)
 		}
-		if adj(a) != adj(b) {
-			return adj(a) > adj(b)
+		if a.deg != b.deg {
+			return a.deg > b.deg
 		}
-		return a < b
+		return a.p < b.p
 	})
 
 	s := &searcher{
-		pd: pd, td: td, pNodes: pNodes,
-		order: order, cands: cands,
-		mapping: Mapping{}, usedT: map[int]bool{},
-		max: maxMatches, budget: DefaultLimit,
+		td:       td,
+		lv:       lv,
+		adj:      make([]uint8, n*n),
+		depthOfT: make([]int, td.Len()),
+		max:      maxMatches,
+		budget:   limit,
+	}
+	for d := range lv {
+		for e := range lv[:d] {
+			if pd.Data.HasEdge(lv[d].p, lv[e].p) {
+				s.adj[d*n+e] |= edgeOut
+				lv[d].nOut++
+			}
+			if pd.Data.HasEdge(lv[e].p, lv[d].p) {
+				s.adj[d*n+e] |= edgeIn
+				lv[d].nIn++
+			}
+		}
+	}
+	for t := range s.depthOfT {
+		s.depthOfT[t] = -1
 	}
 	s.search(0)
-	return s.found
+	return s.found, limit - s.budget
 }
 
+// searcher binds level d's pattern node to a target node at depth d. All
+// state is indexed by depth or target ID.
 type searcher struct {
-	pd, td  *dfg.DFG
-	pNodes  graph.NodeSet
-	order   []int
-	cands   map[int][]int
-	mapping Mapping
-	usedT   map[int]bool
-	found   []Mapping
-	max     int
-	budget  int
+	td *dfg.DFG
+	lv []level
+	// adj[d*len(lv)+e], e < d, holds the edgeOut/edgeIn bits between the
+	// pattern nodes of levels d and e.
+	adj      []uint8
+	depthOfT []int // depth a target is bound at, -1 when unused
+	found    []Mapping
+	max      int
+	budget   int
 }
 
-func (s *searcher) search(depth int) bool {
+func (s *searcher) search(d int) bool {
 	if s.budget <= 0 {
 		return true // out of budget: stop the whole search
 	}
 	s.budget--
-	if depth == len(s.order) {
-		m := make(Mapping, len(s.mapping))
-		for k, v := range s.mapping {
-			m[k] = v
+	if d == len(s.lv) {
+		m := make(Mapping, len(s.lv))
+		for _, l := range s.lv {
+			m[l.p] = l.t
 		}
 		s.found = append(s.found, m)
 		return s.max > 0 && len(s.found) >= s.max
 	}
-	p := s.order[depth]
-	for _, t := range s.cands[p] {
-		if s.usedT[t] || !s.consistent(p, t) {
+	for _, t := range s.lv[d].cands {
+		if s.depthOfT[t] >= 0 || !s.consistent(d, t) {
 			continue
 		}
-		s.mapping[p] = t
-		s.usedT[t] = true
-		stop := s.search(depth + 1)
-		delete(s.mapping, p)
-		delete(s.usedT, t)
+		s.lv[d].t = t
+		s.depthOfT[t] = d
+		stop := s.search(d + 1)
+		s.depthOfT[t] = -1
 		if stop {
 			return true
 		}
@@ -126,19 +183,37 @@ func (s *searcher) search(depth int) bool {
 	return false
 }
 
-// consistent checks that assigning pattern node p to target node t preserves
-// the induced dataflow edges against every already-mapped pattern node.
-func (s *searcher) consistent(p, t int) bool {
-	for q, u := range s.mapping {
-		pq := s.pd.Data.HasEdge(p, q)
-		qp := s.pd.Data.HasEdge(q, p)
-		tu := s.td.Data.HasEdge(t, u)
-		ut := s.td.Data.HasEdge(u, t)
-		if pq != tu || qp != ut {
-			return false
+// consistent checks that binding level d's pattern node to the unused
+// target node t induces exactly the pattern's dataflow edges to every node
+// bound at an earlier depth. It walks only t's target neighbours: each bound
+// neighbour must have the matching pattern edge, and the count of bound
+// neighbours must equal the pattern's. That is exact because the graph
+// stores each edge once and the binding is injective, so every earlier
+// depth is seen at most once per direction.
+func (s *searcher) consistent(d, t int) bool {
+	row := s.adj[d*len(s.lv):]
+	k := 0
+	for _, u := range s.td.Data.Succs(t) {
+		if e := s.depthOfT[u]; e >= 0 {
+			if row[e]&edgeOut == 0 {
+				return false
+			}
+			k++
 		}
 	}
-	return true
+	if k != s.lv[d].nOut {
+		return false
+	}
+	k = 0
+	for _, u := range s.td.Data.Preds(t) {
+		if e := s.depthOfT[u]; e >= 0 {
+			if row[e]&edgeIn == 0 {
+				return false
+			}
+			k++
+		}
+	}
+	return k == s.lv[d].nIn
 }
 
 // Targets returns the target node set of a mapping.

@@ -4,10 +4,14 @@
 // likewise share one ASFU (the degenerate case of subgraph merging, and the
 // basis of hardware sharing during selection).
 //
-// The paper's two merge conditions hold here by construction: (1) we only
-// merge B into A when B's latency is at least that of the matched
-// sub-datapath inside A, so no instance gets slower; (2) the modeled machine
-// has a single ASFU, so two ISEs are never executed simultaneously.
+// The paper's two merge conditions: (1) no instance gets slower. A subgraph
+// merge of B into A happens only when B's latency is at least that of the
+// matched sub-datapath inside A (SubgraphOf). Candidates with equal
+// match.Canonical hashes, however, share without that check: the hash is
+// taken as identity, so condition 1 is assumed, not verified, on that path,
+// and a shared candidate can be faster than the representative's datapath.
+// (2) Two ISEs never execute simultaneously. This one holds by
+// construction: the modeled machine has a single ASFU.
 package merging
 
 import (
@@ -60,9 +64,9 @@ type Group struct {
 }
 
 // Merge partitions candidates into hardware-sharing groups. Candidates with
-// identical structure always share; candidate B additionally joins A's group
-// when B's pattern embeds into A's datapath without violating the latency
-// condition.
+// equal canonical hashes always share, without a latency check; candidate B
+// additionally joins A's group when B's pattern embeds into A's datapath
+// without violating the latency condition.
 func Merge(cands []*Candidate) []Group {
 	// Deterministic processing order: descending size, then area, then gain.
 	ordered := append([]*Candidate(nil), cands...)
