@@ -28,8 +28,9 @@ race: lint
 # plain `go test` output: VMProfile (profiling), SchedSteadyState (the
 # scheduling kernel), MatchFind (subgraph matching), Merge (the merging
 # stage's matching) and Evaluate (a cold Pool.Evaluate, mostly replacement
-# matching) on the crc32/O3 pool, ExploreMI / ExploreSI plus the
-# engine-ablation pair (exploration), BuildPool and Headline (the flow), and
+# matching) on the crc32/O3 pool, Convex (the closure-backed convexity test
+# of both explorers' merit sweeps, 0 allocs/op), ExploreMI / ExploreSI plus
+# the engine-ablation pair (exploration), BuildPool and Headline (the flow), and
 # internal/core's instrumented round-loop pair
 # ExploreIter{Trace,Flight}{Off,On}, whose nil-path variants must stay at
 # 0 allocs/op (DESIGN.md §16). End-to-end numbers come from perfbench:
@@ -37,7 +38,7 @@ race: lint
 # `--trace 1` attributes time per layer. `make benchall` runs every root
 # benchmark.
 bench:
-	go test -bench 'Explore|Headline|BuildPool|MatchFind|Merge|Evaluate|VMProfile|SchedSteadyState' -benchmem -count 5 -run '^$$' . ./internal/core
+	go test -bench 'Explore|Headline|BuildPool|MatchFind|Merge|Evaluate|Convex|VMProfile|SchedSteadyState' -benchmem -count 5 -run '^$$' . ./internal/core
 
 benchall:
 	go test -bench=. -benchmem
@@ -78,10 +79,10 @@ cluster-smoke:
 
 # CPU-profile the headline benchmark and print the top-10 hot functions.
 # Artifacts land in /tmp so the repo stays clean. On a 2-core x86-64 VM the
-# run takes about 4.5 s: match.Find is 34-41% of CPU (about 25% replacement's
-# cross-block matches, 11-14% merging) and MI/SI exploration most of the
-# rest. The full matrix has another mix (exploration about 86%, match.Find
-# 10.5%); profile it with `go run ./cmd/isebench -all -cpuprofile <file>`.
+# run takes about 2 s: match.Find is about 45% of CPU (31% replacement's
+# cross-block matches, 14% merging) and MI/SI exploration most of the
+# rest. The full matrix has another mix (exploration about 82%, match.Find
+# 15%); profile it with `go run ./cmd/isebench -all -cpuprofile <file>`.
 profile:
 	go run ./cmd/isebench -headline -fast -cpuprofile /tmp/ise-cpu.out
 	go tool pprof -top -nodecount=10 /tmp/ise-cpu.out

@@ -7,6 +7,7 @@ package repro
 
 import (
 	"io"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -303,6 +304,55 @@ func BenchmarkMatchFind(b *testing.B) {
 			b.Fatal("no matches")
 		}
 	}
+}
+
+// BenchmarkConvex measures the convexity test both explorers apply to every
+// hardware option's virtual subgraph: dfg.IsConvex over seeded connected
+// subsets of 2-8 operations of jpeg/O3's three hot blocks. Each DFG's
+// closure is built before the timer starts, so the loop measures the warm
+// query, which allocates nothing.
+func BenchmarkConvex(b *testing.B) {
+	bm, err := bench.Get("jpeg", "O3")
+	if err != nil {
+		b.Fatal(err)
+	}
+	prof, err := bm.Run()
+	if err != nil {
+		b.Fatal(err)
+	}
+	type query struct {
+		d *dfg.DFG
+		s graph.NodeSet
+	}
+	var qs []query
+	r := rand.New(rand.NewSource(1))
+	for _, d := range dfg.BuildAll(bm.Prog, prof.HotBlocks(bm.Prog, 3), prof.BlockCounts) {
+		d.IsConvex(graph.NewNodeSet(d.Len())) // build the closure
+		for k := 0; k < 64; k++ {
+			// Grow a weakly connected subset from a random start node; a
+			// component smaller than size stops the growth early.
+			s := graph.NodeSetOf(d.Len(), r.Intn(d.Len()))
+			size := 2 + r.Intn(7)
+			for tries := 0; s.Len() < size && tries < 64; tries++ {
+				vs := s.Values()
+				v := vs[r.Intn(len(vs))]
+				if nbrs := append(append([]int(nil), d.G.Succs(v)...), d.G.Preds(v)...); len(nbrs) > 0 {
+					s.Add(nbrs[r.Intn(len(nbrs))])
+				}
+			}
+			qs = append(qs, query{d, s})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	convex := 0
+	for i := 0; i < b.N; i++ {
+		q := qs[i%len(qs)]
+		if q.d.IsConvex(q.s) {
+			convex++
+		}
+	}
+	b.ReportMetric(float64(convex)/float64(b.N), "convex-frac")
 }
 
 // matchPool is the pool BenchmarkMerge and BenchmarkEvaluate run on:

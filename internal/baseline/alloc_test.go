@@ -33,9 +33,6 @@ func TestBaselineSteadyStateAllocs(t *testing.T) {
 	d := hotBenchDFG(t, "crc32", "O3")
 	e := &explorer{}
 	e.reset(d, machine.New(2, 4, 2), core.DefaultParams(), aco.NewRand(1))
-	if err := e.ensureTopo(); err != nil {
-		t.Fatal(err)
-	}
 	e.initTables()
 	tetOld := 1 << 30
 	iterate := func() {

@@ -180,11 +180,6 @@ type explorer struct {
 	trailBuf, meritBuf []float64
 	tablesFor          *dfg.DFG // DFG the table structure was built for
 
-	// topo caches the DFG's topological order and topoPos each node's
-	// position in it (rebuilt when the DFG changes).
-	topo    []int
-	topoPos []int
-
 	chosen  []int     // arena: selectOptions' per-node option choices
 	weights []float64 // arena: optWeights' combined option weights
 
@@ -208,17 +203,14 @@ type explorer struct {
 	hwAreas   []float64     // arena: per-option subgraph areas
 
 	io dfg.IOScratch // IN/OUT counting without dfg.In/Out's per-call map
-
-	convex graph.Scratch // reusable convexity-check traversal buffers
 }
 
 // reset rebinds a pooled explorer to one restart's inputs, keeping every
-// warmed arena. Per-DFG caches (topo order, table structure) survive across
-// restarts on the same DFG and are dropped when it changes; per-iteration
-// scratch needs no reset — each use fully overwrites it.
+// warmed arena. The per-DFG table structure survives across restarts on the
+// same DFG and is dropped when it changes; per-iteration scratch needs no
+// reset — each use fully overwrites it.
 func (e *explorer) reset(d *dfg.DFG, cfg machine.Config, p core.Params, rng *rand.Rand) {
 	if e.d != d {
-		e.topo, e.topoPos = nil, nil
 		e.tablesFor = nil
 	}
 	e.d, e.cfg, e.p, e.rng = d, cfg, p, rng
@@ -229,30 +221,9 @@ func (e *explorer) reset(d *dfg.DFG, cfg machine.Config, p core.Params, rng *ran
 	}
 }
 
-// ensureTopo computes and caches the DFG's topological order on first use
-// after a DFG change; every later call returns the cache.
-func (e *explorer) ensureTopo() error {
-	if e.topo != nil {
-		return nil
-	}
-	order, err := e.d.G.TopoOrder()
-	if err != nil {
-		return fmt.Errorf("baseline: %s: %w", e.d.Name, err)
-	}
-	e.topo = order
-	e.topoPos = growInts(e.topoPos, len(order))
-	for i, v := range order {
-		e.topoPos[v] = i
-	}
-	return nil
-}
-
 func runOnce(ctx context.Context, d *dfg.DFG, cfg machine.Config, p core.Params, seed int64, baseCycles int, ws *workerScratch) (*core.Result, int, error) {
 	e := ws.exp
 	e.reset(d, cfg, p, aco.NewRand(seed))
-	if err := e.ensureTopo(); err != nil {
-		return nil, 0, err
-	}
 
 	res := &core.Result{BaseCycles: baseCycles, FinalCycles: baseCycles}
 	curSerial := e.serialCycles(nil)
@@ -419,6 +390,7 @@ func (e *explorer) buildGroups(chosen []int) {
 	starts := e.groupStart[:0]
 	mem := e.groupNodes[:0]
 	if anyHW {
+		pos := d.TopoPos()
 		stack := e.groupStack[:0]
 		ng := 0
 		for v := 0; v < n; v++ {
@@ -452,7 +424,7 @@ func (e *explorer) buildGroups(chosen []int) {
 			for i := 1; i < len(seg); i++ {
 				v := seg[i]
 				j := i - 1
-				for j >= 0 && e.topoPos[seg[j]] > e.topoPos[v] {
+				for j >= 0 && pos[seg[j]] > pos[v] {
 					seg[j+1] = seg[j]
 					j--
 				}
@@ -557,11 +529,12 @@ func (e *explorer) vsMetrics(vs graph.NodeSet, members []int, chosen []int, over
 // position. The result aliases the explorer's arena and is valid until the
 // next call.
 func (e *explorer) membersInTopoOrder(vs graph.NodeSet) []int {
+	pos := e.d.TopoPos()
 	members := vs.AppendValues(e.vsMembers[:0])
 	for i := 1; i < len(members); i++ {
 		v := members[i]
 		j := i - 1
-		for j >= 0 && e.topoPos[members[j]] > e.topoPos[v] {
+		for j >= 0 && pos[members[j]] > pos[v] {
 			members[j+1] = members[j]
 			j--
 		}
@@ -665,7 +638,7 @@ func (e *explorer) hwMerit(chosen []int, x int) {
 		}
 		violated = true
 	}
-	if !d.G.IsConvexScratch(vs, &e.convex) {
+	if !d.IsConvex(vs) {
 		for j := range hw {
 			e.merit[x][base+j] *= p.BetaConvex
 		}

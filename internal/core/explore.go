@@ -514,7 +514,7 @@ func (e *explorer) initPriority() {
 			e.sp[i] = float64(d.G.OutDegree(i))
 		}
 	case PriorityHeight, PriorityMobility:
-		order := e.topoOrder()
+		order := d.Topo()
 		down := make([]int, n)
 		up := make([]int, n)
 		for _, v := range order {

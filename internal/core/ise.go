@@ -74,12 +74,11 @@ func NewISE(d *dfg.DFG, nodes graph.NodeSet, opts map[int]int) *ISE {
 // node, it is divided along that node into the members above it and the
 // rest, recursively.
 func MakeConvex(d *dfg.DFG, s graph.NodeSet) []graph.NodeSet {
-	if d.IsConvex(s) {
+	w := d.ConvexViolator(s)
+	if w < 0 {
 		return []graph.NodeSet{s}
 	}
-	viol := d.G.ConvexViolators(s)
-	w := viol[0]
-	above := d.G.ReachingTo(w).Intersect(s)
+	above := d.AncestorsIn(w, s)
 	rest := s.Subtract(above)
 	var out []graph.NodeSet
 	if !above.Empty() {
@@ -149,15 +148,18 @@ func TrimLatency(d *dfg.DFG, s graph.NodeSet, opts map[int]int, maxCycles int) g
 		return s
 	}
 	cur := s.Clone()
-	order, err := d.G.TopoOrder()
-	if err != nil {
-		panic("core: cyclic DFG " + d.Name)
+	// depth is node-indexed, on the stack for blocks of up to 256 nodes.
+	// Each member's entry is written before any later member reads it:
+	// members are visited in topological order.
+	var buf [256]float64
+	depth := buf[:]
+	if n := d.Len(); n > len(buf) {
+		depth = make([]float64, n)
 	}
 	for cur.Len() > 0 {
 		// Internal delay depths under the chosen options.
-		depth := map[int]float64{}
 		worst, worstNode := 0.0, -1
-		for _, v := range order {
+		for _, v := range d.Topo() {
 			if !cur.Contains(v) {
 				continue
 			}

@@ -167,7 +167,7 @@ func (e *explorer) refreshMobility() {
 	n := d.Len()
 	e.asap = growInts(e.asap, n)
 	e.tail = growInts(e.tail, n)
-	order := e.topoOrder()
+	order := d.Topo()
 	for _, v := range order {
 		in := 0
 		for _, p := range d.G.Preds(v) {
@@ -247,7 +247,7 @@ func (e *explorer) hwMerit(res *walkResult, x int) {
 		}
 		violated = true
 	}
-	if !d.G.IsConvexScratch(vs, &e.convex) {
+	if !d.IsConvex(vs) {
 		for j := range hw {
 			e.merit[x][base+j] *= p.BetaConvex
 		}

@@ -58,13 +58,10 @@ type explorer struct {
 	trailBuf, meritBuf []float64
 	tablesFor          *dfg.DFG // DFG the table structure was built for
 
-	// topo caches the DFG's topological order and topoPos each node's
-	// position in it; asap/tail are per-iteration unit-latency longest-path
-	// arrays reused by the merit computation.
-	topo    []int
-	topoPos []int
-	asap    []int
-	tail    []int
+	// asap/tail are per-iteration unit-latency longest-path arrays reused
+	// by the merit computation.
+	asap []int
+	tail []int
 
 	// depthF and depthI are scratch longest-path arrays for the
 	// subgraph-metric hot paths (vsMetrics, swDepth). Entries are written
@@ -129,7 +126,6 @@ type explorer struct {
 	hwCycles   []int         // arena: per-option subgraph cycles
 	hwAreas    []float64     // arena: per-option subgraph areas
 	spw        []float64     // arena: spWeights' result
-	convex     graph.Scratch // reusable convexity-check traversal buffers
 }
 
 // reset rebinds a pooled explorer to one restart's inputs, keeping every
@@ -138,7 +134,6 @@ type explorer struct {
 // fully overwrites it.
 func (e *explorer) reset(d *dfg.DFG, cfg machine.Config, p Params, rng *rand.Rand, rngSrc *aco.CountingSource, cache *EvalCache, kern *sched.Scheduler, tr *obs.Tracer, tid int) {
 	if e.d != d {
-		e.topo, e.topoPos = nil, nil
 		e.tablesFor = nil
 	}
 	e.d, e.cfg, e.p = d, cfg, p
@@ -156,30 +151,12 @@ func (e *explorer) reset(d *dfg.DFG, cfg machine.Config, p Params, rng *rand.Ran
 	e.initPriority()
 }
 
-// topoOrder returns the cached topological order of the DFG.
-//
-//alloc:amortized computes and caches the topo order on first use; every later call returns the cache
-func (e *explorer) topoOrder() []int {
-	if e.topo == nil {
-		order, err := e.d.G.TopoOrder()
-		if err != nil {
-			panic("core: cyclic DFG " + e.d.Name)
-		}
-		e.topo = order
-		e.topoPos = make([]int, len(order))
-		for i, v := range order {
-			e.topoPos[v] = i
-		}
-	}
-	return e.topo
-}
-
 // membersInTopoOrder returns the members of vs sorted by topological
 // position, so subgraph longest-path sweeps touch |vs| nodes instead of
 // rescanning the whole DFG. The result aliases the explorer's arena and is
 // valid until the next call.
 func (e *explorer) membersInTopoOrder(vs graph.NodeSet) []int {
-	e.topoOrder()
+	pos := e.d.TopoPos()
 	members := vs.AppendValues(e.vsMembers[:0])
 	// Insertion sort by (unique) topological position: members are already
 	// nearly sorted (node ids follow program order) and small, and unlike
@@ -187,7 +164,7 @@ func (e *explorer) membersInTopoOrder(vs graph.NodeSet) []int {
 	for i := 1; i < len(members); i++ {
 		v := members[i]
 		j := i - 1
-		for j >= 0 && e.topoPos[members[j]] > e.topoPos[v] {
+		for j >= 0 && pos[members[j]] > pos[v] {
 			members[j+1] = members[j]
 			j--
 		}

@@ -61,11 +61,11 @@ type DFG struct {
 	// runs on this graph.
 	Data *graph.Graph
 
-	reachMu sync.Mutex
-	// reach holds lazy per-node descendant sets; guarded by reachMu.
-	reach []graph.NodeSet
-	// reachDone marks filled entries of reach; guarded by reachMu.
-	reachDone []bool
+	// cl is G's transitive closure and topological order, built on first
+	// use; clOnce publishes it. The DFG is immutable after Build, so one
+	// closure answers every later query.
+	clOnce sync.Once
+	cl     *graph.Closure
 
 	// fp is the lazily computed content fingerprint; fpOnce ensures the
 	// computation runs at most once and publishes fp safely.
@@ -246,10 +246,10 @@ func (d *DFG) In(s graph.NodeSet) int {
 func (d *DFG) Out(s graph.NodeSet) int { return d.out(s, s.Values()) }
 
 // IOScratch holds reusable buffers for the allocation-free IN/OUT counters
-// InScratch and OutScratch, as graph.Scratch does for IsConvexScratch. A
-// zero IOScratch is ready to use; callers reusing one across calls (an
-// explorer's arena) amortize its buffers to zero steady-state allocations.
-// An IOScratch must not be shared between goroutines.
+// InScratch and OutScratch. A zero IOScratch is ready to use; callers
+// reusing one across calls (an explorer's arena) amortize its buffers to
+// zero steady-state allocations. An IOScratch must not be shared between
+// goroutines.
 type IOScratch struct {
 	// mark era-stamps In's dedup keys (producer node id, or Len()+register
 	// for live-ins). Stale marks hold earlier eras and never collide: era
@@ -346,30 +346,48 @@ func (d *DFG) out(s graph.NodeSet, members []int) int {
 	return out
 }
 
-// IsConvex reports whether S is convex in the full dependence graph.
-func (d *DFG) IsConvex(s graph.NodeSet) bool { return d.G.IsConvex(s) }
-
-// descendants returns (and caches) the set of nodes reachable from v.
+// closure returns G's closure, building it on first use.
 //
-//alloc:amortized memoized per-node reachability; each set is computed once and served from the cache thereafter
-func (d *DFG) descendants(v int) graph.NodeSet {
-	d.reachMu.Lock()
-	defer d.reachMu.Unlock()
-	if d.reach == nil {
-		d.reach = make([]graph.NodeSet, d.Len())
-		d.reachDone = make([]bool, d.Len())
-	}
-	if !d.reachDone[v] {
-		d.reach[v] = d.G.ReachableFrom(v)
-		d.reachDone[v] = true
-	}
-	return d.reach[v]
+//alloc:amortized builds the closure once per DFG under clOnce; every later call returns it
+func (d *DFG) closure() *graph.Closure {
+	d.clOnce.Do(func() {
+		c, err := graph.NewClosure(d.G)
+		if err != nil {
+			panic("dfg: cyclic DFG " + d.Name)
+		}
+		d.cl = c
+	})
+	return d.cl
+}
+
+// Topo returns the topological order of G, identical to G.TopoOrder's and
+// computed once per DFG. The returned slice must not be modified.
+func (d *DFG) Topo() []int { return d.closure().Order() }
+
+// TopoPos returns each node's index in Topo. The returned slice must not be
+// modified.
+func (d *DFG) TopoPos() []int { return d.closure().Pos() }
+
+// IsConvex reports whether S is convex in the full dependence graph. It is
+// answered from the DFG's closure and allocates nothing; graph.IsConvex is
+// the traversal it agrees with.
+func (d *DFG) IsConvex(s graph.NodeSet) bool { return d.closure().Violator(s) < 0 }
+
+// ConvexViolator returns the lowest-numbered node outside S that lies on a
+// path between two members of S — G.ConvexViolators(S)[0] — or -1 when S is
+// convex.
+func (d *DFG) ConvexViolator(s graph.NodeSet) int { return d.closure().Violator(s) }
+
+// AncestorsIn returns the members of S that have a path to node v.
+func (d *DFG) AncestorsIn(v int, s graph.NodeSet) graph.NodeSet {
+	return d.closure().AncestorsIn(v, s)
 }
 
 // Reaches reports whether any node of from has a path to any node of to.
 func (d *DFG) Reaches(from, to graph.NodeSet) bool {
+	c := d.closure()
 	for _, v := range from.Values() {
-		if d.descendants(v).Intersects(to) {
+		if c.Reaches(v, to) {
 			return true
 		}
 	}
@@ -377,11 +395,11 @@ func (d *DFG) Reaches(from, to graph.NodeSet) bool {
 }
 
 // ReachesFromNode reports whether node v has a path to any node of to. It is
-// the allocation-free single-source form of Reaches (the descendant set of v
-// is computed once per DFG and cached), used by arena-style callers that hold
-// group members as index slices rather than NodeSets.
+// the allocation-free single-source form of Reaches, one row intersection in
+// the DFG's closure, used by arena-style callers that hold group members as
+// index slices rather than NodeSets.
 func (d *DFG) ReachesFromNode(v int, to graph.NodeSet) bool {
-	return d.descendants(v).Intersects(to)
+	return d.closure().Reaches(v, to)
 }
 
 // Interlocked reports whether two node sets are mutually dependent — each

@@ -195,34 +195,18 @@ func (g *Graph) HasPath(u, v int) bool {
 // in s to another node in s passes through a node outside s. Convexity is the
 // feasibility condition for atomically issuing a candidate ISE.
 func (g *Graph) IsConvex(s NodeSet) bool {
-	var sc Scratch
-	return g.IsConvexScratch(s, &sc)
-}
-
-// Scratch holds reusable traversal buffers for the allocation-free query
-// variants. A zero Scratch is ready to use; callers reusing one across calls
-// (e.g. a scheduling kernel's arena) amortize the buffers to zero steady-state
-// allocations. A Scratch must not be shared between goroutines.
-type Scratch struct {
-	seen  NodeSet
-	stack []int
-}
-
-// IsConvexScratch is IsConvex using sc's buffers instead of fresh ones.
-func (g *Graph) IsConvexScratch(s NodeSet, sc *Scratch) bool {
 	// A subset is convex iff no node outside s is simultaneously reachable
 	// from s and able to reach s. Walk forward from the out-frontier of s,
 	// stopping at nodes of s; if we re-enter s, a violating path exists.
-	sc.seen.Reset(g.Len())
-	stack := sc.stack[:0]
-	defer func() { sc.stack = stack }()
+	seen := NewNodeSet(g.Len())
+	var stack []int
 	for w, word := range s.bits {
 		for word != 0 {
 			u := w*64 + bits.TrailingZeros64(word)
 			word &= word - 1
 			for _, x := range g.succs[u] {
-				if !s.Contains(x) && !sc.seen.Contains(x) {
-					sc.seen.Add(x)
+				if !s.Contains(x) && !seen.Contains(x) {
+					seen.Add(x)
 					stack = append(stack, x)
 				}
 			}
@@ -235,8 +219,8 @@ func (g *Graph) IsConvexScratch(s NodeSet, sc *Scratch) bool {
 			if s.Contains(x) {
 				return false
 			}
-			if !sc.seen.Contains(x) {
-				sc.seen.Add(x)
+			if !seen.Contains(x) {
+				seen.Add(x)
 				stack = append(stack, x)
 			}
 		}

@@ -229,13 +229,16 @@ func (a Assignment) Validate(d *dfg.DFG) error {
 // group's chosen hardware cells — the combinational depth of the ISE
 // datapath.
 func GroupDelayNS(d *dfg.DFG, nodes graph.NodeSet, a Assignment) float64 {
-	order, err := d.G.TopoOrder()
-	if err != nil {
-		panic("sched: cyclic DFG")
+	// dist is node-indexed, on the stack for blocks of up to 256 nodes. Each
+	// member's entry is written before any later member reads it: members
+	// are visited in topological order.
+	var buf [256]float64
+	dist := buf[:]
+	if n := d.Len(); n > len(buf) {
+		dist = make([]float64, n)
 	}
-	dist := map[int]float64{}
 	best := 0.0
-	for _, v := range order {
+	for _, v := range d.Topo() {
 		if !nodes.Contains(v) {
 			continue
 		}

@@ -48,12 +48,6 @@ type Scheduler struct {
 	lastCfg machine.Config
 	lastOK  bool
 
-	// topo caches the DFG's deterministic topological order for the group
-	// delay sweep; topoDFG identifies which DFG it belongs to. arena: reused
-	// while the DFG is unchanged.
-	topo    []int
-	topoDFG *dfg.DFG
-
 	// Group table of the current call, CSR layout: gids are the distinct
 	// raw group IDs ascending, members of group gi are
 	// gMembers[gStart[gi]:gStart[gi+1]] ascending. arena: rebuilt per call.
@@ -117,9 +111,8 @@ type Scheduler struct {
 	up       []int
 	table    *Table
 
-	// Graph and metric scratch. arena: depth is the longest-path sweep
-	// buffer; prodMark/regMark are epoch-stamped dedup marks for IN(S).
-	convex   graph.Scratch
+	// Metric scratch. arena: depth is the longest-path sweep buffer;
+	// prodMark/regMark are epoch-stamped dedup marks for IN(S).
 	depth    []float64
 	prodMark []uint32
 	regMark  []uint32
@@ -417,7 +410,7 @@ func (s *Scheduler) validateGroups(d *dfg.DFG, a Assignment, prefix int) error {
 				return fmt.Errorf("sched: group %d contains an ISE-ineligible node", s.gids[gi])
 			}
 		}
-		if !d.G.IsConvexScratch(s.gSet[gi], &s.convex) {
+		if !d.IsConvex(s.gSet[gi]) {
 			return fmt.Errorf("sched: group %d is not convex", s.gids[gi])
 		}
 	}
@@ -449,21 +442,6 @@ func (s *Scheduler) reaches(d *dfg.DFG, from, to int) bool {
 	return false
 }
 
-// topoFor ensures s.topo holds a topological order of d, memoized per DFG:
-// delta re-schedules of the same DFG reuse the order computed on first sight.
-//
-//alloc:amortized computes the topo order once per DFG; subsequent schedules of the same DFG reuse it
-func (s *Scheduler) topoFor(d *dfg.DFG) {
-	if s.topoDFG != d {
-		order, err := d.G.TopoOrder()
-		if err != nil {
-			panic("sched: cyclic DFG") // matches GroupDelayNS
-		}
-		s.topo = order
-		s.topoDFG = d
-	}
-}
-
 // measureGroups fills gLat/gReads/gWrites for every group at or beyond
 // prefix, reproducing GroupCycles, d.In and d.Out arithmetic exactly.
 func (s *Scheduler) measureGroups(d *dfg.DFG, a Assignment, prefix int) {
@@ -472,7 +450,6 @@ func (s *Scheduler) measureGroups(d *dfg.DFG, a Assignment, prefix int) {
 	if prefix >= ng {
 		return
 	}
-	s.topoFor(d)
 	s.depth = growFloats(s.depth, n)
 	s.prodMark = growMarks(s.prodMark, n)
 	s.regMark = growMarks(s.regMark, 64)
@@ -484,12 +461,12 @@ func (s *Scheduler) measureGroups(d *dfg.DFG, a Assignment, prefix int) {
 	}
 }
 
-// groupDelay is GroupDelayNS over the cached topological order, with the
-// depth arena in place of a map. Entries are written before they are read in
+// groupDelay is GroupDelayNS with the depth arena in place of a per-call
+// slice. Entries are written before they are read in
 // topological order, so no reset is needed between groups.
 func (s *Scheduler) groupDelay(d *dfg.DFG, a Assignment, gi int) float64 {
 	best := 0.0
-	for _, v := range s.topo {
+	for _, v := range d.Topo() {
 		if s.nodeGroup[v] != gi {
 			continue
 		}
