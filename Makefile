@@ -33,12 +33,13 @@ race: lint
 # the engine-ablation pair (exploration), BuildPool and Headline (the flow), and
 # internal/core's instrumented round-loop pair
 # ExploreIter{Trace,Flight}{Off,On}, whose nil-path variants must stay at
-# 0 allocs/op (DESIGN.md §16). End-to-end numbers come from perfbench:
+# 0 allocs/op (DESIGN.md §16), and internal/baseline's BaselineIter (one
+# steady-state SI iteration, 0 allocs/op). End-to-end numbers come from perfbench:
 # `bash perfbench/run.sh --steady K` interleaves two sets of runs and
 # `--trace 1` attributes time per layer. `make benchall` runs every root
 # benchmark.
 bench:
-	go test -bench 'Explore|Headline|BuildPool|MatchFind|Merge|Evaluate|Convex|VMProfile|SchedSteadyState' -benchmem -count 5 -run '^$$' . ./internal/core
+	go test -bench 'Explore|Headline|BuildPool|MatchFind|Merge|Evaluate|Convex|VMProfile|SchedSteadyState|BaselineIter' -benchmem -count 5 -run '^$$' . ./internal/core ./internal/baseline
 
 benchall:
 	go test -bench=. -benchmem

@@ -30,16 +30,20 @@ func SelectWeighted(r *rand.Rand, weights []float64) int {
 		return r.Intn(len(weights))
 	}
 	x := r.Float64() * total
+	last := 0
 	for i, w := range weights {
 		if w <= 0 {
 			continue
 		}
+		last = i
 		x -= w
 		if x < 0 {
 			return i
 		}
 	}
-	return len(weights) - 1
+	// Rounding can leave x at or just above zero after the last positive
+	// weight; the draw belongs to that weight, never to a zero-weight tail.
+	return last
 }
 
 // Normalize rescales weights in place so they sum to total, preserving

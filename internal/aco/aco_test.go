@@ -2,6 +2,7 @@ package aco
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -23,6 +24,25 @@ func TestSelectWeightedDistribution(t *testing.T) {
 		if math.Abs(got-w) > 0.02 {
 			t.Errorf("option %d share %.3f, want %.3f", i, got, w)
 		}
+	}
+}
+
+// topSource is a rand.Source pinned to the draw that makes Float64 return
+// its largest value, 1 - 2^-53.
+type topSource struct{}
+
+func (topSource) Int63() int64 { return 1<<63 - 1024 }
+func (topSource) Seed(int64)   {}
+
+// TestSelectWeightedRoundingSkipsZeroTail pins the rounding fallback: the
+// largest Float64 draw times the total can survive subtracting every
+// positive weight, and the draw must then land on the last positive weight,
+// not on a zero-weight entry behind it.
+func TestSelectWeightedRoundingSkipsZeroTail(t *testing.T) {
+	r := rand.New(topSource{})
+	weights := []float64{58.983418500491936, 55.939244907101404, 81.54051709333606, 0}
+	if got := SelectWeighted(r, weights); got != 2 {
+		t.Fatalf("SelectWeighted = %d, want 2 (the last positive weight)", got)
 	}
 }
 

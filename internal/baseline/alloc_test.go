@@ -10,7 +10,7 @@ import (
 	"repro/internal/machine"
 )
 
-func hotBenchDFG(t *testing.T, name, opt string) *dfg.DFG {
+func hotBenchDFG(t testing.TB, name, opt string) *dfg.DFG {
 	t.Helper()
 	bm, err := bench.Get(name, opt)
 	if err != nil {
@@ -23,14 +23,14 @@ func hotBenchDFG(t *testing.T, name, opt string) *dfg.DFG {
 	return dfg.BuildAll(bm.Prog, prof.HotBlocks(bm.Prog, 1), prof.BlockCounts)[0]
 }
 
-// TestBaselineSteadyStateAllocs pins the zero-allocation contract of the
-// baseline's convergence hot loop, mirroring core's
-// TestExploreSteadyStateAllocs (DESIGN.md §13): once a worker's explorer has
-// warmed its arenas on a DFG, a full iteration — option selection, serial
-// evaluation, trail update, merit update, convergence check — allocates
-// nothing. Runs under -race via `make race`.
-func TestBaselineSteadyStateAllocs(t *testing.T) {
-	d := hotBenchDFG(t, "crc32", "O3")
+// steadyIterate returns a closure running one baseline iteration on the
+// crc32/O3 hot block — option selection, serial evaluation, trail update,
+// merit update, convergence check — after warming the explorer's arenas:
+// iteration groups vary in size and count, so several iterations are needed
+// before every buffer reaches steady-state capacity. The fixed RNG seed
+// makes the warmup deterministic.
+func steadyIterate(tb testing.TB) func() {
+	d := hotBenchDFG(tb, "crc32", "O3")
 	e := &explorer{}
 	e.reset(d, machine.New(2, 4, 2), core.DefaultParams(), aco.NewRand(1))
 	e.initTables()
@@ -46,14 +46,31 @@ func TestBaselineSteadyStateAllocs(t *testing.T) {
 		e.meritUpdate(chosen)
 		e.convergedNow()
 	}
-	// Warm the arenas: iteration groups vary in size and count, so several
-	// iterations are needed before every buffer reaches steady-state
-	// capacity. The fixed RNG seed makes the warmup deterministic.
 	for i := 0; i < 50; i++ {
 		iterate()
 	}
-	if allocs := testing.AllocsPerRun(100, iterate); allocs != 0 {
+	return iterate
+}
+
+// TestBaselineSteadyStateAllocs pins the zero-allocation contract of the
+// baseline's convergence hot loop, mirroring core's
+// TestExploreSteadyStateAllocs (DESIGN.md §13): once a worker's explorer has
+// warmed its arenas on a DFG, a full iteration allocates nothing. Runs under
+// -race via `make race`.
+func TestBaselineSteadyStateAllocs(t *testing.T) {
+	if allocs := testing.AllocsPerRun(100, steadyIterate(t)); allocs != 0 {
 		t.Fatalf("steady-state baseline iteration allocates %v/op, want 0", allocs)
+	}
+}
+
+// BenchmarkBaselineIter measures one steady-state SI iteration, the
+// baseline's per-layer cost: 0 allocs/op.
+func BenchmarkBaselineIter(b *testing.B) {
+	iterate := steadyIterate(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		iterate()
 	}
 }
 

@@ -575,22 +575,49 @@ func (e *explorer) trailUpdate(chosen []int, improved bool) {
 // reads the iteration groups serialCycles(chosen) left in the explorer, so
 // it must run after serialCycles with the same chosen.
 //
+// A grouped node's vSx is exactly its iteration group, whose member segment
+// is already in topological order. Each operation's update writes only its
+// own merit row, so the sweep visits grouped nodes one group at a time and
+// measures each group's vsFacts once; ungrouped nodes build their own vSx.
+//
 //alloc:free
 func (e *explorer) meritUpdate(chosen []int) {
 	d := e.d
+	var f vsFacts
+	for g := 0; g < len(e.groupStart)-1; g++ {
+		members := e.groupNodes[e.groupStart[g]:e.groupStart[g+1]]
+		e.vsSet.Reset(d.Len())
+		for _, v := range members {
+			e.vsSet.Add(v)
+		}
+		e.measureVS(members, &f)
+		for _, x := range members {
+			e.nodeMerit(chosen, x, &f)
+		}
+	}
 	for x := 0; x < d.Len(); x++ {
-		if e.inISE[x] {
+		if e.inISE[x] || e.groupOf[x] >= 0 {
 			continue
 		}
-		node := d.Nodes[x]
-		for i := 0; i < e.numSW[x]; i++ {
-			e.merit[x][i] *= float64(node.SW[i].Cycles)
+		if len(d.Nodes[x].HW) > 0 {
+			e.ungroupedVS(x)
+			e.measureVS(nil, &f)
 		}
-		if len(node.HW) > 0 {
-			e.hwMerit(chosen, x)
-		}
-		aco.Normalize(e.merit[x], 100*float64(len(e.merit[x])))
+		e.nodeMerit(chosen, x, &f)
 	}
+}
+
+// nodeMerit updates node x's merit row: the software part, the hardware part
+// against vSx's facts f (when x has hardware options), then normalization.
+func (e *explorer) nodeMerit(chosen []int, x int, f *vsFacts) {
+	node := e.d.Nodes[x]
+	for i := 0; i < e.numSW[x]; i++ {
+		e.merit[x][i] *= float64(node.SW[i].Cycles)
+	}
+	if len(node.HW) > 0 {
+		e.hwMerit(chosen, x, f)
+	}
+	aco.Normalize(e.merit[x], 100*float64(len(e.merit[x])))
 }
 
 // addGroupMembers unions iteration group g into the virtual-subgraph arena.
@@ -600,14 +627,11 @@ func (e *explorer) addGroupMembers(g int) {
 	}
 }
 
-func (e *explorer) hwMerit(chosen []int, x int) {
+// ungroupedVS builds vSx of an ungrouped node x into the virtual-subgraph
+// arena: x joined with its adjacent hardware group(s). Build order is
+// irrelevant — only membership is read.
+func (e *explorer) ungroupedVS(x int) {
 	d := e.d
-	p := e.p
-	hw := d.Nodes[x].HW
-	base := e.numSW[x]
-
-	// vSx: x joined with its adjacent hardware group(s). Build order is
-	// irrelevant — only membership is read.
 	e.vsSet.Reset(d.Len())
 	e.vsSet.Add(x)
 	for _, nb := range d.G.Succs(x) {
@@ -620,41 +644,74 @@ func (e *explorer) hwMerit(chosen []int, x int) {
 			e.addGroupMembers(g)
 		}
 	}
-	if g := e.groupOf[x]; g >= 0 {
-		e.addGroupMembers(g)
-	}
-	vs := e.vsSet
+}
 
-	if vs.Len() == 1 {
+// vsFacts are the properties of the virtual subgraph in the vsSet arena
+// that hwMerit reads and that do not depend on which member is being
+// updated. members is set only when neither case 2 nor case 3 decides the
+// update.
+type vsFacts struct {
+	size      int
+	overPorts bool // IN or OUT exceeds the machine's register ports
+	nonConvex bool
+	members   []int // vs's members in topological order
+}
+
+// measureVS fills f with the facts of the subgraph in the vsSet arena.
+// members, when non-nil, must be its members in topological order; nil
+// sorts them on demand. f.members may alias the explorer's arena, valid
+// until the next membersInTopoOrder call.
+func (e *explorer) measureVS(members []int, f *vsFacts) {
+	d := e.d
+	vs := e.vsSet
+	*f = vsFacts{size: vs.Len()}
+	if f.size == 1 {
+		return
+	}
+	f.overPorts = d.InScratch(vs, &e.io) > e.cfg.ReadPorts || d.OutScratch(vs, &e.io) > e.cfg.WritePorts
+	f.nonConvex = !d.IsConvex(vs)
+	if f.overPorts || f.nonConvex {
+		return
+	}
+	if members == nil {
+		members = e.membersInTopoOrder(vs)
+	}
+	f.members = members
+}
+
+// hwMerit applies the legality-only merit cases to every hardware option of
+// operation x, whose virtual subgraph (in the vsSet arena) has the facts f.
+func (e *explorer) hwMerit(chosen []int, x int, f *vsFacts) {
+	p := e.p
+	hw := e.d.Nodes[x].HW
+	base := e.numSW[x]
+
+	if f.size == 1 {
 		for j := range hw {
 			e.merit[x][base+j] *= p.BetaSize
 		}
 		return
 	}
-	violated := false
-	if e.d.InScratch(vs, &e.io) > e.cfg.ReadPorts || e.d.OutScratch(vs, &e.io) > e.cfg.WritePorts {
+	if f.overPorts {
 		for j := range hw {
 			e.merit[x][base+j] *= p.BetaIO
 		}
-		violated = true
 	}
-	if !d.IsConvex(vs) {
+	if f.nonConvex {
 		for j := range hw {
 			e.merit[x][base+j] *= p.BetaConvex
 		}
-		violated = true
 	}
-	if violated {
+	if f.overPorts || f.nonConvex {
 		return
 	}
 	// Serial saving: the group replaces size(vS) one-cycle instructions.
-	members := e.membersInTopoOrder(vs)
 	minCycles, maxArea := 1<<30, 0.0
 	e.hwCycles = growInts(e.hwCycles, len(hw))
 	e.hwAreas = growFloats(e.hwAreas, len(hw))
 	cyc, area := e.hwCycles, e.hwAreas
 	for j := range hw {
-		dly, a := e.vsMetrics(vs, members, chosen, x, j)
+		dly, a := e.vsMetrics(e.vsSet, f.members, chosen, x, j)
 		cyc[j] = sched.CyclesForDelay(dly)
 		area[j] = a
 		if cyc[j] < minCycles {
@@ -670,7 +727,7 @@ func (e *explorer) hwMerit(chosen []int, x int) {
 			*m *= p.BetaIO
 			continue
 		}
-		saving := vs.Len() - cyc[j]
+		saving := f.size - cyc[j]
 		switch {
 		case saving > 0:
 			*m *= float64(1 + saving)

@@ -1,0 +1,186 @@
+package baseline
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"repro/internal/aco"
+	"repro/internal/bench"
+	"repro/internal/core"
+	"repro/internal/dfg"
+	"repro/internal/machine"
+	"repro/internal/randprog"
+	"repro/internal/sched"
+)
+
+// meritUpdateReference is meritUpdate with vSx built and measured for every
+// operation on its own, kept as the test-only reference of the per-group
+// sweep.
+func (e *explorer) meritUpdateReference(chosen []int) {
+	d := e.d
+	for x := 0; x < d.Len(); x++ {
+		if e.inISE[x] {
+			continue
+		}
+		node := d.Nodes[x]
+		for i := 0; i < e.numSW[x]; i++ {
+			e.merit[x][i] *= float64(node.SW[i].Cycles)
+		}
+		if len(node.HW) > 0 {
+			e.hwMeritReference(chosen, x)
+		}
+		aco.Normalize(e.merit[x], 100*float64(len(e.merit[x])))
+	}
+}
+
+func (e *explorer) hwMeritReference(chosen []int, x int) {
+	d := e.d
+	p := e.p
+	hw := d.Nodes[x].HW
+	base := e.numSW[x]
+
+	e.ungroupedVS(x)
+	if g := e.groupOf[x]; g >= 0 {
+		e.addGroupMembers(g)
+	}
+	vs := e.vsSet
+	if vs.Len() == 1 {
+		for j := range hw {
+			e.merit[x][base+j] *= p.BetaSize
+		}
+		return
+	}
+	violated := false
+	if e.d.InScratch(vs, &e.io) > e.cfg.ReadPorts || e.d.OutScratch(vs, &e.io) > e.cfg.WritePorts {
+		for j := range hw {
+			e.merit[x][base+j] *= p.BetaIO
+		}
+		violated = true
+	}
+	if !d.IsConvex(vs) {
+		for j := range hw {
+			e.merit[x][base+j] *= p.BetaConvex
+		}
+		violated = true
+	}
+	if violated {
+		return
+	}
+	members := e.membersInTopoOrder(vs)
+	minCycles, maxArea := 1<<30, 0.0
+	cyc := make([]int, len(hw))
+	area := make([]float64, len(hw))
+	for j := range hw {
+		dly, a := e.vsMetrics(vs, members, chosen, x, j)
+		cyc[j] = sched.CyclesForDelay(dly)
+		area[j] = a
+		if cyc[j] < minCycles {
+			minCycles = cyc[j]
+		}
+		if a > maxArea {
+			maxArea = a
+		}
+	}
+	for j := range hw {
+		m := &e.merit[x][base+j]
+		if p.MaxISECycles > 0 && cyc[j] > p.MaxISECycles {
+			*m *= p.BetaIO
+			continue
+		}
+		saving := vs.Len() - cyc[j]
+		switch {
+		case saving > 0:
+			*m *= float64(1 + saving)
+		case saving < 0:
+			*m /= float64(1 - saving)
+		}
+		if cyc[j] == minCycles {
+			if area[j] > 0 {
+				*m *= maxArea / area[j]
+			}
+		} else {
+			*m /= float64(1 + cyc[j] - minCycles)
+		}
+	}
+}
+
+func sameBits(a, b [][]float64) bool {
+	for x := range a {
+		for o := range a[x] {
+			if math.Float64bits(a[x][o]) != math.Float64bits(b[x][o]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestMeritUpdateMatchesReference drives the per-group merit sweep and the
+// per-node reference side by side from identical state, over the seven
+// kernels' O3 hot blocks and random blocks, with and without accepted ISEs:
+// every iteration must draw the same options and leave bit-identical
+// tables.
+func TestMeritUpdateMatchesReference(t *testing.T) {
+	cfg := machine.New(2, 4, 2)
+	var dfgs []*dfg.DFG
+	for _, name := range bench.Names() {
+		dfgs = append(dfgs, hotBenchDFG(t, name, "O3"))
+	}
+	r := rand.New(rand.NewSource(18))
+	for i := 0; i < 6; i++ {
+		dfgs = append(dfgs, randprog.DFG(r, randprog.Config{
+			Ops:      10 + r.Intn(50),
+			MemFrac:  r.Float64() * 0.25,
+			MultFrac: r.Float64() * 0.15,
+		}))
+	}
+	for i, d := range dfgs {
+		p := core.FastParams()
+		res, err := Explore(d, cfg, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fixed := range [][]*core.ISE{nil, res.ISEs} {
+			label := fmt.Sprintf("%d:%s/fixed=%d", i, d.Name, len(fixed))
+			mk := func() *explorer {
+				e := &explorer{}
+				e.reset(d, cfg, p, aco.NewRand(int64(100+i)))
+				e.fixed = append(e.fixed, fixed...)
+				for _, f := range fixed {
+					for _, v := range f.Nodes.Values() {
+						e.inISE[v] = true
+					}
+				}
+				e.initTables()
+				return e
+			}
+			a, b := mk(), mk()
+			tetOld := 1 << 30
+			for it := 0; it < 40; it++ {
+				ca := a.selectOptions()
+				cb := b.selectOptions()
+				if !reflect.DeepEqual(ca, cb) {
+					t.Fatalf("%s iter %d: option draws differ", label, it)
+				}
+				tet := a.serialCycles(ca)
+				if tb := b.serialCycles(cb); tb != tet {
+					t.Fatalf("%s iter %d: serial cycles %d vs %d", label, it, tet, tb)
+				}
+				improved := tet <= tetOld
+				if improved {
+					tetOld = tet
+				}
+				a.trailUpdate(ca, improved)
+				b.trailUpdate(cb, improved)
+				a.meritUpdate(ca)
+				b.meritUpdateReference(cb)
+				if !sameBits(a.merit, b.merit) || !sameBits(a.trail, b.trail) {
+					t.Fatalf("%s iter %d: tables differ from reference after meritUpdate", label, it)
+				}
+			}
+		}
+	}
+}

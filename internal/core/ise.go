@@ -46,27 +46,59 @@ func (e *ISE) String() string {
 }
 
 // NewISE measures a node set with the given per-node hardware options.
+// The delay and area sweeps read opts directly and visit members in the
+// orders sched.GroupDelayNS and sched.GroupAreaUM2 use (topological for the
+// delay, ascending ID for the area sum), so both floats equal the
+// assignment-based measurement bit for bit.
 func NewISE(d *dfg.DFG, nodes graph.NodeSet, opts map[int]int) *ISE {
-	a := make(sched.Assignment, d.Len())
-	for i := range a {
-		a[i] = sched.NodeChoice{Kind: sched.KindSW, Opt: 0, Group: -1}
-	}
 	option := map[int]int{}
+	area := 0.0
 	for _, v := range nodes.Values() {
 		o := opts[v]
-		a[v] = sched.NodeChoice{Kind: sched.KindHW, Opt: o, Group: 0}
 		option[v] = o
+		area += d.Nodes[v].HW[o].AreaUM2
 	}
-	delay := sched.GroupDelayNS(d, nodes, a)
+	delay := groupDelayNS(d, nodes, option)
 	return &ISE{
 		Nodes:   nodes.Clone(),
 		Option:  option,
 		DelayNS: delay,
 		Cycles:  sched.CyclesForDelay(delay),
-		AreaUM2: sched.GroupAreaUM2(d, nodes, a),
+		AreaUM2: area,
 		In:      d.In(nodes),
 		Out:     d.Out(nodes),
 	}
+}
+
+// groupDelayNS is the combinational depth of nodes with member v using
+// hardware option opts[v]: sched.GroupDelayNS without a whole-block
+// assignment.
+func groupDelayNS(d *dfg.DFG, nodes graph.NodeSet, opts map[int]int) float64 {
+	// dist is node-indexed, on the stack for blocks of up to 256 nodes. Each
+	// member's entry is written before any later member reads it: members
+	// are visited in topological order.
+	var buf [256]float64
+	dist := buf[:]
+	if n := d.Len(); n > len(buf) {
+		dist = make([]float64, n)
+	}
+	best := 0.0
+	for _, v := range d.Topo() {
+		if !nodes.Contains(v) {
+			continue
+		}
+		in := 0.0
+		for _, u := range d.G.Preds(v) {
+			if nodes.Contains(u) && dist[u] > in {
+				in = dist[u]
+			}
+		}
+		dist[v] = in + d.Nodes[v].HW[opts[v]].DelayNS
+		if dist[v] > best {
+			best = dist[v]
+		}
+	}
+	return best
 }
 
 // MakeConvex splits a candidate node set into convex pieces (§4.3

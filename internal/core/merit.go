@@ -61,8 +61,7 @@ func (e *explorer) virtualSubgraph(res *walkResult, x int) graph.NodeSet {
 				nbs = d.G.Preds(v)
 			}
 			for _, nb := range nbs {
-				if vs.Contains(nb) || e.fixedGroupOf[nb] >= 0 ||
-					res.chosen[nb] < 0 || !e.isHWOption(nb, res.chosen[nb]) {
+				if vs.Contains(nb) || e.fixedGroupOf[nb] >= 0 || !e.choseHW(res, nb) {
 					continue
 				}
 				vs.Add(nb)
@@ -97,7 +96,7 @@ func (e *explorer) vsMetrics(res *walkResult, vs graph.NodeSet, members []int, x
 		switch {
 		case v == x:
 			dl, ar = d.Nodes[v].HW[hwIdx].DelayNS, d.Nodes[v].HW[hwIdx].AreaUM2
-		case res.chosen[v] >= 0 && e.isHWOption(v, res.chosen[v]):
+		case e.choseHW(res, v):
 			o := res.chosen[v] - e.numSW[v]
 			dl, ar = d.Nodes[v].HW[o].DelayNS, d.Nodes[v].HW[o].AreaUM2
 		default:
@@ -192,31 +191,117 @@ func (e *explorer) refreshMobility() {
 // meritUpdate implements the merit function (Eq. 3 software part and
 // Fig. 4.3.7 hardware part) followed by per-operation normalization.
 //
+// Every free node that chose hardware this iteration has the same vSx as
+// the rest of its hardware-chosen component: the component itself. Each
+// operation's update writes only its own merit row, so the sweep visits
+// such nodes one component at a time and measures the component's vsFacts
+// once for all its members; only the per-option metrics of each member stay
+// per operation. Software-chosen nodes build their own vSx.
+//
 //alloc:free
 func (e *explorer) meritUpdate(res *walkResult) {
 	d := e.d
 	e.refreshMobility()
+	e.vsDone.Reset(d.Len())
+	var f vsFacts
 	for x := 0; x < d.Len(); x++ {
-		if e.fixedGroupOf[x] >= 0 {
+		if e.fixedGroupOf[x] >= 0 || e.vsDone.Contains(x) {
 			continue
 		}
-		node := d.Nodes[x]
-		// Software part: merit ×= ET(x, SW-i), the option's execution time.
-		for i := 0; i < e.numSW[x]; i++ {
-			e.merit[x][i] *= float64(node.SW[i].Cycles)
+		if !e.choseHW(res, x) {
+			if len(d.Nodes[x].HW) > 0 {
+				e.measureVS(res, e.virtualSubgraph(res, x), &f)
+			}
+			e.nodeMerit(res, x, &f)
+			continue
 		}
-		if len(node.HW) > 0 {
-			e.hwMerit(res, x)
+		vs := e.virtualSubgraph(res, x)
+		e.measureVS(res, vs, &f)
+		e.compMembers = vs.AppendValues(e.compMembers[:0])
+		for _, v := range e.compMembers {
+			e.vsDone.Add(v)
+			e.nodeMerit(res, v, &f)
 		}
-		// Normalization keeps operation-vs-operation selection fair and the
-		// multiplicative dynamics bounded (§4.3 after step 8).
-		normalize(e.merit[x], 100*float64(len(e.merit[x])))
+	}
+}
+
+// choseHW reports whether free node x picked a hardware option this
+// iteration.
+func (e *explorer) choseHW(res *walkResult, x int) bool {
+	return res.chosen[x] >= 0 && e.isHWOption(x, res.chosen[x])
+}
+
+// nodeMerit updates node x's merit row: the software part, the hardware part
+// against vSx's facts f (when x has hardware options), then normalization.
+func (e *explorer) nodeMerit(res *walkResult, x int, f *vsFacts) {
+	node := e.d.Nodes[x]
+	// Software part: merit ×= ET(x, SW-i), the option's execution time.
+	for i := 0; i < e.numSW[x]; i++ {
+		e.merit[x][i] *= float64(node.SW[i].Cycles)
+	}
+	if len(node.HW) > 0 {
+		e.hwMerit(res, x, f)
+	}
+	// Normalization keeps operation-vs-operation selection fair and the
+	// multiplicative dynamics bounded (§4.3 after step 8).
+	normalize(e.merit[x], 100*float64(len(e.merit[x])))
+}
+
+// vsFacts are the properties of one virtual subgraph vSx that Fig. 4.3.7
+// reads and that do not depend on which member x is being updated. They
+// stop at the first case that decides the update: size 1 (case 2) or a
+// constraint violation (case 3) leave the case-4 fields unset.
+type vsFacts struct {
+	vs        graph.NodeSet
+	size      int
+	overPorts bool // IN or OUT exceeds the machine's register ports
+	nonConvex bool
+	// Case 4 only.
+	members    []int // vs's members in topological order
+	swDepth    int
+	onCritical bool // after the NoCriticalPath/NoMaxAEC ablations
+	maxAEC     int  // set when !onCritical
+}
+
+// measureVS fills f with vs's facts. f.vs and f.members alias the
+// explorer's arenas, valid until the next virtualSubgraph or
+// membersInTopoOrder call.
+func (e *explorer) measureVS(res *walkResult, vs graph.NodeSet, f *vsFacts) {
+	d := e.d
+	p := e.p
+	*f = vsFacts{vs: vs, size: vs.Len()}
+	if f.size == 1 {
+		return
+	}
+	f.overPorts = d.InScratch(vs, &e.io) > e.cfg.ReadPorts || d.OutScratch(vs, &e.io) > e.cfg.WritePorts
+	f.nonConvex = !d.IsConvex(vs)
+	if f.overPorts || f.nonConvex {
+		return
+	}
+	// One topological member sweep serves the software depth and every
+	// per-option metric pass.
+	f.members = e.membersInTopoOrder(vs)
+	f.swDepth = e.swDepth(vs, f.members)
+	for _, v := range f.members {
+		if res.critical.Contains(v) {
+			f.onCritical = true
+			break
+		}
+	}
+	if p.NoCriticalPath {
+		f.onCritical = false
+	}
+	if p.NoMaxAEC {
+		f.onCritical = true
+	}
+	if !f.onCritical {
+		f.maxAEC = e.mobility(res, vs)
 	}
 }
 
 // hwMerit applies the four cases of Fig. 4.3.7 to every hardware option of
-// operation x.
-func (e *explorer) hwMerit(res *walkResult, x int) {
+// operation x, whose virtual subgraph vSx has the facts f.
+func (e *explorer) hwMerit(res *walkResult, x int, f *vsFacts) {
 	d := e.d
 	p := e.p
 	hw := d.Nodes[x].HW
@@ -229,10 +314,8 @@ func (e *explorer) hwMerit(res *walkResult, x int) {
 		}
 	}
 
-	vs := e.virtualSubgraph(res, x)
-
 	// Case 2: singleton subgraph cannot shorten anything.
-	if vs.Len() == 1 {
+	if f.size == 1 {
 		for j := range hw {
 			e.merit[x][base+j] *= p.BetaSize
 		}
@@ -240,33 +323,27 @@ func (e *explorer) hwMerit(res *walkResult, x int) {
 	}
 
 	// Case 3: constraint violations.
-	violated := false
-	if e.d.InScratch(vs, &e.io) > e.cfg.ReadPorts || e.d.OutScratch(vs, &e.io) > e.cfg.WritePorts {
+	if f.overPorts {
 		for j := range hw {
 			e.merit[x][base+j] *= p.BetaIO
 		}
-		violated = true
 	}
-	if !d.IsConvex(vs) {
+	if f.nonConvex {
 		for j := range hw {
 			e.merit[x][base+j] *= p.BetaConvex
 		}
-		violated = true
 	}
-	if violated {
+	if f.overPorts || f.nonConvex {
 		return
 	}
 
-	// Case 4: performance and area shaping. One topological member sweep
-	// serves the software-depth and every per-option metric pass.
-	members := e.membersInTopoOrder(vs)
-	swDepth := e.swDepth(vs, members)
+	// Case 4: performance and area shaping.
 	e.hwCycles = growInts(e.hwCycles, len(hw))
 	e.hwAreas = growFloats(e.hwAreas, len(hw))
 	cyclesOf, areaOf := e.hwCycles, e.hwAreas
 	minCycles, maxArea := 1<<30, 0.0
 	for j := range hw {
-		_, area, cyc := e.vsMetrics(res, vs, members, x, j)
+		_, area, cyc := e.vsMetrics(res, f.vs, f.members, x, j)
 		cyclesOf[j], areaOf[j] = cyc, area
 		if cyc < minCycles {
 			minCycles = cyc
@@ -274,23 +351,6 @@ func (e *explorer) hwMerit(res *walkResult, x int) {
 		if area > maxArea {
 			maxArea = area
 		}
-	}
-	onCritical := false
-	for _, v := range members {
-		if res.critical.Contains(v) {
-			onCritical = true
-			break
-		}
-	}
-	if p.NoCriticalPath {
-		onCritical = false
-	}
-	if p.NoMaxAEC {
-		onCritical = true
-	}
-	maxAEC := 0
-	if !onCritical {
-		maxAEC = e.mobility(res, vs)
 	}
 	for j := range hw {
 		m := &e.merit[x][base+j]
@@ -302,7 +362,7 @@ func (e *explorer) hwMerit(res *walkResult, x int) {
 		}
 		// Performance improvement check: scale by the cycle saving the
 		// subgraph achieves over its software chain.
-		saving := swDepth - cyclesOf[j]
+		saving := f.swDepth - cyclesOf[j]
 		switch {
 		case saving > 0:
 			*m *= float64(1 + saving)
@@ -310,7 +370,7 @@ func (e *explorer) hwMerit(res *walkResult, x int) {
 			*m /= float64(1 - saving)
 		}
 		// Hardware usage check.
-		if onCritical {
+		if f.onCritical {
 			if cyclesOf[j] == minCycles {
 				if areaOf[j] > 0 {
 					*m *= maxArea / areaOf[j]
@@ -319,12 +379,12 @@ func (e *explorer) hwMerit(res *walkResult, x int) {
 				*m /= float64(1 + cyclesOf[j] - minCycles)
 			}
 		} else {
-			if cyclesOf[j] <= maxAEC {
+			if cyclesOf[j] <= f.maxAEC {
 				if areaOf[j] > 0 {
 					*m *= maxArea / areaOf[j]
 				}
 			} else {
-				*m /= float64(1 + cyclesOf[j] - maxAEC)
+				*m /= float64(1 + cyclesOf[j] - f.maxAEC)
 			}
 		}
 	}

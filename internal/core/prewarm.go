@@ -74,6 +74,8 @@ func (e *explorer) presize(n, totalOpts, maxRow, edges, ioNeed int) {
 	e.hwCycles = growInts(e.hwCycles, maxRow)
 	e.hwAreas = growFloats(e.hwAreas, maxRow)
 	e.spw = growFloats(e.spw, maxRow)
+	e.vsDone.Reset(n)
+	e.compMembers = growInts(e.compMembers, n)[:0]
 	e.numSW = growInts(e.numSW, n)
 	e.trail = growRows(e.trail, n)
 	e.merit = growRows(e.merit, n)

@@ -1,0 +1,432 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"repro/internal/aco"
+	"repro/internal/bench"
+	"repro/internal/dfg"
+	"repro/internal/graph"
+	"repro/internal/machine"
+	"repro/internal/randprog"
+	"repro/internal/sched"
+)
+
+// Reference implementations of the explorer's optimized paths, kept as
+// test-only code for the differential tests below: the per-step
+// Ready-Matrix rebuild over an explicit ready list, and the per-node
+// hardware merit that builds and measures vSx for every operation.
+
+// walkReference is walk with the Ready-Matrix rebuilt at every step from the
+// ready list.
+func (e *explorer) walkReference() *walkResult {
+	res := e.beginWalk()
+	nu := len(e.unitStart) - 1
+	var ready []int
+	for u := 0; u < nu; u++ {
+		if e.indeg[u] == 0 {
+			ready = append(ready, u)
+		}
+	}
+	for pos := 0; len(ready) > 0; pos++ {
+		var entU, entO []int
+		var weights []float64
+		for _, u := range ready {
+			um := e.unitMembers[e.unitStart[u]:e.unitStart[u+1]]
+			if len(um) > 1 || e.fixedGroupOf[um[0]] >= 0 {
+				entU, entO = append(entU, u), append(entO, -1)
+				weights = append(weights, e.p.InitMeritHW)
+				continue
+			}
+			x := um[0]
+			for o := range e.trail[x] {
+				w := e.p.Alpha*e.trail[x][o] + (1-e.p.Alpha)*e.merit[x][o] + e.p.Lambda*e.sp[x]
+				entU, entO = append(entU, u), append(entO, o)
+				weights = append(weights, w)
+			}
+		}
+		var pickIdx int
+		if e.p.Greedy {
+			for i := 1; i < len(weights); i++ {
+				if weights[i] > weights[pickIdx] {
+					pickIdx = i
+				}
+			}
+		} else {
+			pickIdx = selectWeighted(e.rng, weights)
+		}
+		u := entU[pickIdx]
+		e.issueUnit(res, u, entO[pickIdx], pos)
+		e.issued[u] = true
+		for i, v := range ready {
+			if v == u {
+				ready = append(ready[:i:i], ready[i+1:]...)
+				break
+			}
+		}
+		for _, b := range e.unitSuccs[e.unitSuccStart[u]:e.unitSuccStart[u+1]] {
+			if e.issued[b] {
+				continue
+			}
+			e.indeg[b]--
+			if e.indeg[b] == 0 {
+				ready = append(ready, b)
+			}
+		}
+	}
+	e.finishWalk(res)
+	return res
+}
+
+// meritUpdateReference is meritUpdate with vSx built and measured for every
+// operation on its own.
+func (e *explorer) meritUpdateReference(res *walkResult) {
+	d := e.d
+	e.refreshMobility()
+	for x := 0; x < d.Len(); x++ {
+		if e.fixedGroupOf[x] >= 0 {
+			continue
+		}
+		node := d.Nodes[x]
+		for i := 0; i < e.numSW[x]; i++ {
+			e.merit[x][i] *= float64(node.SW[i].Cycles)
+		}
+		if len(node.HW) > 0 {
+			e.hwMeritReference(res, x)
+		}
+		normalize(e.merit[x], 100*float64(len(e.merit[x])))
+	}
+}
+
+// hwMeritReference applies the four cases of Fig. 4.3.7 to every hardware
+// option of x, measuring vSx from scratch.
+func (e *explorer) hwMeritReference(res *walkResult, x int) {
+	d := e.d
+	p := e.p
+	hw := d.Nodes[x].HW
+	base := e.numSW[x]
+
+	if res.critical.Contains(x) && !p.NoCriticalPath {
+		for j := range hw {
+			e.merit[x][base+j] /= p.BetaCP
+		}
+	}
+	vs := e.virtualSubgraph(res, x)
+	if vs.Len() == 1 {
+		for j := range hw {
+			e.merit[x][base+j] *= p.BetaSize
+		}
+		return
+	}
+	violated := false
+	if e.d.InScratch(vs, &e.io) > e.cfg.ReadPorts || e.d.OutScratch(vs, &e.io) > e.cfg.WritePorts {
+		for j := range hw {
+			e.merit[x][base+j] *= p.BetaIO
+		}
+		violated = true
+	}
+	if !d.IsConvex(vs) {
+		for j := range hw {
+			e.merit[x][base+j] *= p.BetaConvex
+		}
+		violated = true
+	}
+	if violated {
+		return
+	}
+	members := e.membersInTopoOrder(vs)
+	swDepth := e.swDepth(vs, members)
+	cyclesOf := make([]int, len(hw))
+	areaOf := make([]float64, len(hw))
+	minCycles, maxArea := 1<<30, 0.0
+	for j := range hw {
+		_, area, cyc := e.vsMetrics(res, vs, members, x, j)
+		cyclesOf[j], areaOf[j] = cyc, area
+		if cyc < minCycles {
+			minCycles = cyc
+		}
+		if area > maxArea {
+			maxArea = area
+		}
+	}
+	onCritical := false
+	for _, v := range members {
+		if res.critical.Contains(v) {
+			onCritical = true
+			break
+		}
+	}
+	if p.NoCriticalPath {
+		onCritical = false
+	}
+	if p.NoMaxAEC {
+		onCritical = true
+	}
+	maxAEC := 0
+	if !onCritical {
+		maxAEC = e.mobility(res, vs)
+	}
+	for j := range hw {
+		m := &e.merit[x][base+j]
+		if p.MaxISECycles > 0 && cyclesOf[j] > p.MaxISECycles {
+			*m *= p.BetaIO
+			continue
+		}
+		saving := swDepth - cyclesOf[j]
+		switch {
+		case saving > 0:
+			*m *= float64(1 + saving)
+		case saving < 0:
+			*m /= float64(1 - saving)
+		}
+		if onCritical {
+			if cyclesOf[j] == minCycles {
+				if areaOf[j] > 0 {
+					*m *= maxArea / areaOf[j]
+				}
+			} else {
+				*m /= float64(1 + cyclesOf[j] - minCycles)
+			}
+		} else {
+			if cyclesOf[j] <= maxAEC {
+				if areaOf[j] > 0 {
+					*m *= maxArea / areaOf[j]
+				}
+			} else {
+				*m /= float64(1 + cyclesOf[j] - maxAEC)
+			}
+		}
+	}
+}
+
+// newISEReference is NewISE measured through a whole-block assignment and
+// sched.GroupDelayNS / sched.GroupAreaUM2.
+func newISEReference(d *dfg.DFG, nodes graph.NodeSet, opts map[int]int) *ISE {
+	a := make(sched.Assignment, d.Len())
+	for i := range a {
+		a[i] = sched.NodeChoice{Kind: sched.KindSW, Opt: 0, Group: -1}
+	}
+	option := map[int]int{}
+	for _, v := range nodes.Values() {
+		o := opts[v]
+		a[v] = sched.NodeChoice{Kind: sched.KindHW, Opt: o, Group: 0}
+		option[v] = o
+	}
+	delay := sched.GroupDelayNS(d, nodes, a)
+	return &ISE{
+		Nodes:   nodes.Clone(),
+		Option:  option,
+		DelayNS: delay,
+		Cycles:  sched.CyclesForDelay(delay),
+		AreaUM2: sched.GroupAreaUM2(d, nodes, a),
+		In:      d.In(nodes),
+		Out:     d.Out(nodes),
+	}
+}
+
+// differentialDFGs returns the paper's seven kernels' O3 hot blocks and a
+// few random blocks.
+func differentialDFGs(t *testing.T) []*dfg.DFG {
+	t.Helper()
+	var out []*dfg.DFG
+	for _, name := range bench.Names() {
+		out = append(out, hotBenchDFG(t, name, "O3"))
+	}
+	r := rand.New(rand.NewSource(18))
+	for i := 0; i < 6; i++ {
+		out = append(out, randprog.DFG(r, randprog.Config{
+			Ops:      10 + r.Intn(50),
+			MemFrac:  r.Float64() * 0.25,
+			MultFrac: r.Float64() * 0.15,
+		}))
+	}
+	return out
+}
+
+// differentialFixed returns accepted ISEs for d: the result of a fast
+// exploration, or, when that accepts none, the first convex two-node chain
+// of eligible operations. It may be empty.
+func differentialFixed(t *testing.T, d *dfg.DFG, cfg machine.Config) []*ISE {
+	t.Helper()
+	r, err := ExploreWithParams(d, cfg, FastParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.ISEs) > 0 {
+		return r.ISEs
+	}
+	for u := 0; u < d.Len(); u++ {
+		for _, v := range d.G.Succs(u) {
+			s := graph.NodeSetOf(d.Len(), u, v)
+			if d.Nodes[u].ISEEligible() && d.Nodes[v].ISEEligible() && d.IsConvex(s) {
+				return []*ISE{NewISE(d, s, map[int]int{})}
+			}
+		}
+	}
+	return nil
+}
+
+// explorerPair returns two identically seeded explorers over d with the
+// given params and accepted ISEs.
+func explorerPair(t *testing.T, d *dfg.DFG, cfg machine.Config, p Params, fixed []*ISE) (a, b *explorer) {
+	t.Helper()
+	mk := func() *explorer {
+		e := newExplorer(t, d, cfg)
+		e.p = p
+		e.rng, e.rngSrc = aco.NewCountedRand(p.Seed)
+		e.fixed = append(e.fixed, fixed...)
+		for g, f := range fixed {
+			for _, v := range f.Nodes.Values() {
+				e.fixedGroupOf[v] = g
+			}
+		}
+		e.initPriority()
+		e.initTables()
+		return e
+	}
+	return mk(), mk()
+}
+
+func sameBits(a, b [][]float64) bool {
+	for x := range a {
+		for o := range a[x] {
+			if math.Float64bits(a[x][o]) != math.Float64bits(b[x][o]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// sameWalk reports the first walkResult field on which a and b differ, or
+// "" when they agree on all of them.
+func sameWalk(a, b *walkResult) string {
+	switch {
+	case a.tet != b.tet:
+		return fmt.Sprintf("tet %d vs %d", a.tet, b.tet)
+	case !reflect.DeepEqual(a.chosen, b.chosen):
+		return "chosen"
+	case !reflect.DeepEqual(a.orderPos, b.orderPos):
+		return "orderPos"
+	case !reflect.DeepEqual(a.groupOf, b.groupOf):
+		return "groupOf"
+	case !a.critical.Equal(b.critical):
+		return "critical"
+	case len(a.groups) != len(b.groups):
+		return "group count"
+	}
+	for i := range a.depthNS {
+		if math.Float64bits(a.depthNS[i]) != math.Float64bits(b.depthNS[i]) {
+			return "depthNS"
+		}
+	}
+	for i := range a.groups {
+		ga, gb := &a.groups[i], &b.groups[i]
+		if ga.index != gb.index || !ga.nodes.Equal(gb.nodes) || ga.cycle != gb.cycle ||
+			ga.lat != gb.lat || ga.reads != gb.reads || ga.writes != gb.writes ||
+			math.Float64bits(ga.delayNS) != math.Float64bits(gb.delayNS) {
+			return fmt.Sprintf("group %d", i)
+		}
+	}
+	return ""
+}
+
+// TestIterationMatchesReference drives the optimized ant iteration (the
+// incremental Ready-Matrix walk and the per-component merit sweep) and the
+// references side by side from identical state, over the seven kernels' O3
+// hot blocks and random blocks, with and without accepted ISEs and with
+// Greedy selection: every walk must return the identical walkResult after
+// the identical number of random draws, and every merit update must leave
+// bit-identical tables.
+func TestIterationMatchesReference(t *testing.T) {
+	cfg := machine.New(2, 4, 2)
+	for i, d := range differentialDFGs(t) {
+		fixed := differentialFixed(t, d, cfg)
+		for _, variant := range []string{"free", "fixed", "greedy"} {
+			p := FastParams()
+			p.Seed = int64(100 + i)
+			var f []*ISE
+			switch variant {
+			case "fixed":
+				f = fixed
+			case "greedy":
+				p.Greedy = true
+			}
+			label := fmt.Sprintf("%d:%s/%s", i, d.Name, variant)
+			a, b := explorerPair(t, d, cfg, p, f)
+			var prevA, prevB []int
+			tetOld := 1 << 30
+			for it := 0; it < 40; it++ {
+				ra, rb := a.walk(), b.walkReference()
+				if diff := sameWalk(ra, rb); diff != "" {
+					t.Fatalf("%s iter %d: walk differs from reference: %s", label, it, diff)
+				}
+				if a.rngSrc.Draws() != b.rngSrc.Draws() {
+					t.Fatalf("%s iter %d: draws %d vs reference %d", label, it, a.rngSrc.Draws(), b.rngSrc.Draws())
+				}
+				improved := ra.tet <= tetOld
+				if improved {
+					tetOld = ra.tet
+				}
+				a.trailUpdate(ra, improved, prevA)
+				b.trailUpdate(rb, improved, prevB)
+				a.meritUpdate(ra)
+				b.meritUpdateReference(rb)
+				if !sameBits(a.merit, b.merit) || !sameBits(a.trail, b.trail) {
+					t.Fatalf("%s iter %d: tables differ from reference after meritUpdate", label, it)
+				}
+				prevA = append(prevA[:0], ra.orderPos...)
+				prevB = append(prevB[:0], rb.orderPos...)
+			}
+		}
+	}
+}
+
+// TestNewISEMatchesReference: NewISE measures delay and area without a
+// whole-block assignment and must agree bit for bit with the
+// assignment-based measurement, over the ISEs explorations accept on the
+// kernels and random blocks and over random eligible node sets with random
+// options.
+func TestNewISEMatchesReference(t *testing.T) {
+	cfg := machine.New(2, 4, 2)
+	r := rand.New(rand.NewSource(7))
+	check := func(d *dfg.DFG, nodes graph.NodeSet, opts map[int]int) {
+		t.Helper()
+		got, want := NewISE(d, nodes, opts), newISEReference(d, nodes, opts)
+		if math.Float64bits(got.DelayNS) != math.Float64bits(want.DelayNS) ||
+			math.Float64bits(got.AreaUM2) != math.Float64bits(want.AreaUM2) ||
+			got.Cycles != want.Cycles || got.In != want.In || got.Out != want.Out ||
+			!got.Nodes.Equal(want.Nodes) || !reflect.DeepEqual(got.Option, want.Option) {
+			t.Fatalf("%s: NewISE %v differs from reference %v", d.Name, got, want)
+		}
+	}
+	for _, d := range differentialDFGs(t) {
+		for _, ise := range differentialFixed(t, d, cfg) {
+			check(d, ise.Nodes, ise.Option)
+		}
+		var eligible []int
+		for v := 0; v < d.Len(); v++ {
+			if len(d.Nodes[v].HW) > 0 {
+				eligible = append(eligible, v)
+			}
+		}
+		if len(eligible) == 0 {
+			continue
+		}
+		for trial := 0; trial < 50; trial++ {
+			nodes := graph.NewNodeSet(d.Len())
+			opts := map[int]int{}
+			for _, v := range eligible {
+				if r.Intn(3) == 0 {
+					nodes.Add(v)
+					opts[v] = r.Intn(len(d.Nodes[v].HW))
+				}
+			}
+			check(d, nodes, opts)
+		}
+	}
+}

@@ -94,8 +94,7 @@ type explorer struct {
 	doneCycle  []int        // arena: completion cycle per node, 0 = unscheduled
 	issueCycle []int        // arena: issue cycle per node
 	issued     []bool       // arena: per-unit issued flag
-	ready      []int        // arena: the walk's ready list
-	entUnit    []int        // arena: Ready-Matrix entry units
+	entUnit    []int        // arena: Ready-Matrix entry units (the ready list)
 	entOpt     []int        // arena: Ready-Matrix entry options
 	entW       []float64    // arena: Ready-Matrix entry weights
 
@@ -119,13 +118,15 @@ type explorer struct {
 	members []int         // arena: group member extraction buffer
 
 	// Merit-sweep scratch. arena: reused for every node's hardware shaping.
-	vsSet      graph.NodeSet // arena: virtualSubgraph's result set
-	vsStack    []int         // arena: virtualSubgraph's DFS stack
-	vsMembers  []int         // arena: membersInTopoOrder's result
-	mobMembers []int         // arena: mobility's member extraction buffer
-	hwCycles   []int         // arena: per-option subgraph cycles
-	hwAreas    []float64     // arena: per-option subgraph areas
-	spw        []float64     // arena: spWeights' result
+	vsSet       graph.NodeSet // arena: virtualSubgraph's result set
+	vsStack     []int         // arena: virtualSubgraph's DFS stack
+	vsMembers   []int         // arena: membersInTopoOrder's result
+	vsDone      graph.NodeSet // arena: nodes whose component meritUpdate swept
+	compMembers []int         // arena: the swept component's members
+	mobMembers  []int         // arena: mobility's member extraction buffer
+	hwCycles    []int         // arena: per-option subgraph cycles
+	hwAreas     []float64     // arena: per-option subgraph areas
+	spw         []float64     // arena: spWeights' result
 }
 
 // reset rebinds a pooled explorer to one restart's inputs, keeping every
@@ -300,10 +301,53 @@ func (e *explorer) appendGroup(res *walkResult) *walkGroup {
 // The returned result is the explorer's reusable iteration arena, valid
 // until the next walk.
 //
+// The Ready-Matrix is kept incrementally and is itself the ready list: one
+// contiguous block of entries per ready unit, blocks in the order the units
+// became ready. Trail, merit and SP are fixed for the whole walk, so a unit's
+// block, weights included, is computed once, when the unit is released; a
+// pick deletes the picked unit's block and appends the blocks of the units
+// it releases. The entries are therefore exactly the slice a per-step
+// rebuild over the ready list produces (walkReference in the tests), and
+// with them the deterministic random stream.
+//
 //alloc:free
 func (e *explorer) walk() *walkResult {
-	d := e.d
-	n := d.Len()
+	res := e.beginWalk()
+	nu := len(e.unitStart) - 1
+	e.entUnit, e.entOpt, e.entW = e.entUnit[:0], e.entOpt[:0], e.entW[:0]
+	for u := 0; u < nu; u++ {
+		if e.indeg[u] == 0 {
+			e.appendEntries(u)
+		}
+	}
+	for pos := 0; len(e.entUnit) > 0; pos++ {
+		i := e.pickEntry(e.entW)
+		u := e.entUnit[i]
+		e.issueUnit(res, u, e.entOpt[i], pos)
+		e.dropEntries(i)
+		// Retire the unit, release successors. The CSR list visits each
+		// dependent unit exactly once, in the first-encounter order the
+		// per-walk edge map used to consume — preserving the Ready-Matrix's
+		// growth order and with it the deterministic random stream.
+		e.issued[u] = true
+		for _, b := range e.unitSuccs[e.unitSuccStart[u]:e.unitSuccStart[u+1]] {
+			if e.issued[b] {
+				continue
+			}
+			e.indeg[b]--
+			if e.indeg[b] == 0 {
+				e.appendEntries(b)
+			}
+		}
+	}
+	e.finishWalk(res)
+	return res
+}
+
+// beginWalk resets the iteration arena, the reservation table and the
+// per-unit dependence state for a fresh walk and returns the result arena.
+func (e *explorer) beginWalk() *walkResult {
+	n := e.d.Len()
 	e.ensureUnits()
 	nu := len(e.unitStart) - 1
 
@@ -326,143 +370,140 @@ func (e *explorer) walk() *walkResult {
 	} else {
 		e.table.Reuse(e.cfg)
 	}
-	table := e.table
-
-	// Unit dependence counts.
 	e.indeg = growInts(e.indeg, nu)
 	copy(e.indeg, e.unitIndeg0)
-	indeg := e.indeg
-
 	e.doneCycle = growInts(e.doneCycle, n) // completion cycle, 0 = unscheduled
 	e.issueCycle = growInts(e.issueCycle, n)
 	for i := 0; i < n; i++ {
 		e.doneCycle[i], e.issueCycle[i] = 0, 0
 	}
-	doneCycle, issueCycle := e.doneCycle, e.issueCycle
 	e.issued = growBools(e.issued, nu)
-	issued := e.issued
 	for u := 0; u < nu; u++ {
-		issued[u] = false
+		e.issued[u] = false
 	}
-	ready := e.ready[:0]
-	for u := 0; u < nu; u++ {
-		if indeg[u] == 0 {
-			ready = append(ready, u)
-		}
-	}
+	return res
+}
 
-	pos := 0
-	for len(ready) > 0 {
-		// Ready-Matrix: every implementation option of every ready unit.
-		entU, entO, weights := e.entUnit[:0], e.entOpt[:0], e.entW[:0]
-		for _, u := range ready {
-			um := e.unitMembers[e.unitStart[u]:e.unitStart[u+1]]
-			if len(um) > 1 || e.fixedGroupOf[um[0]] >= 0 {
-				// Fixed ISE pseudo-operation: single implied option.
-				entU, entO = append(entU, u), append(entO, -1)
-				weights = append(weights, e.p.InitMeritHW)
-				continue
-			}
-			x := um[0]
-			for o := range e.trail[x] {
-				w := e.p.Alpha*e.trail[x][o] + (1-e.p.Alpha)*e.merit[x][o] + e.p.Lambda*e.sp[x]
-				entU, entO = append(entU, u), append(entO, o)
-				weights = append(weights, w)
-			}
-		}
-		e.entUnit, e.entOpt, e.entW = entU, entO, weights
-		var pickIdx int
-		if e.p.Greedy {
-			for i := 1; i < len(weights); i++ {
-				if weights[i] > weights[pickIdx] {
-					pickIdx = i
-				}
-			}
-		} else {
-			pickIdx = selectWeighted(e.rng, weights)
-		}
-		u, pickOpt := entU[pickIdx], entO[pickIdx]
-		um := e.unitMembers[e.unitStart[u]:e.unitStart[u+1]]
-
-		// LTS: latest completion among predecessors (0 if none).
-		lts, lp := 0, -1
-		for _, x := range um {
-			for _, p := range d.G.Preds(x) {
-				if e.unitOf[p] == u {
-					continue
-				}
-				if doneCycle[p] >= lts {
-					lts = doneCycle[p]
-					lp = p
-				}
-			}
-		}
-
-		switch {
-		case pickOpt < 0:
-			// Fixed ISE group.
-			f := e.fixed[e.fixedGroupOf[um[0]]]
-			cts := lts + 1
-			for !table.FitsNewISE(cts, f.Cycles, f.In, f.Out) {
-				cts++
-			}
-			table.ReserveNewISE(cts, f.Cycles, f.In, f.Out)
-			for _, x := range um {
-				issueCycle[x] = cts
-				doneCycle[x] = cts + f.Cycles - 1
-				res.orderPos[x] = pos
-			}
-		case !e.isHWOption(um[0], pickOpt):
-			// Software Operation-Scheduling (Fig. 4.3.3).
-			x := um[0]
-			class := d.Nodes[x].SW[pickOpt].Class
-			reads, writes := len(d.Nodes[x].Inputs), 0
-			if _, ok := d.Nodes[x].Instr.Defs(); ok {
-				writes = 1
-			}
-			cts := lts + 1
-			for !table.FitsSW(cts, class, reads, writes) {
-				cts++
-			}
-			table.ReserveSW(cts, class, reads, writes)
-			res.chosen[x] = pickOpt
-			issueCycle[x] = cts
-			doneCycle[x] = cts + d.Nodes[x].SW[pickOpt].Cycles - 1
-			res.orderPos[x] = pos
-		default:
-			// Hardware Operation-Scheduling (Fig. 4.3.4): try to pack with
-			// the latest parent's iteration ISE, else open a new one.
-			x := um[0]
-			e.scheduleHW(res, table, x, pickOpt, lts, lp, doneCycle, issueCycle)
-			res.orderPos[x] = pos
-		}
-		pos++
-
-		// Retire the unit, release successors. The CSR list visits each
-		// dependent unit exactly once, in the first-encounter order the
-		// per-walk edge map used to consume — preserving the ready list's
-		// growth order and with it the deterministic random stream.
-		issued[u] = true
-		ready = removeUnit(ready, u)
-		for _, b := range e.unitSuccs[e.unitSuccStart[u]:e.unitSuccStart[u+1]] {
-			if issued[b] {
-				continue
-			}
-			indeg[b]--
-			if indeg[b] == 0 {
-				ready = append(ready, b)
-			}
-		}
-	}
-	e.ready = ready
-
-	for _, c := range doneCycle {
+// finishWalk records the walk's execution time and critical path.
+func (e *explorer) finishWalk(res *walkResult) {
+	for _, c := range e.doneCycle {
 		if c > res.tet {
 			res.tet = c
 		}
 	}
 	e.criticalNodes(res)
-	return res
+}
+
+// appendEntries appends ready unit u's Ready-Matrix block: a fixed ISE is one
+// pseudo-operation with a single implied option (-1), a free node one entry
+// per implementation option weighted by Eq. 1.
+func (e *explorer) appendEntries(u int) {
+	um := e.unitMembers[e.unitStart[u]:e.unitStart[u+1]]
+	if len(um) > 1 || e.fixedGroupOf[um[0]] >= 0 {
+		e.entUnit, e.entOpt = append(e.entUnit, u), append(e.entOpt, -1)
+		e.entW = append(e.entW, e.p.InitMeritHW)
+		return
+	}
+	x := um[0]
+	for o := range e.trail[x] {
+		w := e.p.Alpha*e.trail[x][o] + (1-e.p.Alpha)*e.merit[x][o] + e.p.Lambda*e.sp[x]
+		e.entUnit, e.entOpt = append(e.entUnit, u), append(e.entOpt, o)
+		e.entW = append(e.entW, w)
+	}
+}
+
+// dropEntries deletes the block of the unit owning entry i, keeping the
+// order of the remaining entries.
+func (e *explorer) dropEntries(i int) {
+	u := e.entUnit[i]
+	lo, hi := i, i+1
+	for lo > 0 && e.entUnit[lo-1] == u {
+		lo--
+	}
+	for hi < len(e.entUnit) && e.entUnit[hi] == u {
+		hi++
+	}
+	k := len(e.entUnit) - (hi - lo)
+	copy(e.entUnit[lo:], e.entUnit[hi:])
+	copy(e.entOpt[lo:], e.entOpt[hi:])
+	copy(e.entW[lo:], e.entW[hi:])
+	e.entUnit, e.entOpt, e.entW = e.entUnit[:k], e.entOpt[:k], e.entW[:k]
+}
+
+// pickEntry selects a Ready-Matrix entry: the first maximal weight under
+// Params.Greedy, else a weighted draw (Eq. 1).
+func (e *explorer) pickEntry(weights []float64) int {
+	if !e.p.Greedy {
+		return selectWeighted(e.rng, weights)
+	}
+	pick := 0
+	for i := 1; i < len(weights); i++ {
+		if weights[i] > weights[pick] {
+			pick = i
+		}
+	}
+	return pick
+}
+
+// issueUnit schedules unit u with option pickOpt (-1 for a fixed ISE) as the
+// walk's pos-th pick.
+func (e *explorer) issueUnit(res *walkResult, u, pickOpt, pos int) {
+	d := e.d
+	table, doneCycle, issueCycle := e.table, e.doneCycle, e.issueCycle
+	um := e.unitMembers[e.unitStart[u]:e.unitStart[u+1]]
+
+	// LTS: latest completion among predecessors (0 if none).
+	lts, lp := 0, -1
+	for _, x := range um {
+		for _, p := range d.G.Preds(x) {
+			if e.unitOf[p] == u {
+				continue
+			}
+			if doneCycle[p] >= lts {
+				lts = doneCycle[p]
+				lp = p
+			}
+		}
+	}
+
+	switch {
+	case pickOpt < 0:
+		// Fixed ISE group.
+		f := e.fixed[e.fixedGroupOf[um[0]]]
+		cts := lts + 1
+		for !table.FitsNewISE(cts, f.Cycles, f.In, f.Out) {
+			cts++
+		}
+		table.ReserveNewISE(cts, f.Cycles, f.In, f.Out)
+		for _, x := range um {
+			issueCycle[x] = cts
+			doneCycle[x] = cts + f.Cycles - 1
+			res.orderPos[x] = pos
+		}
+	case !e.isHWOption(um[0], pickOpt):
+		// Software Operation-Scheduling (Fig. 4.3.3).
+		x := um[0]
+		class := d.Nodes[x].SW[pickOpt].Class
+		reads, writes := len(d.Nodes[x].Inputs), 0
+		if _, ok := d.Nodes[x].Instr.Defs(); ok {
+			writes = 1
+		}
+		cts := lts + 1
+		for !table.FitsSW(cts, class, reads, writes) {
+			cts++
+		}
+		table.ReserveSW(cts, class, reads, writes)
+		res.chosen[x] = pickOpt
+		issueCycle[x] = cts
+		doneCycle[x] = cts + d.Nodes[x].SW[pickOpt].Cycles - 1
+		res.orderPos[x] = pos
+	default:
+		// Hardware Operation-Scheduling (Fig. 4.3.4): try to pack with
+		// the latest parent's iteration ISE, else open a new one.
+		x := um[0]
+		e.scheduleHW(res, table, x, pickOpt, lts, lp, doneCycle, issueCycle)
+		res.orderPos[x] = pos
+	}
 }
 
 // scheduleHW implements Fig. 4.3.4: if the latest parent lp is a member of a
@@ -714,19 +755,4 @@ func (e *explorer) criticalNodes(res *walkResult) {
 			res.critical.Add(v)
 		}
 	}
-}
-
-// removeUnit deletes unit v from s in place, preserving the relative order
-// of the surviving units: the ready list's order feeds the Ready-Matrix and
-// through it the deterministic random stream. In-place compaction is safe —
-// the ready list lives only in walk's frame, is reassigned with the return
-// value, and has no other alias.
-func removeUnit(s []int, v int) []int {
-	for i, x := range s {
-		if x == v {
-			//lint:ignore sliceclobber ready list is walk-local; the caller reassigns the result and holds no other alias
-			return append(s[:i], s[i+1:]...)
-		}
-	}
-	return s
 }
