@@ -80,10 +80,11 @@ cluster-smoke:
 
 # CPU-profile the headline benchmark and print the top-10 hot functions.
 # Artifacts land in /tmp so the repo stays clean. On a 2-core x86-64 VM the
-# run takes about 2 s: match.Find is about 45% of CPU (31% replacement's
-# cross-block matches, 14% merging) and MI/SI exploration most of the
-# rest. The full matrix has another mix (exploration about 82%, match.Find
-# 15%); profile it with `go run ./cmd/isebench -all -cpuprofile <file>`.
+# run takes about 1.5 s: MI exploration is about 46% of CPU, SI 12%, and
+# subgraph matching 18% (13% replacement's cross-block matches, 5%
+# merging). The full matrix has another mix (exploration about 80%,
+# matching 5.5%); profile it with `go run ./cmd/isebench -all -cpuprofile
+# <file>`.
 profile:
 	go run ./cmd/isebench -headline -fast -cpuprofile /tmp/ise-cpu.out
 	go tool pprof -top -nodecount=10 /tmp/ise-cpu.out

@@ -10,6 +10,8 @@ import (
 	"repro/internal/bench"
 	"repro/internal/dfg"
 	"repro/internal/graph"
+	"repro/internal/isa"
+	"repro/internal/prog"
 	"repro/internal/randprog"
 )
 
@@ -160,16 +162,19 @@ func TestFindMatchesReferenceRandom(t *testing.T) {
 }
 
 // FuzzFind builds a random DFG (and, when cross is set, a second one as the
-// target) from the fuzz input, samples a connected pattern from it and
-// compares find against the reference under the given match cap and
-// budget.
+// target) from the fuzz input, draws a pattern from it (a connected sample,
+// or when subset is set an arbitrary, usually disconnected, subset whose
+// levels may have no anchor) and compares find against the reference under
+// the given match cap and budget.
 func FuzzFind(f *testing.F) {
-	f.Add(int64(1), uint8(20), uint8(4), uint8(0), uint16(65535), false)
-	f.Add(int64(2), uint8(40), uint8(6), uint8(1), uint16(100), true)
-	f.Add(int64(3), uint8(30), uint8(3), uint8(64), uint16(7), false)
-	f.Add(int64(4), uint8(12), uint8(1), uint8(0), uint16(2), true)
-	f.Add(int64(5), uint8(45), uint8(8), uint8(5), uint16(3000), false)
-	f.Fuzz(func(t *testing.T, seed int64, ops, size, maxMatches uint8, budget uint16, cross bool) {
+	f.Add(int64(1), uint8(20), uint8(4), uint8(0), uint16(65535), false, false)
+	f.Add(int64(2), uint8(40), uint8(6), uint8(1), uint16(100), true, false)
+	f.Add(int64(3), uint8(30), uint8(3), uint8(64), uint16(7), false, false)
+	f.Add(int64(4), uint8(12), uint8(1), uint8(0), uint16(2), true, false)
+	f.Add(int64(5), uint8(45), uint8(8), uint8(5), uint16(3000), false, false)
+	f.Add(int64(6), uint8(30), uint8(4), uint8(0), uint16(65535), false, true)
+	f.Add(int64(7), uint8(40), uint8(6), uint8(3), uint16(500), true, true)
+	f.Fuzz(func(t *testing.T, seed int64, ops, size, maxMatches uint8, budget uint16, cross, subset bool) {
 		r := rand.New(rand.NewSource(seed))
 		cfg := randprog.Config{Ops: 1 + int(ops)%48, MemFrac: 0.1, MultFrac: 0.05}
 		pd := randprog.DFG(r, cfg)
@@ -178,6 +183,91 @@ func FuzzFind(f *testing.F) {
 			td = randprog.DFG(r, cfg)
 		}
 		pat := sampleConnected(r, pd, 1+int(size)%8)
+		if subset {
+			pat = randomSubset(r, pd, 1+int(size)%8)
+		}
 		compareOne(t, "fuzz", pd, pat, td, int(maxMatches), 1+int(budget))
 	})
+}
+
+// TestEachStopsLikeFind checks the streaming search: a yield that stops
+// after k mappings must see exactly the first k mappings of find(..., k,
+// limit) and the reference, after visiting exactly as many states, under
+// every diffBudgets limit. FindEach must do the same under DefaultLimit.
+func TestEachStopsLikeFind(t *testing.T) {
+	ds := kernelDFGs()
+	r := rand.New(rand.NewSource(3))
+	check := func(name string, pd *dfg.DFG, pat graph.NodeSet, td *dfg.DFG) {
+		t.Helper()
+		for _, k := range []int{1, 2, 3, 64} {
+			for _, limit := range diffBudgets {
+				var got []Mapping
+				states := each(pd, pat, td, limit, func(m Mapping) bool {
+					got = append(got, m)
+					return len(got) < k
+				})
+				want, wantStates := find(pd, pat, td, k, limit)
+				ref, refStates := findReference(pd, pat, td, k, limit)
+				if !reflect.DeepEqual(got, want) || states != wantStates || !reflect.DeepEqual(got, ref) || states != refStates {
+					t.Fatalf("%s pattern %v stop %d budget %d: each gave %d mappings in %d states, find %d in %d, reference %d in %d",
+						name, pat, k, limit, len(got), states, len(want), wantStates, len(ref), refStates)
+				}
+			}
+			var got []Mapping
+			FindEach(pd, pat, td, func(m Mapping) bool {
+				got = append(got, m)
+				return len(got) < k
+			})
+			if want := Find(pd, pat, td, k); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s pattern %v stop %d: FindEach gave %v, Find %v", name, pat, k, got, want)
+			}
+		}
+	}
+	for i, pd := range ds {
+		td := ds[(i+1)%len(ds)]
+		check(pd.Name+" self", pd, sampleConnected(r, pd, 1+r.Intn(6)), pd)
+		check(pd.Name+" in "+td.Name, pd, sampleConnected(r, pd, 1+r.Intn(6)), td)
+		if pd.Len() >= 30 {
+			check(pd.Name+" subset self", pd, randomSubset(r, pd, 4), pd)
+		}
+	}
+}
+
+// TestFindUnsortedAdjacency matches on a hand-built DFG whose adjacency
+// lists were inserted in descending ID order: node 4's predecessors are
+// [3 1] and node 0's successors [5 2]. The anchored levels draw their
+// candidates from exactly those lists, so a searcher that visits neighbours
+// in list order rather than ascending ID order returns the mappings in the
+// wrong order.
+func TestFindUnsortedAdjacency(t *testing.T) {
+	ops := []isa.Opcode{isa.OpSUB, isa.OpADD, isa.OpOR, isa.OpADD, isa.OpXOR, isa.OpOR}
+	g := graph.New(len(ops))
+	d := &dfg.DFG{Name: "unsorted", G: g, Data: g}
+	for v, op := range ops {
+		d.Nodes = append(d.Nodes, &dfg.Node{ID: v, Instr: prog.Instr{Op: op}, HW: []isa.HWOption{{Name: "hw"}}})
+	}
+	g.AddEdge(3, 4)
+	g.AddEdge(1, 4)
+	g.AddEdge(0, 5)
+	g.AddEdge(0, 2)
+	if !reflect.DeepEqual(g.Preds(4), []int{3, 1}) || !reflect.DeepEqual(g.Succs(0), []int{5, 2}) {
+		t.Fatalf("fixture lists are not descending: preds(4) %v, succs(0) %v", g.Preds(4), g.Succs(0))
+	}
+	for _, c := range []struct {
+		pat  []int
+		want []Mapping
+	}{
+		// xor binds first (one candidate); add is anchored through the
+		// predecessors of xor's target.
+		{[]int{1, 4}, []Mapping{{1: 1, 4: 4}, {1: 3, 4: 4}}},
+		// sub binds first; or is anchored through the successors of sub's
+		// target.
+		{[]int{0, 2}, []Mapping{{0: 0, 2: 2}, {0: 0, 2: 5}}},
+	} {
+		pat := graph.NodeSetOf(d.Len(), c.pat...)
+		if got := Find(d, pat, d, 0); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("pattern %v: got %v, want %v", c.pat, got, c.want)
+		}
+		checkAgainstReference(t, "unsorted", d, pat, d)
+	}
 }

@@ -8,6 +8,7 @@ package match
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -43,6 +44,25 @@ func Find(pd *dfg.DFG, pNodes graph.NodeSet, td *dfg.DFG, maxMatches int) []Mapp
 	return ms
 }
 
+// FindEach calls yield with each mapping Find would return, in the same
+// order and under the same DefaultLimit budget, and stops the search as soon
+// as yield returns false. A caller that wants only the first mapping with
+// some property gets it without enumerating the rest.
+func FindEach(pd *dfg.DFG, pNodes graph.NodeSet, td *dfg.DFG, yield func(Mapping) bool) {
+	each(pd, pNodes, td, DefaultLimit, yield)
+}
+
+// find is Find with an explicit search-state budget. It also returns the
+// number of search states it visited; states == limit means the budget was
+// used up, so the result may be truncated.
+func find(pd *dfg.DFG, pNodes graph.NodeSet, td *dfg.DFG, maxMatches, limit int) (ms []Mapping, states int) {
+	states = each(pd, pNodes, td, limit, func(m Mapping) bool {
+		ms = append(ms, m)
+		return maxMatches <= 0 || len(ms) < maxMatches
+	})
+	return ms, states
+}
+
 // Pattern-adjacency bits of searcher.adj.
 const (
 	edgeOut uint8 = 1 << iota // lv[d].p -> lv[e].p
@@ -57,38 +77,23 @@ type level struct {
 	deg   int   // p's edges inside the pattern (an ordering key)
 	nOut  int   // edges from p to earlier levels' pattern nodes
 	nIn   int   // edges to p from earlier levels' pattern nodes
-	t     int   // target bound here while the search is deeper
+	// anchor is an earlier level whose pattern node is adjacent to p, or -1.
+	// Every consistent target is a neighbour of the anchor's bound target.
+	anchor int
+	t      int // target bound here while the search is deeper
 }
 
-// find is Find with an explicit search-state budget. It also returns the
-// number of search states it visited; states == limit means the budget was
-// used up, so the result may be truncated.
-func find(pd *dfg.DFG, pNodes graph.NodeSet, td *dfg.DFG, maxMatches, limit int) (ms []Mapping, states int) {
+// each runs the search under an explicit budget, calling yield with every
+// mapping in enumeration order until yield returns false or the budget is
+// used up. It returns the number of search states visited.
+func each(pd *dfg.DFG, pNodes graph.NodeSet, td *dfg.DFG, limit int, yield func(Mapping) bool) (states int) {
 	n := pNodes.Len()
 	if n == 0 {
-		return nil, 0
+		return 0
 	}
 	lv := make([]level, 0, n)
 	for _, p := range pNodes.Values() {
-		l := level{p: p}
-		// Candidate lists are built once per opcode and shared.
-		op := pd.Nodes[p].Instr.Op
-		for _, prev := range lv {
-			if pd.Nodes[prev.p].Instr.Op == op {
-				l.cands = prev.cands
-				break
-			}
-		}
-		if l.cands == nil {
-			for t := 0; t < td.Len(); t++ {
-				if td.Nodes[t].Instr.Op == op && td.Nodes[t].ISEEligible() {
-					l.cands = append(l.cands, t)
-				}
-			}
-		}
-		if len(l.cands) == 0 {
-			return nil, 0
-		}
+		l := level{p: p, anchor: -1}
 		for _, q := range pd.Data.Succs(p) {
 			if pNodes.Contains(q) {
 				l.deg++
@@ -101,25 +106,57 @@ func find(pd *dfg.DFG, pNodes graph.NodeSet, td *dfg.DFG, maxMatches, limit int)
 		}
 		lv = append(lv, l)
 	}
+	// One allocation holds depthOfT and every candidate list, which are
+	// built once per opcode and shared.
+	total := 0
+	for _, nd := range td.Nodes {
+		if nd.ISEEligible() && slices.ContainsFunc(lv, func(l level) bool { return pd.Nodes[l.p].Instr.Op == nd.Instr.Op }) {
+			total++
+		}
+	}
+	buf := make([]int, td.Len(), td.Len()+total)
+	depthOfT, pool := buf, buf[td.Len():]
+	for i := range lv {
+		l := &lv[i]
+		op := pd.Nodes[l.p].Instr.Op
+		for _, prev := range lv[:i] {
+			if pd.Nodes[prev.p].Instr.Op == op {
+				l.cands = prev.cands
+				break
+			}
+		}
+		if l.cands == nil {
+			start := len(pool)
+			for t, nd := range td.Nodes {
+				if nd.Instr.Op == op && nd.ISEEligible() {
+					pool = append(pool, t)
+				}
+			}
+			l.cands = pool[start:len(pool):len(pool)]
+		}
+		if len(l.cands) == 0 {
+			return 0
+		}
+	}
 	// Order pattern nodes most-constrained first: fewest candidates, then
 	// most internal adjacency, then lowest ID.
-	sort.Slice(lv, func(i, j int) bool {
-		a, b := &lv[i], &lv[j]
+	slices.SortFunc(lv, func(a, b level) int {
 		if len(a.cands) != len(b.cands) {
-			return len(a.cands) < len(b.cands)
+			return len(a.cands) - len(b.cands)
 		}
 		if a.deg != b.deg {
-			return a.deg > b.deg
+			return b.deg - a.deg
 		}
-		return a.p < b.p
+		return a.p - b.p
 	})
 
 	s := &searcher{
+		pd:       pd,
 		td:       td,
 		lv:       lv,
 		adj:      make([]uint8, n*n),
-		depthOfT: make([]int, td.Len()),
-		max:      maxMatches,
+		depthOfT: depthOfT,
+		yield:    yield,
 		budget:   limit,
 	}
 	for d := range lv {
@@ -133,28 +170,41 @@ func find(pd *dfg.DFG, pNodes graph.NodeSet, td *dfg.DFG, maxMatches, limit int)
 				lv[d].nIn++
 			}
 		}
+		// Prefer an edgeOut anchor, whose candidates are target
+		// predecessors: a node's in-degree is bounded by its operand count,
+		// its out-degree is not.
+		for e := range lv[:d] {
+			if s.adj[d*n+e]&edgeOut != 0 {
+				lv[d].anchor = e
+				break
+			}
+			if lv[d].anchor < 0 && s.adj[d*n+e]&edgeIn != 0 {
+				lv[d].anchor = e
+			}
+		}
 	}
-	for t := range s.depthOfT {
-		s.depthOfT[t] = -1
+	for t := range depthOfT {
+		depthOfT[t] = -1
 	}
 	s.search(0)
-	return s.found, limit - s.budget
+	return limit - s.budget
 }
 
 // searcher binds level d's pattern node to a target node at depth d. All
 // state is indexed by depth or target ID.
 type searcher struct {
-	td *dfg.DFG
-	lv []level
+	pd, td *dfg.DFG
+	lv     []level
 	// adj[d*len(lv)+e], e < d, holds the edgeOut/edgeIn bits between the
 	// pattern nodes of levels d and e.
 	adj      []uint8
 	depthOfT []int // depth a target is bound at, -1 when unused
-	found    []Mapping
-	max      int
+	yield    func(Mapping) bool
 	budget   int
 }
 
+// search tries every candidate for level d in ascending target ID order and
+// reports whether the whole search must stop.
 func (s *searcher) search(d int) bool {
 	if s.budget <= 0 {
 		return true // out of budget: stop the whole search
@@ -165,22 +215,58 @@ func (s *searcher) search(d int) bool {
 		for _, l := range s.lv {
 			m[l.p] = l.t
 		}
-		s.found = append(s.found, m)
-		return s.max > 0 && len(s.found) >= s.max
+		return !s.yield(m)
 	}
-	for _, t := range s.lv[d].cands {
-		if s.depthOfT[t] >= 0 || !s.consistent(d, t) {
-			continue
+	l := &s.lv[d]
+	if l.anchor < 0 {
+		for _, t := range l.cands {
+			if s.bind(d, t) {
+				return true
+			}
 		}
-		s.lv[d].t = t
-		s.depthOfT[t] = d
-		stop := s.search(d + 1)
-		s.depthOfT[t] = -1
-		if stop {
+		return false
+	}
+	// Only neighbours of the anchor's target can be consistent: its
+	// predecessors for an edgeOut anchor, its successors for an edgeIn one.
+	// Visiting them in ascending ID order, filtered to the candidates, is
+	// the cands scan minus targets consistent would reject. Adjacency lists
+	// are not assumed sorted.
+	at := s.lv[l.anchor].t
+	nbrs := s.td.Data.Succs(at)
+	if s.adj[d*len(s.lv)+l.anchor]&edgeOut != 0 {
+		nbrs = s.td.Data.Preds(at)
+	}
+	op := s.pd.Nodes[l.p].Instr.Op
+	for t := nextAbove(nbrs, -1); t >= 0; t = nextAbove(nbrs, t) {
+		if n := s.td.Nodes[t]; n.Instr.Op == op && n.ISEEligible() && s.bind(d, t) {
 			return true
 		}
 	}
 	return false
+}
+
+// bind tries target t at level d and searches deeper if it is unused and
+// consistent. It reports whether the whole search must stop.
+func (s *searcher) bind(d, t int) bool {
+	if s.depthOfT[t] >= 0 || !s.consistent(d, t) {
+		return false
+	}
+	s.lv[d].t = t
+	s.depthOfT[t] = d
+	stop := s.search(d + 1)
+	s.depthOfT[t] = -1
+	return stop
+}
+
+// nextAbove returns the smallest element of xs greater than x, or -1.
+func nextAbove(xs []int, x int) int {
+	next := -1
+	for _, v := range xs {
+		if v > x && (next < 0 || v < next) {
+			next = v
+		}
+	}
+	return next
 }
 
 // consistent checks that binding level d's pattern node to the unused

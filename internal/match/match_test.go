@@ -3,6 +3,7 @@ package match
 import (
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/dfg"
 	"repro/internal/graph"
 	"repro/internal/isa"
@@ -194,5 +195,49 @@ func TestCanonicalDistinguishesStructure(t *testing.T) {
 	}
 	if chain1 == indep {
 		t.Error("chain and independent pair hash identically")
+	}
+}
+
+// sinkMapping makes the mapping a test builds escape, as find's do.
+var sinkMapping Mapping
+
+// TestFindAllocs pins the allocations of BenchmarkMatchFind's search (the
+// first five eligible operations of crc32/O3's hottest block, matched in
+// that block): a call allocates its four slices (pattern IDs, levels, the
+// target buffer, the adjacency rows) and one map per mapping, and nothing
+// per search state.
+func TestFindAllocs(t *testing.T) {
+	bm, err := bench.Get("crc32", "O3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := bm.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := dfg.BuildAll(bm.Prog, prof.HotBlocks(bm.Prog, 1), prof.BlockCounts)[0]
+	pat := graph.NewNodeSet(d.Len())
+	for v := 0; v < d.Len() && pat.Len() < 5; v++ {
+		if d.Nodes[v].ISEEligible() {
+			pat.Add(v)
+		}
+	}
+	n := len(Find(d, pat, d, 0))
+	if n == 0 {
+		t.Fatal("no matches")
+	}
+	ids := pat.Values()
+	perMapping := testing.AllocsPerRun(100, func() {
+		m := make(Mapping, len(ids))
+		for _, p := range ids {
+			m[p] = p
+		}
+		sinkMapping = m
+	})
+	got := testing.AllocsPerRun(100, func() {
+		each(d, pat, d, DefaultLimit, func(Mapping) bool { return true })
+	})
+	if want := 4 + float64(n)*perMapping; got > want {
+		t.Errorf("search allocates %v times per call for %d mappings, want at most %v", got, n, want)
 	}
 }

@@ -34,24 +34,33 @@ type Candidate struct {
 	Gain float64
 
 	mu sync.Mutex
-	// matchCache memoizes per-target pattern occurrences; guarded by mu.
-	matchCache map[*dfg.DFG][]match.Mapping
+	// matchCache memoizes pattern occurrences per target and match cap;
+	// guarded by mu.
+	matchCache map[matchKey][]match.Mapping
+}
+
+// matchKey identifies one Matches query.
+type matchKey struct {
+	d          *dfg.DFG
+	maxMatches int
 }
 
 // Matches returns (and memoizes) the pattern occurrences of this candidate
-// in target DFG d. Selection sweeps evaluate the same candidates under many
-// constraints; the occurrences never change.
+// in target DFG d, capped at maxMatches as match.Find caps them. Selection
+// sweeps evaluate the same candidates under many constraints; the
+// occurrences never change.
 func (c *Candidate) Matches(d *dfg.DFG, maxMatches int) []match.Mapping {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if ms, ok := c.matchCache[d]; ok {
+	k := matchKey{d, maxMatches}
+	if ms, ok := c.matchCache[k]; ok {
 		return ms
 	}
 	ms := match.Find(c.DFG, c.ISE.Nodes, d, maxMatches)
 	if c.matchCache == nil {
-		c.matchCache = map[*dfg.DFG][]match.Mapping{}
+		c.matchCache = map[matchKey][]match.Mapping{}
 	}
-	c.matchCache[d] = ms
+	c.matchCache[k] = ms
 	return ms
 }
 
@@ -116,30 +125,26 @@ func Merge(cands []*Candidate) []Group {
 }
 
 // SubgraphOf reports whether b's pattern occurs inside a's node set with b's
-// latency at least that of the matched sub-datapath (merge condition 1).
+// latency at least that of the matched sub-datapath (merge condition 1). The
+// search stops at the first such embedding; the embeddings it passes over
+// are a prefix of match.Find's unlimited enumeration, so the answer is the
+// one a scan of Find's whole list would give.
 func SubgraphOf(b, a *Candidate) bool {
-	ms := match.Find(b.DFG, b.ISE.Nodes, a.DFG, 0)
 	var assign sched.Assignment // a's chosen options, built on first use
-	for _, m := range ms {
-		inside := true
+	ok := false
+	match.FindEach(b.DFG, b.ISE.Nodes, a.DFG, func(m match.Mapping) bool {
 		for _, t := range m {
 			if !a.ISE.Nodes.Contains(t) {
-				inside = false
-				break
+				return true
 			}
 		}
-		if !inside {
-			continue
-		}
 		// Latency of the matched sub-datapath under a's chosen options.
-		sub := m.Targets(a.DFG.Len())
 		if assign == nil {
 			assign = core.BuildAssignment(a.DFG, []*core.ISE{a.ISE})
 		}
-		subDelay := sched.GroupDelayNS(a.DFG, sub, assign)
-		if b.ISE.Cycles >= sched.CyclesForDelay(subDelay) {
-			return true
-		}
-	}
-	return false
+		subDelay := sched.GroupDelayNS(a.DFG, m.Targets(a.DFG.Len()), assign)
+		ok = b.ISE.Cycles >= sched.CyclesForDelay(subDelay)
+		return !ok
+	})
+	return ok
 }

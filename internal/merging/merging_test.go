@@ -152,3 +152,21 @@ func TestMatchesMemoized(t *testing.T) {
 		t.Fatal("no matches")
 	}
 }
+
+func TestMatchesMemoKeyedByCap(t *testing.T) {
+	d := blockDFG(t, func(b *prog.Builder) {
+		b.R(isa.OpAND, prog.T0, prog.A0, prog.A1)
+		b.R(isa.OpAND, prog.T1, prog.A0, prog.A1)
+		b.R(isa.OpAND, prog.T2, prog.A0, prog.A1)
+	})
+	c := candOf(d, 1, 0)
+	if got := len(c.Matches(d, 1)); got != 1 {
+		t.Fatalf("Matches(d, 1) = %d mappings, want 1", got)
+	}
+	if got := len(c.Matches(d, 8)); got != 3 {
+		t.Fatalf("Matches(d, 8) after Matches(d, 1) = %d mappings, want 3", got)
+	}
+	if got := len(c.Matches(d, 1)); got != 1 {
+		t.Fatalf("Matches(d, 1) after Matches(d, 8) = %d mappings, want 1", got)
+	}
+}
