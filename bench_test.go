@@ -126,7 +126,7 @@ func runAblation(b *testing.B, mutate func(*core.Params)) {
 	mutate(&p)
 	var last *core.Result
 	for i := 0; i < b.N; i++ {
-		r, err := core.ExploreWithParams(d, cfg, p)
+		r, err := core.Explore(b.Context(), d, cfg, p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -222,7 +222,7 @@ func BenchmarkSchedSteadyState(b *testing.B) {
 	}
 	d := dfg.BuildAll(bm.Prog, prof.HotBlocks(bm.Prog, 1), prof.BlockCounts)[0]
 	cfg := machine.New(4, 8, 4)
-	res, err := core.ExploreWithParams(d, cfg, core.FastParams())
+	res, err := core.Explore(b.Context(), d, cfg, core.FastParams())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -426,7 +426,7 @@ func BenchmarkEvaluate(b *testing.B) {
 func BenchmarkNetlistEval(b *testing.B) {
 	d := ablationDFG()
 	p := core.FastParams()
-	res, err := core.ExploreWithParams(d, machine.New(2, 4, 2), p)
+	res, err := core.Explore(b.Context(), d, machine.New(2, 4, 2), p)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -489,7 +489,7 @@ func BenchmarkExploreMI(b *testing.B) {
 	p := core.DefaultParams()
 	p.NoEvalCache = true
 	for i := 0; i < b.N; i++ {
-		if _, err := core.ExploreWithParams(d, cfg, p); err != nil {
+		if _, err := core.Explore(b.Context(), d, cfg, p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -507,7 +507,7 @@ func BenchmarkExploreMISeedBaseline(b *testing.B) {
 	p.Workers = 1
 	p.NoEvalCache = true
 	for i := 0; i < b.N; i++ {
-		if _, err := core.ExploreWithParams(d, cfg, p); err != nil {
+		if _, err := core.Explore(b.Context(), d, cfg, p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -522,7 +522,7 @@ func BenchmarkExploreMIParallelCached(b *testing.B) {
 	p := core.DefaultParams()
 	var last *core.Result
 	for i := 0; i < b.N; i++ {
-		r, err := core.ExploreWithParams(d, cfg, p)
+		r, err := core.Explore(b.Context(), d, cfg, p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -539,7 +539,7 @@ func BenchmarkExploreSI(b *testing.B) {
 	cfg := machine.New(2, 4, 2)
 	p := core.DefaultParams()
 	for i := 0; i < b.N; i++ {
-		if _, err := baseline.Explore(d, cfg, p); err != nil {
+		if _, err := baseline.ExploreSharedCtx(b.Context(), d, cfg, p, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -576,7 +576,7 @@ func BenchmarkAblationTwoASFUs(b *testing.B) {
 	p := core.FastParams()
 	var last *core.Result
 	for i := 0; i < b.N; i++ {
-		r, err := core.ExploreWithParams(d, cfg, p)
+		r, err := core.Explore(b.Context(), d, cfg, p)
 		if err != nil {
 			b.Fatal(err)
 		}

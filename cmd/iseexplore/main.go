@@ -163,7 +163,7 @@ func main() {
 			res, _, err = core.ExploreResumable(ctx, d, cfg, params, core.ResumeOptions{Trace: tr})
 			blockSpan.End()
 		case "SI":
-			res, err = baseline.ExploreCtx(ctx, d, cfg, params)
+			res, err = baseline.ExploreSharedCtx(ctx, d, cfg, params, nil)
 		default:
 			log.Fatalf("unknown algorithm %q (want MI or SI)", *algo)
 		}

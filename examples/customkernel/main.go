@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -76,7 +77,7 @@ func main() {
 	hot := prof.HotBlocks(p, 1)
 	d := dfg.BuildAll(p, hot, prof.BlockCounts)[0]
 	cfg := machine.New(2, 4, 2)
-	res, err := core.Explore(d, cfg)
+	res, err := core.Explore(context.Background(), d, cfg, core.DefaultParams())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -66,7 +67,7 @@ func main() {
 	fmt.Printf("2. 2-issue,      no ISE:             %2d cycles\n", sw(wide))
 
 	// Case 3: legality-only (single-issue) exploration, deployed on 2-issue.
-	si, err := baseline.Explore(d, wide, params)
+	si, err := baseline.ExploreSharedCtx(context.Background(), d, wide, params, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func main() {
 		s3.Length, si.AreaUM2(), len(si.ISEs))
 
 	// Case 4: multiple-issue-aware exploration on the same machine.
-	mi, err := core.ExploreWithParams(d, wide, params)
+	mi, err := core.Explore(context.Background(), d, wide, params)
 	if err != nil {
 		log.Fatal(err)
 	}

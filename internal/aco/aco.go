@@ -1,8 +1,9 @@
-// Package aco supplies the ant-colony-optimization primitives shared by the
-// ISE exploration algorithms: deterministic seeded randomness, roulette-wheel
-// selection over non-negative weights, and weight normalization. The
-// problem-specific pheromone (trail) update and merit functions live with the
-// algorithms that define them.
+// Package aco supplies the ant-colony-optimization frame shared by the ISE
+// exploration algorithms: deterministic seeded randomness, roulette-wheel
+// selection over non-negative weights, weight normalization, and the
+// per-option trail and merit Tables with their selected probability, P_END
+// convergence test and trail update. The ant walk and the merit function
+// live with the algorithms that define them.
 package aco
 
 import "math/rand"

@@ -33,7 +33,7 @@ func steadyIterate(tb testing.TB) func() {
 	d := hotBenchDFG(tb, "crc32", "O3")
 	e := &explorer{}
 	e.reset(d, machine.New(2, 4, 2), core.DefaultParams(), aco.NewRand(1))
-	e.initTables()
+	e.tab.Seed(e.d, e.p.Coefs())
 	tetOld := 1 << 30
 	iterate := func() {
 		chosen := e.selectOptions()
@@ -86,11 +86,11 @@ func TestBaselineSharedScratchDeterminism(t *testing.T) {
 	p := core.FastParams()
 	p.Restarts = 3
 
-	want1, err := ExploreCtx(t.Context(), d1, cfg, p)
+	want1, err := ExploreSharedCtx(t.Context(), d1, cfg, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want2, err := ExploreCtx(t.Context(), d2, cfg, p)
+	want2, err := ExploreSharedCtx(t.Context(), d2, cfg, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

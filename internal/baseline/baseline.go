@@ -72,30 +72,24 @@ func NewScratch() *Scratch {
 func (s *Scratch) acquire() *workerScratch   { return s.pool.Get().(*workerScratch) }
 func (s *Scratch) release(ws *workerScratch) { s.pool.Put(ws) }
 
-// Explore runs the legality-only single-issue exploration on d. The machine
-// configuration supplies only the register-port constraints Nin/Nout (the
-// single-issue model ignores issue width); the returned Result's Base and
-// Final cycle counts are nevertheless measured on cfg by the multiple-issue
-// scheduler so that results are directly comparable with core.Explore.
-func Explore(d *dfg.DFG, cfg machine.Config, p core.Params) (*core.Result, error) {
-	//lint:ignore ctxflow compat wrapper: Explore predates cancellation; ExploreCtx is the cancellable form
-	return ExploreCtx(context.Background(), d, cfg, p)
-}
-
-// ExploreCtx is Explore with cooperative cancellation: the context is
-// checked between restarts and between convergence iterations. The baseline
-// has no checkpoint format — a cancelled run returns ctx's error and a
-// later run simply starts over (it is deterministic, so a rerun reproduces
-// what the uninterrupted run would have returned).
-func ExploreCtx(ctx context.Context, d *dfg.DFG, cfg machine.Config, p core.Params) (*core.Result, error) {
-	return ExploreSharedCtx(ctx, d, cfg, p, nil)
-}
-
-// ExploreSharedCtx is ExploreCtx drawing its per-worker kernels and explorer
-// arenas from scr, so a caller exploring many blocks (flow.BuildPool) pays
-// arena warmup once per worker instead of once per block. A nil scr uses a
-// private pool (per-exploration reuse only). Scratch is pure scratch:
-// results are byte-identical with or without it, at any worker count.
+// ExploreSharedCtx runs the legality-only single-issue exploration on d.
+// The machine configuration supplies only the register-port constraints
+// Nin/Nout (the single-issue model ignores issue width); the returned
+// Result's Base and Final cycle counts are nevertheless measured on cfg by
+// the multiple-issue scheduler so that results are directly comparable with
+// core.Explore.
+//
+// Per-worker kernels and explorer arenas come from scr, so a caller
+// exploring many blocks (flow.BuildPool) pays arena warmup once per worker
+// instead of once per block; a nil scr uses a private pool. Scratch is pure
+// scratch: results are byte-identical with or without it, at any worker
+// count.
+//
+// The context is checked between restarts and between convergence
+// iterations. The baseline has no checkpoint format — a cancelled run
+// returns ctx's error and a later run simply starts over (it is
+// deterministic, so a rerun reproduces what the uninterrupted run would
+// have returned).
 func ExploreSharedCtx(ctx context.Context, d *dfg.DFG, cfg machine.Config, p core.Params, scr *Scratch) (*core.Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -169,19 +163,11 @@ type explorer struct {
 	fixed []*core.ISE
 	inISE []bool // arena: reset to false each restart
 
-	// Option tables for free nodes, software options first (numSW of them),
-	// hardware after. The rows slice two flat backing arrays sized once per
-	// DFG; initTables re-seeds the values each round.
-	trail [][]float64
-	merit [][]float64
-	numSW []int
-	// trailBuf and meritBuf back every trail/merit row. arena: resliced when
-	// the DFG changes, owned by the rows for the explorer's lifetime.
-	trailBuf, meritBuf []float64
-	tablesFor          *dfg.DFG // DFG the table structure was built for
-
-	chosen  []int     // arena: selectOptions' per-node option choices
-	weights []float64 // arena: optWeights' combined option weights
+	// tab holds the trail and merit option tables of the free nodes,
+	// software options first; runOnce re-seeds them each round.
+	tab    aco.Tables
+	chosen []int       // arena: selectOptions' per-node option choices
+	cands  []*core.ISE // arena: bestCandidate's candidate list
 
 	// Iteration groups — the connected components of hardware-chosen free
 	// nodes — as a flat CSR: group g's members are
@@ -207,12 +193,9 @@ type explorer struct {
 
 // reset rebinds a pooled explorer to one restart's inputs, keeping every
 // warmed arena. The per-DFG table structure survives across restarts on the
-// same DFG and is dropped when it changes; per-iteration scratch needs no
+// same DFG and is rebuilt when it changes; per-iteration scratch needs no
 // reset — each use fully overwrites it.
 func (e *explorer) reset(d *dfg.DFG, cfg machine.Config, p core.Params, rng *rand.Rand) {
-	if e.d != d {
-		e.tablesFor = nil
-	}
 	e.d, e.cfg, e.p, e.rng = d, cfg, p, rng
 	e.fixed = e.fixed[:0]
 	e.inISE = growBools(e.inISE, d.Len())
@@ -228,7 +211,9 @@ func runOnce(ctx context.Context, d *dfg.DFG, cfg machine.Config, p core.Params,
 	res := &core.Result{BaseCycles: baseCycles, FinalCycles: baseCycles}
 	curSerial := e.serialCycles(nil)
 	for round := 0; round < p.MaxRounds; round++ {
-		e.initTables()
+		if e.tab.Seed(d, p.Coefs()) {
+			obsBaselineArenaGrows.Inc()
+		}
 		iters, err := e.converge(ctx)
 		if err != nil {
 			return nil, 0, err
@@ -257,53 +242,6 @@ func runOnce(ctx context.Context, d *dfg.DFG, cfg machine.Config, p core.Params,
 	return res, curSerial, nil
 }
 
-// initTables (re)seeds the option tables for a fresh round: trail to zero,
-// merit to the configured initial values. The row structure over the flat
-// backing arrays is rebuilt only when the DFG changes.
-func (e *explorer) initTables() {
-	n := e.d.Len()
-	if e.tablesFor != e.d {
-		e.numSW = growInts(e.numSW, n)
-		total := 0
-		for i := 0; i < n; i++ {
-			node := e.d.Nodes[i]
-			e.numSW[i] = len(node.SW)
-			total += len(node.SW) + len(node.HW)
-		}
-		e.trailBuf = growFloats(e.trailBuf, total)
-		e.meritBuf = growFloats(e.meritBuf, total)
-		if cap(e.trail) < n {
-			e.trail = make([][]float64, n)
-			e.merit = make([][]float64, n)
-		} else {
-			e.trail = e.trail[:n]
-			e.merit = e.merit[:n]
-		}
-		off := 0
-		for i := 0; i < n; i++ {
-			node := e.d.Nodes[i]
-			opts := len(node.SW) + len(node.HW)
-			//lint:ignore arenaescape trail rows alias trailBuf within the same owner; rows and backing array are rebuilt together on DFG change
-			e.trail[i] = e.trailBuf[off : off+opts : off+opts]
-			//lint:ignore arenaescape merit rows alias meritBuf within the same owner; rows and backing array are rebuilt together on DFG change
-			e.merit[i] = e.meritBuf[off : off+opts : off+opts]
-			off += opts
-		}
-		e.tablesFor = e.d
-	}
-	for i := 0; i < n; i++ {
-		trail, merit := e.trail[i], e.merit[i]
-		for o := range trail {
-			trail[o] = 0
-			if o < e.numSW[i] {
-				merit[o] = e.p.InitMeritSW
-			} else {
-				merit[o] = e.p.InitMeritHW
-			}
-		}
-	}
-}
-
 // converge runs option-selection iterations until P_END or the cap. The
 // context is checked before each iteration; a cancelled round aborts the
 // restart with ctx's error.
@@ -328,20 +266,6 @@ func (e *explorer) converge(ctx context.Context) (int, error) {
 	return e.p.MaxIterations, nil
 }
 
-// optWeights fills the shared weight buffer with node x's combined
-// trail/merit option weights (Eq. 1 without the priority term — the baseline
-// does not schedule). The result aliases the explorer's arena and is valid
-// until the next call.
-func (e *explorer) optWeights(x int) []float64 {
-	e.weights = growFloats(e.weights, len(e.trail[x]))
-	w := e.weights
-	for o := range w {
-		w[o] = e.p.Alpha*e.trail[x][o] + (1-e.p.Alpha)*e.merit[x][o]
-	}
-	//lint:ignore arenaescape callers consume the weights before the next optWeights call
-	return w
-}
-
 // selectOptions draws one implementation option per free node in node order
 // — one rng draw per free node, the draw order the deterministic random
 // stream depends on. The result aliases the explorer's arena and is valid
@@ -357,7 +281,7 @@ func (e *explorer) selectOptions() []int {
 			chosen[x] = -1
 			continue
 		}
-		chosen[x] = aco.SelectWeighted(e.rng, e.optWeights(x))
+		chosen[x] = aco.SelectWeighted(e.rng, e.tab.Weights(x))
 	}
 	//lint:ignore arenaescape caller consumes chosen before the next selectOptions call
 	return chosen
@@ -377,7 +301,7 @@ func (e *explorer) buildGroups(chosen []int) {
 	hw := &e.hwSet
 	anyHW := false
 	for v := 0; v < n; v++ {
-		if !e.inISE[v] && chosen[v] >= e.numSW[v] && d.Nodes[v].ISEEligible() {
+		if !e.inISE[v] && chosen[v] >= e.tab.NumSW[v] && d.Nodes[v].ISEEligible() {
 			hw.Add(v)
 			anyHW = true
 		}
@@ -390,7 +314,6 @@ func (e *explorer) buildGroups(chosen []int) {
 	starts := e.groupStart[:0]
 	mem := e.groupNodes[:0]
 	if anyHW {
-		pos := d.TopoPos()
 		stack := e.groupStack[:0]
 		ng := 0
 		for v := 0; v < n; v++ {
@@ -417,19 +340,7 @@ func (e *explorer) buildGroups(chosen []int) {
 					}
 				}
 			}
-			// Insertion sort the segment by (unique) topological position:
-			// members are nearly sorted already and small, and unlike
-			// sort.Slice this allocates nothing.
-			seg := mem[starts[ng]:]
-			for i := 1; i < len(seg); i++ {
-				v := seg[i]
-				j := i - 1
-				for j >= 0 && pos[seg[j]] > pos[v] {
-					seg[j+1] = seg[j]
-					j--
-				}
-				seg[j+1] = v
-			}
+			d.SortTopo(mem[starts[ng]:])
 			ng++
 		}
 		e.groupStack = stack
@@ -474,7 +385,7 @@ func (e *explorer) groupDelay(members []int, chosen []int) float64 {
 	g := e.groupOf[members[0]]
 	maxDelay := 0.0
 	for _, v := range members {
-		j := chosen[v] - e.numSW[v]
+		j := chosen[v] - e.tab.NumSW[v]
 		if j < 0 {
 			j = 0 // member chose software; assume its first cell
 		}
@@ -504,7 +415,7 @@ func (e *explorer) vsMetrics(vs graph.NodeSet, members []int, chosen []int, over
 	for _, v := range members {
 		j := hwIdx
 		if v != override {
-			j = chosen[v] - e.numSW[v]
+			j = chosen[v] - e.tab.NumSW[v]
 			if j < 0 {
 				j = 0 // member chose software; assume its first cell
 			}
@@ -529,43 +440,21 @@ func (e *explorer) vsMetrics(vs graph.NodeSet, members []int, chosen []int, over
 // position. The result aliases the explorer's arena and is valid until the
 // next call.
 func (e *explorer) membersInTopoOrder(vs graph.NodeSet) []int {
-	pos := e.d.TopoPos()
 	members := vs.AppendValues(e.vsMembers[:0])
-	for i := 1; i < len(members); i++ {
-		v := members[i]
-		j := i - 1
-		for j >= 0 && pos[members[j]] > pos[v] {
-			members[j+1] = members[j]
-			j--
-		}
-		members[j+1] = v
-	}
+	e.d.SortTopo(members)
 	e.vsMembers = members
 	//lint:ignore arenaescape callers consume the member list before the next membersInTopoOrder call
 	return members
 }
 
+// trailUpdate applies Fig. 4.3.5 (aco.Tables.UpdateTrail) to every free
+// node. The baseline keeps no execution order, so ρ5 never applies.
+//
 //alloc:free
 func (e *explorer) trailUpdate(chosen []int, improved bool) {
 	for x := 0; x < e.d.Len(); x++ {
-		if e.inISE[x] {
-			continue
-		}
-		for o := range e.trail[x] {
-			sel := chosen[x] == o
-			switch {
-			case improved && sel:
-				e.trail[x][o] += e.p.Rho1
-			case improved:
-				e.trail[x][o] -= e.p.Rho2
-			case sel:
-				e.trail[x][o] -= e.p.Rho3
-			default:
-				e.trail[x][o] += e.p.Rho4
-			}
-			if e.trail[x][o] < 0 {
-				e.trail[x][o] = 0
-			}
+		if !e.inISE[x] {
+			e.tab.UpdateTrail(x, chosen[x], improved, false)
 		}
 	}
 }
@@ -611,13 +500,14 @@ func (e *explorer) meritUpdate(chosen []int) {
 // against vSx's facts f (when x has hardware options), then normalization.
 func (e *explorer) nodeMerit(chosen []int, x int, f *vsFacts) {
 	node := e.d.Nodes[x]
-	for i := 0; i < e.numSW[x]; i++ {
-		e.merit[x][i] *= float64(node.SW[i].Cycles)
+	merit := e.tab.Merit[x]
+	for i := 0; i < e.tab.NumSW[x]; i++ {
+		merit[i] *= float64(node.SW[i].Cycles)
 	}
 	if len(node.HW) > 0 {
 		e.hwMerit(chosen, x, f)
 	}
-	aco.Normalize(e.merit[x], 100*float64(len(e.merit[x])))
+	aco.Normalize(merit, 100*float64(len(merit)))
 }
 
 // addGroupMembers unions iteration group g into the virtual-subgraph arena.
@@ -684,22 +574,22 @@ func (e *explorer) measureVS(members []int, f *vsFacts) {
 func (e *explorer) hwMerit(chosen []int, x int, f *vsFacts) {
 	p := e.p
 	hw := e.d.Nodes[x].HW
-	base := e.numSW[x]
+	merit := e.tab.Merit[x][e.tab.NumSW[x]:]
 
 	if f.size == 1 {
 		for j := range hw {
-			e.merit[x][base+j] *= p.BetaSize
+			merit[j] *= p.BetaSize
 		}
 		return
 	}
 	if f.overPorts {
 		for j := range hw {
-			e.merit[x][base+j] *= p.BetaIO
+			merit[j] *= p.BetaIO
 		}
 	}
 	if f.nonConvex {
 		for j := range hw {
-			e.merit[x][base+j] *= p.BetaConvex
+			merit[j] *= p.BetaConvex
 		}
 	}
 	if f.overPorts || f.nonConvex {
@@ -722,7 +612,7 @@ func (e *explorer) hwMerit(chosen []int, x int, f *vsFacts) {
 		}
 	}
 	for j := range hw {
-		m := &e.merit[x][base+j]
+		m := &merit[j]
 		if p.MaxISECycles > 0 && cyc[j] > p.MaxISECycles {
 			*m *= p.BetaIO
 			continue
@@ -744,14 +634,12 @@ func (e *explorer) hwMerit(chosen []int, x int, f *vsFacts) {
 	}
 }
 
+// convergedNow checks the P_END condition over all free nodes.
+//
 //alloc:free
 func (e *explorer) convergedNow() bool {
 	for x := 0; x < e.d.Len(); x++ {
-		if e.inISE[x] || len(e.trail[x]) <= 1 {
-			continue
-		}
-		share, _ := aco.MaxShare(e.optWeights(x))
-		if share < e.p.PEnd {
+		if !e.inISE[x] && !e.tab.Converged(x) {
 			return false
 		}
 	}
@@ -776,29 +664,13 @@ func (e *explorer) bestCandidate(curSerial int, kern *sched.Scheduler) (*core.IS
 		if e.inISE[x] || !d.Nodes[x].ISEEligible() {
 			continue
 		}
-		_, o := aco.MaxShare(e.optWeights(x))
-		if o >= e.numSW[x] {
+		if o := e.tab.Taken(x); o >= e.tab.NumSW[x] {
 			taken.Add(x)
-			optOf[x] = o - e.numSW[x]
+			optOf[x] = o - e.tab.NumSW[x]
 		}
 	}
-	if taken.Empty() {
-		return nil, curSerial
-	}
-	var parts []*core.ISE
-	for _, comp := range d.G.ConnectedComponents(taken) {
-		for _, convex := range core.MakeConvex(d, comp) {
-			feasible := core.TrimPorts(d, convex, e.cfg.ReadPorts, e.cfg.WritePorts)
-			feasible = core.TrimLatency(d, feasible, optOf, e.p.MaxISECycles)
-			feasible = core.TrimPorts(d, feasible, e.cfg.ReadPorts, e.cfg.WritePorts)
-			for _, part := range d.G.ConnectedComponents(feasible) {
-				if part.Len() < 2 {
-					continue
-				}
-				parts = append(parts, core.NewISE(d, part, optOf))
-			}
-		}
-	}
+	e.cands = core.Candidates(e.cands[:0], d, taken, optOf, e.cfg, e.p.MaxISECycles)
+	parts := e.cands
 	for {
 		i, serial := bestSerialPart(parts, curSerial)
 		if i < 0 {

@@ -36,7 +36,7 @@ func logicChain(b *prog.Builder, dst prog.Reg, k int) {
 func TestBaselineFindsISEsOnChain(t *testing.T) {
 	d := blockDFG(t, func(b *prog.Builder) { logicChain(b, prog.T0, 9) })
 	cfg := machine.New(2, 4, 2)
-	r, err := Explore(d, cfg, core.FastParams())
+	r, err := ExploreSharedCtx(t.Context(), d, cfg, core.FastParams(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +65,11 @@ func TestBaselineDeterministic(t *testing.T) {
 	d := blockDFG(t, func(b *prog.Builder) { logicChain(b, prog.T0, 7) })
 	cfg := machine.New(2, 6, 3)
 	p := core.FastParams()
-	a, err := Explore(d, cfg, p)
+	a, err := ExploreSharedCtx(t.Context(), d, cfg, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Explore(d, cfg, p)
+	b, err := ExploreSharedCtx(t.Context(), d, cfg, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestBaselineNoEligibleOps(t *testing.T) {
 		b.Load(isa.OpLW, prog.T0, prog.SP, 0)
 		b.Store(isa.OpSW, prog.T0, prog.SP, 4)
 	})
-	r, err := Explore(d, machine.New(2, 4, 2), core.FastParams())
+	r, err := ExploreSharedCtx(t.Context(), d, machine.New(2, 4, 2), core.FastParams(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,13 +94,13 @@ func TestBaselineNoEligibleOps(t *testing.T) {
 
 func TestBaselineEmptyDFGAndBadMachine(t *testing.T) {
 	d := &dfg.DFG{Name: "empty", G: graph.New(0), Data: graph.New(0)}
-	if _, err := Explore(d, machine.New(2, 4, 2), core.FastParams()); err == nil {
+	if _, err := ExploreSharedCtx(t.Context(), d, machine.New(2, 4, 2), core.FastParams(), nil); err == nil {
 		t.Fatal("empty DFG accepted")
 	}
 	good := blockDFG(t, func(b *prog.Builder) { logicChain(b, prog.T0, 3) })
 	bad := machine.New(2, 4, 2)
 	bad.WritePorts = 0
-	if _, err := Explore(good, bad, core.FastParams()); err == nil {
+	if _, err := ExploreSharedCtx(t.Context(), good, bad, core.FastParams(), nil); err == nil {
 		t.Fatal("invalid machine accepted")
 	}
 }
@@ -124,11 +124,11 @@ func TestLocationAwareBeatsLegalityOnly(t *testing.T) {
 	cfg := machine.New(3, 6, 3)
 	p := core.FastParams()
 	p.Restarts = 3
-	mi, err := core.ExploreWithParams(d, cfg, p)
+	mi, err := core.Explore(t.Context(), d, cfg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	si, err := Explore(d, cfg, p)
+	si, err := ExploreSharedCtx(t.Context(), d, cfg, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestBaselineSchedulesOnTargetMachine(t *testing.T) {
 	// assignment.
 	d := blockDFG(t, func(b *prog.Builder) { logicChain(b, prog.T0, 6) })
 	cfg := machine.New(2, 4, 2)
-	r, err := Explore(d, cfg, core.FastParams())
+	r, err := ExploreSharedCtx(t.Context(), d, cfg, core.FastParams(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestBaselineKeepsISESetSchedulable(t *testing.T) {
 			d := hotBenchDFG(t, tc.bench, "O3")
 			p := core.FastParams()
 			p.Seed = 1
-			r, err := Explore(d, tc.cfg, p)
+			r, err := ExploreSharedCtx(t.Context(), d, tc.cfg, p, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

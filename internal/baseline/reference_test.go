@@ -26,13 +26,13 @@ func (e *explorer) meritUpdateReference(chosen []int) {
 			continue
 		}
 		node := d.Nodes[x]
-		for i := 0; i < e.numSW[x]; i++ {
-			e.merit[x][i] *= float64(node.SW[i].Cycles)
+		for i := 0; i < e.tab.NumSW[x]; i++ {
+			e.tab.Merit[x][i] *= float64(node.SW[i].Cycles)
 		}
 		if len(node.HW) > 0 {
 			e.hwMeritReference(chosen, x)
 		}
-		aco.Normalize(e.merit[x], 100*float64(len(e.merit[x])))
+		aco.Normalize(e.tab.Merit[x], 100*float64(len(e.tab.Merit[x])))
 	}
 }
 
@@ -40,7 +40,7 @@ func (e *explorer) hwMeritReference(chosen []int, x int) {
 	d := e.d
 	p := e.p
 	hw := d.Nodes[x].HW
-	base := e.numSW[x]
+	base := e.tab.NumSW[x]
 
 	e.ungroupedVS(x)
 	if g := e.groupOf[x]; g >= 0 {
@@ -49,20 +49,20 @@ func (e *explorer) hwMeritReference(chosen []int, x int) {
 	vs := e.vsSet
 	if vs.Len() == 1 {
 		for j := range hw {
-			e.merit[x][base+j] *= p.BetaSize
+			e.tab.Merit[x][base+j] *= p.BetaSize
 		}
 		return
 	}
 	violated := false
 	if e.d.InScratch(vs, &e.io) > e.cfg.ReadPorts || e.d.OutScratch(vs, &e.io) > e.cfg.WritePorts {
 		for j := range hw {
-			e.merit[x][base+j] *= p.BetaIO
+			e.tab.Merit[x][base+j] *= p.BetaIO
 		}
 		violated = true
 	}
 	if !d.IsConvex(vs) {
 		for j := range hw {
-			e.merit[x][base+j] *= p.BetaConvex
+			e.tab.Merit[x][base+j] *= p.BetaConvex
 		}
 		violated = true
 	}
@@ -85,7 +85,7 @@ func (e *explorer) hwMeritReference(chosen []int, x int) {
 		}
 	}
 	for j := range hw {
-		m := &e.merit[x][base+j]
+		m := &e.tab.Merit[x][base+j]
 		if p.MaxISECycles > 0 && cyc[j] > p.MaxISECycles {
 			*m *= p.BetaIO
 			continue
@@ -139,7 +139,7 @@ func TestMeritUpdateMatchesReference(t *testing.T) {
 	}
 	for i, d := range dfgs {
 		p := core.FastParams()
-		res, err := Explore(d, cfg, p)
+		res, err := ExploreSharedCtx(t.Context(), d, cfg, p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +154,7 @@ func TestMeritUpdateMatchesReference(t *testing.T) {
 						e.inISE[v] = true
 					}
 				}
-				e.initTables()
+				e.tab.Seed(e.d, e.p.Coefs())
 				return e
 			}
 			a, b := mk(), mk()
@@ -177,7 +177,7 @@ func TestMeritUpdateMatchesReference(t *testing.T) {
 				b.trailUpdate(cb, improved)
 				a.meritUpdate(ca)
 				b.meritUpdateReference(cb)
-				if !sameBits(a.merit, b.merit) || !sameBits(a.trail, b.trail) {
+				if !sameBits(a.tab.Merit, b.tab.Merit) || !sameBits(a.tab.Trail, b.tab.Trail) {
 					t.Fatalf("%s iter %d: tables differ from reference after meritUpdate", label, it)
 				}
 			}

@@ -260,7 +260,7 @@ func (j *dJob) tracer(fallback *obs.Tracer) *obs.Tracer {
 }
 
 // ExploreBlock runs one block exploration sharded across the fleet and
-// returns the same *core.Result a single-node core.ExploreWithParams call
+// returns the same *core.Result a single-node core.Explore call
 // with wl's parameters would: per-shard winners are folded in shard order
 // with core.BestResult, whose strict comparisons make contiguous-range
 // reduction identical to the global scan. Blocks until every shard reports,

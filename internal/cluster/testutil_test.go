@@ -33,7 +33,7 @@ func singleNode(t *testing.T, wl Workload, block int) *core.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := core.ExploreWithParamsCtx(t.Context(), dfgs[block], wl.MachineConfig(), wl.Params)
+	r, err := core.Explore(t.Context(), dfgs[block], wl.MachineConfig(), wl.Params)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func TestMergedTraceClockSkew(t *testing.T) {
 	// claim→result window below contains only controlled sleeps.
 	shardState := func(first, n int) *core.ResultState {
 		spec := ShardSpec{FirstRestart: first, Restarts: n, Workload: wl}
-		r, err := core.ExploreWithParamsCtx(t.Context(), dfgs[0], wl.MachineConfig(), spec.shardParams())
+		r, err := core.Explore(t.Context(), dfgs[0], wl.MachineConfig(), spec.shardParams())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,12 +37,3 @@ func growBools(buf []bool, n int) []bool {
 	}
 	return buf[:n]
 }
-
-//alloc:amortized grow-on-demand arena helper; allocates only while per-worker buffers warm up to the DFG size
-func growRows(buf [][]float64, n int) [][]float64 {
-	if cap(buf) < n {
-		obsExploreArenaGrows.Inc()
-		return make([][]float64, n)
-	}
-	return buf[:n]
-}

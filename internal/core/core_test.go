@@ -81,7 +81,7 @@ func checkResult(t *testing.T, d *dfg.DFG, cfg machine.Config, r *Result) {
 func TestExploreLogicChainImproves(t *testing.T) {
 	d := blockDFG(t, func(b *prog.Builder) { logicChain(b, 9) })
 	cfg := machine.New(2, 4, 2)
-	r, err := ExploreWithParams(d, cfg, FastParams())
+	r, err := Explore(t.Context(), d, cfg, FastParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestExploreMotivatingExample(t *testing.T) {
 		b.R(isa.OpADD, prog.V0, prog.T3, prog.T7) // n8
 	})
 	cfg := machine.New(2, 4, 2)
-	r, err := ExploreWithParams(d, cfg, FastParams())
+	r, err := Explore(t.Context(), d, cfg, FastParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +130,11 @@ func TestExploreDeterministic(t *testing.T) {
 	d := blockDFG(t, func(b *prog.Builder) { logicChain(b, 8) })
 	cfg := machine.New(2, 6, 3)
 	p := FastParams()
-	a, err := ExploreWithParams(d, cfg, p)
+	a, err := Explore(t.Context(), d, cfg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ExploreWithParams(d, cfg, p)
+	b, err := Explore(t.Context(), d, cfg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestExploreNoEligibleOps(t *testing.T) {
 		b.Store(isa.OpSW, prog.T0, prog.SP, 8)
 	})
 	cfg := machine.New(2, 4, 2)
-	r, err := ExploreWithParams(d, cfg, FastParams())
+	r, err := Explore(t.Context(), d, cfg, FastParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestExploreRespectsPortConstraint(t *testing.T) {
 		b.R(isa.OpADD, prog.V0, prog.T4, prog.T5)
 	})
 	cfg := machine.New(2, 4, 2)
-	r, err := ExploreWithParams(d, cfg, FastParams())
+	r, err := Explore(t.Context(), d, cfg, FastParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestExploreRespectsPortConstraint(t *testing.T) {
 
 func TestExploreEmptyDFG(t *testing.T) {
 	d := &dfg.DFG{Name: "empty", G: graph.New(0), Data: graph.New(0)}
-	if _, err := ExploreWithParams(d, machine.New(2, 4, 2), FastParams()); err == nil {
+	if _, err := Explore(t.Context(), d, machine.New(2, 4, 2), FastParams()); err == nil {
 		t.Fatal("empty DFG accepted")
 	}
 }
@@ -199,7 +199,7 @@ func TestExploreInvalidMachine(t *testing.T) {
 	d := blockDFG(t, func(b *prog.Builder) { logicChain(b, 3) })
 	bad := machine.New(2, 4, 2)
 	bad.IssueWidth = 0
-	if _, err := ExploreWithParams(d, bad, FastParams()); err == nil {
+	if _, err := Explore(t.Context(), d, bad, FastParams()); err == nil {
 		t.Fatal("invalid machine accepted")
 	}
 }
@@ -268,7 +268,7 @@ func TestWalkProducesCompleteValidSchedule(t *testing.T) {
 	for i := range e.fixedGroupOf {
 		e.fixedGroupOf[i] = -1
 	}
-	e.initTables()
+	e.tab.Seed(e.d, e.p.Coefs())
 	for trial := 0; trial < 20; trial++ {
 		res := e.walk()
 		if res.tet < 1 {
@@ -305,7 +305,7 @@ func TestGoldenCRCBitStep(t *testing.T) {
 		b.I(isa.OpADDI, prog.T4, prog.T4, -1) // loop bookkeeping
 	})
 	cfg := machine.New(2, 4, 2)
-	r, err := ExploreWithParams(d, cfg, DefaultParams())
+	r, err := Explore(t.Context(), d, cfg, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}

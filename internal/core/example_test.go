@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -26,7 +27,7 @@ func ExampleExplore() {
 	// Build its dataflow graph and explore on a 2-issue machine.
 	lv := prog.ComputeLiveness(p)
 	d := dfg.Build(p, 0, 1, lv.LiveOut[0])
-	res, err := core.Explore(d, machine.New(2, 4, 2))
+	res, err := core.Explore(context.Background(), d, machine.New(2, 4, 2), core.DefaultParams())
 	if err != nil {
 		fmt.Println("error:", err)
 		return

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sync/atomic"
 
 	"repro/internal/aco"
@@ -28,10 +27,12 @@ type Result struct {
 	// Rounds and Iterations count algorithm work for reporting.
 	Rounds, Iterations int
 	// CacheHits and CacheMisses report the schedule-evaluation cache
-	// traffic of the whole exploration (all restarts). They are best-effort
-	// observability counters — concurrent restart workers racing on a fresh
-	// key may each count a miss — and are excluded from the determinism
-	// contract that covers ISEs, Assignment and cycle counts.
+	// traffic of the whole exploration (all restarts), exactly (see
+	// EvalCache.Stats). With a caller-supplied cache (ResumeOptions.Cache)
+	// they are that cache's cumulative counters, so they include the traffic
+	// of every other exploration sharing it. They are observability
+	// counters, excluded from the determinism contract that covers ISEs,
+	// Assignment and cycle counts.
 	CacheHits, CacheMisses uint64
 }
 
@@ -52,40 +53,13 @@ func (r *Result) Reduction() float64 {
 	return float64(r.BaseCycles-r.FinalCycles) / float64(r.BaseCycles)
 }
 
-func selectWeighted(r *rand.Rand, w []float64) int { return aco.SelectWeighted(r, w) }
-func normalize(w []float64, total float64)         { aco.Normalize(w, total) }
-
-// Explore runs the multiple-issue ISE exploration of Chapter 4 on one DFG
-// with default parameters.
-func Explore(d *dfg.DFG, cfg machine.Config) (*Result, error) {
-	return ExploreWithParams(d, cfg, DefaultParams())
-}
-
-// ExploreCtx is Explore with cooperative cancellation; see
-// ExploreWithCacheCtx.
-func ExploreCtx(ctx context.Context, d *dfg.DFG, cfg machine.Config) (*Result, error) {
-	return ExploreWithParamsCtx(ctx, d, cfg, DefaultParams())
-}
-
-// ExploreWithParams runs the exploration with explicit parameters. The whole
-// procedure is repeated p.Restarts times and the best result (shortest final
-// schedule, then least area) is returned, matching §5.1. Restarts fan out
-// across a bounded worker pool of p.Workers goroutines; see ExploreWithCache
-// for the determinism contract.
-func ExploreWithParams(d *dfg.DFG, cfg machine.Config, p Params) (*Result, error) {
-	return ExploreWithCache(d, cfg, p, nil)
-}
-
-// ExploreWithParamsCtx is ExploreWithParams with cooperative cancellation;
-// see ExploreWithCacheCtx.
-func ExploreWithParamsCtx(ctx context.Context, d *dfg.DFG, cfg machine.Config, p Params) (*Result, error) {
-	return ExploreWithCacheCtx(ctx, d, cfg, p, nil)
-}
-
-// ExploreWithCache is ExploreWithParams with a caller-supplied
-// schedule-evaluation cache, letting later flow stages (candidate pricing in
-// internal/flow) reuse evaluations the exploration already paid for. A nil
-// cache allocates a private one unless p.NoEvalCache is set.
+// Explore runs the multiple-issue ISE exploration of Chapter 4 on one DFG.
+// The whole procedure is repeated p.Restarts times and the best result
+// (shortest final schedule, then least area) is returned, matching §5.1.
+// Restarts fan out across a bounded worker pool of p.Workers goroutines and
+// share a private schedule-evaluation cache unless p.NoEvalCache is set;
+// ExploreResumable takes a caller-supplied cache, scratch pool, tracer or
+// progress callback.
 //
 // Determinism: every restart r derives its own seed (p.Seed + r*7919), runs
 // independently, and writes into a per-restart slot; the reduction then
@@ -94,24 +68,16 @@ func ExploreWithParamsCtx(ctx context.Context, d *dfg.DFG, cfg machine.Config, p
 // identical ISEs, assignments and cycle counts for any worker count, with
 // or without the cache — only the CacheHits/CacheMisses observability
 // counters may differ.
-func ExploreWithCache(d *dfg.DFG, cfg machine.Config, p Params, cache *EvalCache) (*Result, error) {
-	//lint:ignore ctxflow compat wrapper: ExploreWithCache predates cancellation; ExploreWithCacheCtx is the cancellable form
-	return ExploreWithCacheCtx(context.Background(), d, cfg, p, cache)
-}
-
-// ExploreWithCacheCtx is ExploreWithCache with cooperative cancellation:
-// the context is checked between restarts (no new restart starts once ctx
-// is done) and between convergence iterations inside each restart, so
-// cancellation latency is one ACO iteration, not one exploration. On
-// cancellation the context's error is returned; callers that want to resume
-// later use ExploreResumable/ResumeFrom instead, which additionally return
-// a checkpoint.
-func ExploreWithCacheCtx(ctx context.Context, d *dfg.DFG, cfg machine.Config, p Params, cache *EvalCache) (*Result, error) {
-	res, _, err := exploreResumable(ctx, d, cfg, p, nil, ResumeOptions{Cache: cache})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+//
+// Cancellation is cooperative: the context is checked between restarts (no
+// new restart starts once ctx is done) and between convergence iterations
+// inside each restart, so cancellation latency is one ACO iteration, not one
+// exploration. On cancellation the context's error is returned; callers that
+// want to resume later use ExploreResumable/ResumeFrom instead, which
+// additionally return a checkpoint.
+func Explore(ctx context.Context, d *dfg.DFG, cfg machine.Config, p Params) (*Result, error) {
+	res, _, err := exploreResumable(ctx, d, cfg, p, nil, ResumeOptions{})
+	return res, err
 }
 
 // ResumeOptions parameterize ExploreResumable and ResumeFrom.
@@ -174,12 +140,13 @@ type RestartEvent struct {
 	CacheHits, CacheMisses uint64
 }
 
-// ExploreResumable is ExploreWithCacheCtx for callers that checkpoint: when
-// ctx cancels the run, it returns a Snapshot (alongside ctx's error) from
-// which ResumeFrom finishes the exploration with the byte-identical Result
-// an uninterrupted run would have produced — same ISEs, assignment and
-// cycle counts; only the cache counters may differ (see DESIGN.md §11). On
-// normal completion the snapshot is nil.
+// ExploreResumable is Explore for callers that share a cache or scratch
+// pool, observe progress, or checkpoint: when ctx cancels the run, it
+// returns a Snapshot (alongside ctx's error) from which ResumeFrom finishes
+// the exploration with the byte-identical Result an uninterrupted run would
+// have produced — same ISEs, assignment and cycle counts; only the cache
+// counters may differ (see DESIGN.md §11). On normal completion the
+// snapshot is nil.
 func ExploreResumable(ctx context.Context, d *dfg.DFG, cfg machine.Config, p Params, opts ResumeOptions) (*Result, *Snapshot, error) {
 	return exploreResumable(ctx, d, cfg, p, nil, opts)
 }
@@ -268,13 +235,13 @@ func exploreResumable(ctx context.Context, d *dfg.DFG, cfg machine.Config, p Par
 	if scratch == nil {
 		scratch = NewScratch()
 	}
-	ws := make([]*WorkerScratch, parallel.Degree(p.Workers, len(todo)))
+	ws := make([]*workerScratch, parallel.Degree(p.Workers, len(todo)))
 	for i := range ws {
-		ws[i] = scratch.Acquire()
+		ws[i] = scratch.acquire()
 	}
 	defer func() {
 		for _, w := range ws {
-			scratch.Release(w)
+			scratch.release(w)
 		}
 	}()
 	cancelErr := parallel.ForEachWorkerCtx(ctx, len(todo), p.Workers, func(w, ti int) {
@@ -424,17 +391,19 @@ func runOnce(ctx context.Context, d *dfg.DFG, cfg machine.Config, p Params, seed
 	}
 	for round := startRound; round < p.MaxRounds; round++ {
 		roundSpan := e.tr.Begin("round", e.tid).Arg("round", int64(round))
-		e.initTables()
+		if e.tab.Seed(e.d, e.p.Coefs()) {
+			obsExploreArenaGrows.Inc()
+		}
 		cs := &convergeState{tetOld: 1 << 30}
 		if resume != nil && round == startRound && resume.Iter > 0 {
 			// Mid-round checkpoint: overwrite the fresh tables with the
 			// snapshotted ones and rejoin the convergence loop where it
 			// stopped.
-			if err := restoreTables(e.trail, resume.Trail); err != nil {
+			if err := restoreTables(e.tab.Trail, resume.Trail); err != nil {
 				roundSpan.End()
 				return nil, nil, err
 			}
-			if err := restoreTables(e.merit, resume.Merit); err != nil {
+			if err := restoreTables(e.tab.Merit, resume.Merit); err != nil {
 				roundSpan.End()
 				return nil, nil, err
 			}
@@ -484,7 +453,7 @@ func runOnce(ctx context.Context, d *dfg.DFG, cfg machine.Config, p Params, seed
 
 // capture freezes the restart's state at a convergence-iteration boundary.
 // At a round boundary (no iteration run yet) the trail and merit tables are
-// omitted: initTables rebuilds them deterministically on resume.
+// omitted: the round's Seed rebuilds them deterministically on resume.
 func (e *explorer) capture(round int, cs *convergeState, res *Result, curLen int) *RestartPartial {
 	p := &RestartPartial{
 		Round:      round,
@@ -496,8 +465,8 @@ func (e *explorer) capture(round int, cs *convergeState, res *Result, curLen int
 		RNGDraws:   e.rngSrc.Draws(),
 	}
 	if cs.iter > 0 {
-		p.Trail = copyTables(e.trail)
-		p.Merit = copyTables(e.merit)
+		p.Trail = copyTables(e.tab.Trail)
+		p.Merit = copyTables(e.tab.Merit)
 		p.TetOld = cs.tetOld
 		p.PrevOrder = append([]int(nil), cs.prevOrder...)
 	}
@@ -551,51 +520,6 @@ func (e *explorer) initPriority() {
 	}
 }
 
-// initTables seeds trail and merit for every free node at the start of a
-// round (trail 0; merit 100 software / 200 hardware). The row structure is
-// built once per DFG over two flat backing arrays; later rounds only re-seed
-// the values, so round boundaries allocate nothing. The rows and backing
-// arrays are grow-on-demand arenas: rebinding the explorer to a smaller (or
-// equal, after presize) DFG reslices the warm buffers instead of
-// reallocating, so a flow run over many blocks pays table warmup once per
-// worker, not once per (worker, block).
-func (e *explorer) initTables() {
-	n := e.d.Len()
-	if e.tablesFor != e.d {
-		e.numSW = growInts(e.numSW, n)
-		total := 0
-		for i := 0; i < n; i++ {
-			node := e.d.Nodes[i]
-			e.numSW[i] = len(node.SW)
-			total += len(node.SW) + len(node.HW)
-		}
-		e.trail = growRows(e.trail, n)
-		e.merit = growRows(e.merit, n)
-		e.trailBuf = growFloats(e.trailBuf, total)
-		e.meritBuf = growFloats(e.meritBuf, total)
-		off := 0
-		for i := 0; i < n; i++ {
-			opts := e.numSW[i] + len(e.d.Nodes[i].HW)
-			//lint:ignore arenaescape trail rows alias trailBuf within the same owner; rows and backing array are rebuilt together on DFG change
-			e.trail[i] = e.trailBuf[off : off+opts : off+opts]
-			//lint:ignore arenaescape merit rows alias meritBuf within the same owner; rows and backing array are rebuilt together on DFG change
-			e.merit[i] = e.meritBuf[off : off+opts : off+opts]
-			off += opts
-		}
-		e.tablesFor = e.d
-	}
-	for i := 0; i < n; i++ {
-		for o := range e.trail[i] {
-			e.trail[i][o] = 0
-			if o < e.numSW[i] {
-				e.merit[i][o] = e.p.InitMeritSW
-			} else {
-				e.merit[i][o] = e.p.InitMeritHW
-			}
-		}
-	}
-}
-
 // convergeState is the inter-iteration state of one round's convergence
 // loop, held outside converge so an interrupted round checkpoints exactly
 // where it stopped: the best execution time seen (tetOld), the previous
@@ -643,36 +567,11 @@ func (e *explorer) converge(ctx context.Context, cs *convergeState) bool {
 // convergedNow checks the P_END condition of Eq. 3/4 over all free nodes.
 func (e *explorer) convergedNow() bool {
 	for x := 0; x < e.d.Len(); x++ {
-		if e.fixedGroupOf[x] >= 0 {
-			continue
-		}
-		if len(e.trail[x]) <= 1 {
-			continue // single option is trivially converged
-		}
-		share, _ := aco.MaxShare(e.spWeights(x))
-		if share < e.p.PEnd {
+		if e.fixedGroupOf[x] < 0 && !e.tab.Converged(x) {
 			return false
 		}
 	}
 	return true
-}
-
-// spWeights returns the selected-probability weights (Eq. 3 numerators) of
-// node x. The result is the explorer's arena, valid until the next call.
-func (e *explorer) spWeights(x int) []float64 {
-	w := growFloats(e.spw, len(e.trail[x]))
-	for o := range w {
-		w[o] = e.p.Alpha*e.trail[x][o] + (1-e.p.Alpha)*e.merit[x][o]
-	}
-	e.spw = w
-	//lint:ignore arenaescape callers consume the weights before the next spWeights call
-	return w
-}
-
-// takenOption returns the option with maximal selected probability.
-func (e *explorer) takenOption(x int) int {
-	_, idx := aco.MaxShare(e.spWeights(x))
-	return idx
 }
 
 type candidate struct {
@@ -695,40 +594,21 @@ func (e *explorer) bestCandidate(curLen int) *candidate {
 		if e.fixedGroupOf[x] >= 0 || !d.Nodes[x].ISEEligible() {
 			continue
 		}
-		o := e.takenOption(x)
-		if e.isHWOption(x, o) {
+		if o := e.tab.Taken(x); e.isHWOption(x, o) {
 			taken.Add(x)
-			optOf[x] = o - e.numSW[x]
+			optOf[x] = o - e.tab.NumSW[x]
 		}
 	}
-	if taken.Empty() {
-		return nil
-	}
+	e.cands = Candidates(e.cands[:0], d, taken, optOf, e.cfg, e.p.MaxISECycles)
 	var best *candidate
-	for _, comp := range d.G.ConnectedComponents(taken) {
-		for _, convex := range MakeConvex(d, comp) {
-			feasible := TrimPorts(d, convex, e.cfg.ReadPorts, e.cfg.WritePorts)
-			feasible = TrimLatency(d, feasible, optOf, e.p.MaxISECycles)
-			feasible = TrimPorts(d, feasible, e.cfg.ReadPorts, e.cfg.WritePorts)
-			// A single operation cannot run faster than its 1-cycle software
-			// form; require at least two members.
-			for _, part := range d.G.ConnectedComponents(feasible) {
-				if part.Len() < 2 {
-					continue
-				}
-				ise := NewISE(d, part, optOf)
-				cyc, err := e.evaluate(ise)
-				if err != nil {
-					continue
-				}
-				if cyc > curLen {
-					continue
-				}
-				if best == nil || cyc < best.cycles ||
-					(cyc == best.cycles && ise.AreaUM2 < best.ise.AreaUM2) {
-					best = &candidate{ise: ise, cycles: cyc}
-				}
-			}
+	for _, ise := range e.cands {
+		cyc, err := e.evaluate(ise)
+		if err != nil || cyc > curLen {
+			continue
+		}
+		if best == nil || cyc < best.cycles ||
+			(cyc == best.cycles && ise.AreaUM2 < best.ise.AreaUM2) {
+			best = &candidate{ise: ise, cycles: cyc}
 		}
 	}
 	return best

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dfg"
 	"repro/internal/graph"
+	"repro/internal/machine"
 	"repro/internal/sched"
 )
 
@@ -99,6 +100,31 @@ func groupDelayNS(d *dfg.DFG, nodes graph.NodeSet, opts map[int]int) float64 {
 		}
 	}
 	return best
+}
+
+// Candidates shapes a converged hardware selection into ISE candidates and
+// appends them to dst, which it returns. Each connected part of taken is made
+// convex, trimmed to cfg's register ports, to maxCycles pipestages under the
+// hardware options optOf, and to the ports again; every connected piece of at
+// least two operations left becomes one ISE, in discovery order. A single
+// operation cannot run faster than its 1-cycle software form.
+func Candidates(dst []*ISE, d *dfg.DFG, taken graph.NodeSet, optOf map[int]int, cfg machine.Config, maxCycles int) []*ISE {
+	if taken.Empty() {
+		return dst
+	}
+	for _, comp := range d.G.ConnectedComponents(taken) {
+		for _, convex := range MakeConvex(d, comp) {
+			feasible := TrimPorts(d, convex, cfg.ReadPorts, cfg.WritePorts)
+			feasible = TrimLatency(d, feasible, optOf, maxCycles)
+			feasible = TrimPorts(d, feasible, cfg.ReadPorts, cfg.WritePorts)
+			for _, part := range d.G.ConnectedComponents(feasible) {
+				if part.Len() >= 2 {
+					dst = append(dst, NewISE(d, part, optOf))
+				}
+			}
+		}
+	}
+	return dst
 }
 
 // MakeConvex splits a candidate node set into convex pieces (§4.3

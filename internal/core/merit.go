@@ -1,42 +1,20 @@
 package core
 
 import (
+	"repro/internal/aco"
 	"repro/internal/graph"
 	"repro/internal/sched"
 )
 
-// trailUpdate applies Fig. 4.3.5: after an iteration whose execution time
-// TETnew improved on (or matched) TETold, selected options gain ρ1 and
-// unselected options lose ρ2; after a worsening iteration selected options
-// lose ρ3, unselected options regain ρ4, and every option of an operation
-// whose execution order moved earlier additionally loses ρ5. Trails are
-// clamped at zero (pheromone cannot go negative).
+// trailUpdate applies Fig. 4.3.5 (aco.Tables.UpdateTrail) to every free
+// node; an operation whose execution order moved earlier than in the
+// previous iteration also pays ρ5 after a worsening iteration.
 //
 //alloc:free
 func (e *explorer) trailUpdate(res *walkResult, improved bool, prevOrder []int) {
 	for x := 0; x < e.d.Len(); x++ {
-		if e.fixedGroupOf[x] >= 0 {
-			continue
-		}
-		movedEarlier := prevOrder != nil && res.orderPos[x] < prevOrder[x]
-		for o := range e.trail[x] {
-			sel := res.chosen[x] == o
-			switch {
-			case improved && sel:
-				e.trail[x][o] += e.p.Rho1
-			case improved:
-				e.trail[x][o] -= e.p.Rho2
-			case sel:
-				e.trail[x][o] -= e.p.Rho3
-			default:
-				e.trail[x][o] += e.p.Rho4
-			}
-			if !improved && movedEarlier {
-				e.trail[x][o] -= e.p.Rho5
-			}
-			if e.trail[x][o] < 0 {
-				e.trail[x][o] = 0
-			}
+		if e.fixedGroupOf[x] < 0 {
+			e.tab.UpdateTrail(x, res.chosen[x], improved, prevOrder != nil && res.orderPos[x] < prevOrder[x])
 		}
 	}
 }
@@ -97,7 +75,7 @@ func (e *explorer) vsMetrics(res *walkResult, vs graph.NodeSet, members []int, x
 		case v == x:
 			dl, ar = d.Nodes[v].HW[hwIdx].DelayNS, d.Nodes[v].HW[hwIdx].AreaUM2
 		case e.choseHW(res, v):
-			o := res.chosen[v] - e.numSW[v]
+			o := res.chosen[v] - e.tab.NumSW[v]
 			dl, ar = d.Nodes[v].HW[o].DelayNS, d.Nodes[v].HW[o].AreaUM2
 		default:
 			dl, ar = d.Nodes[v].HW[0].DelayNS, d.Nodes[v].HW[0].AreaUM2
@@ -236,15 +214,16 @@ func (e *explorer) choseHW(res *walkResult, x int) bool {
 func (e *explorer) nodeMerit(res *walkResult, x int, f *vsFacts) {
 	node := e.d.Nodes[x]
 	// Software part: merit ×= ET(x, SW-i), the option's execution time.
-	for i := 0; i < e.numSW[x]; i++ {
-		e.merit[x][i] *= float64(node.SW[i].Cycles)
+	merit := e.tab.Merit[x]
+	for i := 0; i < e.tab.NumSW[x]; i++ {
+		merit[i] *= float64(node.SW[i].Cycles)
 	}
 	if len(node.HW) > 0 {
 		e.hwMerit(res, x, f)
 	}
 	// Normalization keeps operation-vs-operation selection fair and the
 	// multiplicative dynamics bounded (§4.3 after step 8).
-	normalize(e.merit[x], 100*float64(len(e.merit[x])))
+	aco.Normalize(merit, 100*float64(len(merit)))
 }
 
 // vsFacts are the properties of one virtual subgraph vSx that Fig. 4.3.7
@@ -305,19 +284,19 @@ func (e *explorer) hwMerit(res *walkResult, x int, f *vsFacts) {
 	d := e.d
 	p := e.p
 	hw := d.Nodes[x].HW
-	base := e.numSW[x]
+	merit := e.tab.Merit[x][e.tab.NumSW[x]:]
 
 	// Case 1: critical-path boost.
 	if res.critical.Contains(x) && !p.NoCriticalPath {
 		for j := range hw {
-			e.merit[x][base+j] /= p.BetaCP
+			merit[j] /= p.BetaCP
 		}
 	}
 
 	// Case 2: singleton subgraph cannot shorten anything.
 	if f.size == 1 {
 		for j := range hw {
-			e.merit[x][base+j] *= p.BetaSize
+			merit[j] *= p.BetaSize
 		}
 		return
 	}
@@ -325,12 +304,12 @@ func (e *explorer) hwMerit(res *walkResult, x int, f *vsFacts) {
 	// Case 3: constraint violations.
 	if f.overPorts {
 		for j := range hw {
-			e.merit[x][base+j] *= p.BetaIO
+			merit[j] *= p.BetaIO
 		}
 	}
 	if f.nonConvex {
 		for j := range hw {
-			e.merit[x][base+j] *= p.BetaConvex
+			merit[j] *= p.BetaConvex
 		}
 	}
 	if f.overPorts || f.nonConvex {
@@ -353,7 +332,7 @@ func (e *explorer) hwMerit(res *walkResult, x int, f *vsFacts) {
 		}
 	}
 	for j := range hw {
-		m := &e.merit[x][base+j]
+		m := &merit[j]
 		// Pipestage timing: options pushing the subgraph beyond the stage
 		// budget are damped like any other constraint violation.
 		if p.MaxISECycles > 0 && cyclesOf[j] > p.MaxISECycles {

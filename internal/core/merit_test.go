@@ -25,7 +25,7 @@ func newExplorer(t testing.TB, d *dfg.DFG, cfg machine.Config) *explorer {
 		e.fixedGroupOf[i] = -1
 	}
 	e.initPriority()
-	e.initTables()
+	e.tab.Seed(e.d, e.p.Coefs())
 	return e
 }
 
@@ -44,7 +44,7 @@ func fakeWalk(e *explorer, hw []bool, critical graph.NodeSet, tet int) *walkResu
 	for i := 0; i < n; i++ {
 		res.groupOf[i] = -1
 		if i < len(hw) && hw[i] && len(e.d.Nodes[i].HW) > 0 {
-			res.chosen[i] = e.numSW[i] // first hardware option
+			res.chosen[i] = e.tab.NumSW[i] // first hardware option
 		} else {
 			res.chosen[i] = 0 // first software option
 		}
@@ -62,11 +62,11 @@ func TestMeritCase1CriticalBoost(t *testing.T) {
 	// Everything hardware so case 4 applies to n0/n1 and n2 stays singleton.
 	res := fakeWalk(e, []bool{true, true, false}, graph.NodeSetOf(d.Len(), 0, 1), 3)
 	e.refreshMobility()
-	before0 := e.merit[0][e.numSW[0]] / e.merit[0][0] // hw/sw ratio
-	before2 := e.merit[2][e.numSW[2]] / e.merit[2][0]
+	before0 := e.tab.Merit[0][e.tab.NumSW[0]] / e.tab.Merit[0][0] // hw/sw ratio
+	before2 := e.tab.Merit[2][e.tab.NumSW[2]] / e.tab.Merit[2][0]
 	e.meritUpdate(res)
-	after0 := e.merit[0][e.numSW[0]] / e.merit[0][0]
-	after2 := e.merit[2][e.numSW[2]] / e.merit[2][0]
+	after0 := e.tab.Merit[0][e.tab.NumSW[0]] / e.tab.Merit[0][0]
+	after2 := e.tab.Merit[2][e.tab.NumSW[2]] / e.tab.Merit[2][0]
 	// The critical chain node's hardware preference must strengthen more
 	// than the off-critical singleton's (which is βSize-damped).
 	if after0/before0 <= after2/before2 {
@@ -81,9 +81,9 @@ func TestMeritCase2SingletonDamped(t *testing.T) {
 	})
 	e := newExplorer(t, d, machine.New(2, 4, 2))
 	res := fakeWalk(e, []bool{false}, graph.NewNodeSet(d.Len()), 1)
-	before := e.merit[0][e.numSW[0]] / e.merit[0][0]
+	before := e.tab.Merit[0][e.tab.NumSW[0]] / e.tab.Merit[0][0]
 	e.meritUpdate(res)
-	after := e.merit[0][e.numSW[0]] / e.merit[0][0]
+	after := e.tab.Merit[0][e.tab.NumSW[0]] / e.tab.Merit[0][0]
 	if after >= before {
 		t.Errorf("singleton hw/sw ratio rose: %.3f -> %.3f", before, after)
 	}
@@ -109,9 +109,9 @@ func TestMeritCase3PortViolationDamped(t *testing.T) {
 	if d.In(vs) <= 4 {
 		t.Skip("test premise broken: subgraph fits ports")
 	}
-	before := e.merit[4][e.numSW[4]] / e.merit[4][0]
+	before := e.tab.Merit[4][e.tab.NumSW[4]] / e.tab.Merit[4][0]
 	e.meritUpdate(res)
-	after := e.merit[4][e.numSW[4]] / e.merit[4][0]
+	after := e.tab.Merit[4][e.tab.NumSW[4]] / e.tab.Merit[4][0]
 	if after >= before {
 		t.Errorf("port-violating hw/sw ratio rose: %.3f -> %.3f", before, after)
 	}
@@ -128,8 +128,8 @@ func TestMeritCase4PrefersCheaperEqualSpeed(t *testing.T) {
 	e := newExplorer(t, d, machine.New(2, 4, 2))
 	res := fakeWalk(e, []bool{true, true}, graph.NodeSetOf(d.Len(), 0, 1), 2)
 	e.meritUpdate(res)
-	slow := e.merit[0][e.numSW[0]]   // hw-ripple
-	fast := e.merit[0][e.numSW[0]+1] // hw-cla
+	slow := e.tab.Merit[0][e.tab.NumSW[0]]   // hw-ripple
+	fast := e.tab.Merit[0][e.tab.NumSW[0]+1] // hw-cla
 	if slow <= fast {
 		t.Errorf("equal-speed options: cheap %.2f not preferred over large %.2f", slow, fast)
 	}
@@ -160,22 +160,22 @@ func TestTrailUpdateRules(t *testing.T) {
 	})
 	e := newExplorer(t, d, machine.New(2, 4, 2))
 	res := fakeWalk(e, []bool{true}, graph.NewNodeSet(d.Len()), 1)
-	hwIdx, swIdx := e.numSW[0], 0
+	hwIdx, swIdx := e.tab.NumSW[0], 0
 
 	// Improving iteration: selected +ρ1, unselected -ρ2 (clamped at 0).
 	e.trailUpdate(res, true, nil)
-	if e.trail[0][hwIdx] != e.p.Rho1 {
-		t.Errorf("selected trail = %v, want %v", e.trail[0][hwIdx], e.p.Rho1)
+	if e.tab.Trail[0][hwIdx] != e.p.Rho1 {
+		t.Errorf("selected trail = %v, want %v", e.tab.Trail[0][hwIdx], e.p.Rho1)
 	}
-	if e.trail[0][swIdx] != 0 {
-		t.Errorf("unselected trail = %v, want 0 (clamped)", e.trail[0][swIdx])
+	if e.tab.Trail[0][swIdx] != 0 {
+		t.Errorf("unselected trail = %v, want 0 (clamped)", e.tab.Trail[0][swIdx])
 	}
 	// Worsening iteration: selected -ρ3, unselected +ρ4.
 	e.trailUpdate(res, false, nil)
-	if got := e.trail[0][hwIdx]; got != e.p.Rho1-e.p.Rho3 {
+	if got := e.tab.Trail[0][hwIdx]; got != e.p.Rho1-e.p.Rho3 {
 		t.Errorf("selected trail after worsening = %v", got)
 	}
-	if got := e.trail[0][swIdx]; got != e.p.Rho4 {
+	if got := e.tab.Trail[0][swIdx]; got != e.p.Rho4 {
 		t.Errorf("unselected trail after worsening = %v", got)
 	}
 	// Order-moved-earlier penalty ρ5 applies to all options.
@@ -184,13 +184,13 @@ func TestTrailUpdateRules(t *testing.T) {
 		prev[i] = 5
 	}
 	res.orderPos[0] = 2
-	before := [2]float64{e.trail[0][0], e.trail[0][1]}
+	before := [2]float64{e.tab.Trail[0][0], e.tab.Trail[0][1]}
 	e.trailUpdate(res, false, prev)
-	if e.trail[0][hwIdx] != max0(before[1]-e.p.Rho3-e.p.Rho5) {
-		t.Errorf("rho5 not applied to selected: %v", e.trail[0][hwIdx])
+	if e.tab.Trail[0][hwIdx] != max0(before[1]-e.p.Rho3-e.p.Rho5) {
+		t.Errorf("rho5 not applied to selected: %v", e.tab.Trail[0][hwIdx])
 	}
-	if e.trail[0][swIdx] != max0(before[0]+e.p.Rho4-e.p.Rho5) {
-		t.Errorf("rho5 not applied to unselected: %v", e.trail[0][swIdx])
+	if e.tab.Trail[0][swIdx] != max0(before[0]+e.p.Rho4-e.p.Rho5) {
+		t.Errorf("rho5 not applied to unselected: %v", e.tab.Trail[0][swIdx])
 	}
 }
 
@@ -213,7 +213,7 @@ func TestTryPackRespectsPipestage(t *testing.T) {
 	cfg := machine.New(2, 4, 2)
 	p := FastParams()
 	p.MaxISECycles = 1
-	r, err := ExploreWithParams(d, cfg, p)
+	r, err := Explore(t.Context(), d, cfg, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,7 +78,7 @@ func TestExploreParallelDeterminism(t *testing.T) {
 			p.Seed = seed
 
 			p.Workers = 1
-			seq, err := ExploreWithParams(d, cfg, p)
+			seq, err := Explore(t.Context(), d, cfg, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -86,7 +86,7 @@ func TestExploreParallelDeterminism(t *testing.T) {
 			label := bm.name + "/" + bm.opt
 			for _, w := range []int{4, 8} {
 				p.Workers = w
-				par, err := ExploreWithParams(d, cfg, p)
+				par, err := Explore(t.Context(), d, cfg, p)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -95,7 +95,7 @@ func TestExploreParallelDeterminism(t *testing.T) {
 
 			p.Workers = 8
 			p.NoEvalCache = true
-			raw, err := ExploreWithParams(d, cfg, p)
+			raw, err := Explore(t.Context(), d, cfg, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,18 +120,18 @@ func TestExploreSharedCacheAcrossCalls(t *testing.T) {
 	p := FastParams()
 	p.Restarts = 2
 
-	solo, err := ExploreWithParams(d, cfg, p)
+	solo, err := Explore(t.Context(), d, cfg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cache := NewEvalCache()
-	first, err := ExploreWithCache(d, cfg, p, cache)
+	first, _, err := ExploreResumable(t.Context(), d, cfg, p, ResumeOptions{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameResult(t, "private-vs-shared cache", solo, first)
 	h1, _ := cache.Stats()
-	second, err := ExploreWithCache(d, cfg, p, cache)
+	second, _, err := ExploreResumable(t.Context(), d, cfg, p, ResumeOptions{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,8 @@
 // decisions so that only critical-path operations are packed into ISEs.
 package core
 
+import "repro/internal/aco"
+
 // Priority selects the scheduling-priority (SP) function used in the chosen
 // probability (Eq. 1). The paper uses the number of child operations and
 // names alternatives — e.g. operation mobility — as future work (§6).
@@ -138,4 +140,14 @@ func FastParams() Params {
 	p.MaxIterations = 25
 	p.Restarts = 2
 	return p
+}
+
+// Coefs returns the constants of the ACO frame both explorers share
+// (aco.Tables).
+func (p Params) Coefs() aco.Coefs {
+	return aco.Coefs{
+		Alpha: p.Alpha, PEnd: p.PEnd,
+		Rho1: p.Rho1, Rho2: p.Rho2, Rho3: p.Rho3, Rho4: p.Rho4, Rho5: p.Rho5,
+		InitSW: p.InitMeritSW, InitHW: p.InitMeritHW,
+	}
 }

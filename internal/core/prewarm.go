@@ -7,7 +7,7 @@ import "repro/internal/dfg"
 // block and later rebound to a bigger one regrows half its arenas — the
 // "+11% Headline allocs" regression ROADMAP records against the per-block
 // pool. Scratch.Prewarm computes the arena bounds of the largest block up
-// front and Acquire presizes every counter-tracked arena to those bounds, so
+// front and acquire presizes every counter-tracked arena to those bounds, so
 // a worker pays warmup once for the whole run regardless of the order blocks
 // reach it.
 
@@ -33,10 +33,10 @@ func arenaBounds(d *dfg.DFG) (n, totalOpts, maxRow, edges, ioNeed int) {
 // bounds. Growing here counts as ordinary warmup (the grow helpers increment
 // ise_explore_arena_grows_total); the payoff is that every later exploration
 // of a DFG within the bounds reslices warm memory and grows nothing — the
-// property TestScratchPrewarmPinsArenaGrows pins. The per-DFG table and
-// I/O-mark bindings are invalidated so the next initTables/InScratch rebuilds
-// row structure over the (possibly replaced) backing arrays; the rebuild is
-// pure reslicing once the arrays are warm.
+// property TestPrewarmedExploreGrowsNoArenas pins. Reserving the option
+// tables and the I/O marks unbinds them, so the next Seed/InScratch rebuilds
+// their structure over the (possibly replaced) arrays; the rebuild is pure
+// reslicing once the arrays are warm.
 //
 //alloc:amortized prewarm pass; allocates only while arenas grow to the run's largest block
 func (e *explorer) presize(n, totalOpts, maxRow, edges, ioNeed int) {
@@ -73,16 +73,9 @@ func (e *explorer) presize(n, totalOpts, maxRow, edges, ioNeed int) {
 	e.depthI = growInts(e.depthI, n)
 	e.hwCycles = growInts(e.hwCycles, maxRow)
 	e.hwAreas = growFloats(e.hwAreas, maxRow)
-	e.spw = growFloats(e.spw, maxRow)
 	e.vsDone.Reset(n)
 	e.compMembers = growInts(e.compMembers, n)[:0]
-	e.numSW = growInts(e.numSW, n)
-	e.trail = growRows(e.trail, n)
-	e.merit = growRows(e.merit, n)
-	e.trailBuf = growFloats(e.trailBuf, totalOpts)
-	e.meritBuf = growFloats(e.meritBuf, totalOpts)
-	// The grown arrays carry unspecified content; unbind the per-DFG caches
-	// so the next exploration rebuilds row structure (Reserve unbound the
-	// marks).
-	e.tablesFor = nil
+	if e.tab.Reserve(n, totalOpts, maxRow) {
+		obsExploreArenaGrows.Inc()
+	}
 }

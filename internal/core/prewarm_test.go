@@ -11,7 +11,7 @@ import (
 // contract behind Scratch.Prewarm: once the pool's bounds cover a run's
 // largest block and one worker scratch has been presized, explorations over
 // any of the announced blocks never grow an explorer arena again — the whole
-// warmup cost is front-loaded into Prewarm + first Acquire. This is the
+// warmup cost is front-loaded into Prewarm + first acquire. This is the
 // Headline-path fix for the per-(worker, block) warmup tax: flow.BuildPool
 // prewarms its shared scratch to the largest hot block before fanning out.
 func TestPrewarmedExploreGrowsNoArenas(t *testing.T) {
@@ -24,8 +24,8 @@ func TestPrewarmedExploreGrowsNoArenas(t *testing.T) {
 
 	scr := NewScratch()
 	scr.Prewarm(big, small)
-	ws := scr.Acquire() // presize pays the entire warmup here
-	scr.Release(ws)
+	ws := scr.acquire() // presize pays the entire warmup here
+	scr.release(ws)
 
 	before := obsExploreArenaGrows.Value()
 	for _, d := range []*dfg.DFG{big, small, big} {

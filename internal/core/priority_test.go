@@ -19,7 +19,7 @@ func TestPriorityVariantsExplore(t *testing.T) {
 	for _, prio := range []Priority{PriorityChildren, PriorityHeight, PriorityMobility} {
 		p := FastParams()
 		p.Priority = prio
-		r, err := ExploreWithParams(d, cfg, p)
+		r, err := Explore(t.Context(), d, cfg, p)
 		if err != nil {
 			t.Fatalf("priority %d: %v", prio, err)
 		}
@@ -72,7 +72,7 @@ func TestPriorityVariantsOnRandomDFGs(t *testing.T) {
 		for _, prio := range []Priority{PriorityHeight, PriorityMobility} {
 			p := tinyParams()
 			p.Priority = prio
-			res, err := ExploreWithParams(d, cfg, p)
+			res, err := Explore(t.Context(), d, cfg, p)
 			if err != nil {
 				t.Fatalf("trial %d prio %d: %v", trial, prio, err)
 			}

@@ -35,7 +35,7 @@ func TestPropertyExploreInvariants(t *testing.T) {
 		cfg := machines[r.Intn(len(machines))]
 		p := tinyParams()
 		p.Seed = int64(trial)
-		res, err := ExploreWithParams(d, cfg, p)
+		res, err := Explore(t.Context(), d, cfg, p)
 		if err != nil {
 			t.Fatalf("trial %d: %v\n%s", trial, err, d)
 		}
@@ -80,7 +80,7 @@ func TestPropertySavingCyclesConsistent(t *testing.T) {
 		d := randprog.DFG(r, randprog.Config{Ops: 5 + r.Intn(25)})
 		p := tinyParams()
 		p.Seed = int64(trial)
-		res, err := ExploreWithParams(d, cfg, p)
+		res, err := Explore(t.Context(), d, cfg, p)
 		if err != nil {
 			t.Fatal(err)
 		}

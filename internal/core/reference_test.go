@@ -43,8 +43,8 @@ func (e *explorer) walkReference() *walkResult {
 				continue
 			}
 			x := um[0]
-			for o := range e.trail[x] {
-				w := e.p.Alpha*e.trail[x][o] + (1-e.p.Alpha)*e.merit[x][o] + e.p.Lambda*e.sp[x]
+			for o := range e.tab.Trail[x] {
+				w := e.p.Alpha*e.tab.Trail[x][o] + (1-e.p.Alpha)*e.tab.Merit[x][o] + e.p.Lambda*e.sp[x]
 				entU, entO = append(entU, u), append(entO, o)
 				weights = append(weights, w)
 			}
@@ -57,7 +57,7 @@ func (e *explorer) walkReference() *walkResult {
 				}
 			}
 		} else {
-			pickIdx = selectWeighted(e.rng, weights)
+			pickIdx = aco.SelectWeighted(e.rng, weights)
 		}
 		u := entU[pickIdx]
 		e.issueUnit(res, u, entO[pickIdx], pos)
@@ -92,13 +92,13 @@ func (e *explorer) meritUpdateReference(res *walkResult) {
 			continue
 		}
 		node := d.Nodes[x]
-		for i := 0; i < e.numSW[x]; i++ {
-			e.merit[x][i] *= float64(node.SW[i].Cycles)
+		for i := 0; i < e.tab.NumSW[x]; i++ {
+			e.tab.Merit[x][i] *= float64(node.SW[i].Cycles)
 		}
 		if len(node.HW) > 0 {
 			e.hwMeritReference(res, x)
 		}
-		normalize(e.merit[x], 100*float64(len(e.merit[x])))
+		aco.Normalize(e.tab.Merit[x], 100*float64(len(e.tab.Merit[x])))
 	}
 }
 
@@ -108,30 +108,30 @@ func (e *explorer) hwMeritReference(res *walkResult, x int) {
 	d := e.d
 	p := e.p
 	hw := d.Nodes[x].HW
-	base := e.numSW[x]
+	base := e.tab.NumSW[x]
 
 	if res.critical.Contains(x) && !p.NoCriticalPath {
 		for j := range hw {
-			e.merit[x][base+j] /= p.BetaCP
+			e.tab.Merit[x][base+j] /= p.BetaCP
 		}
 	}
 	vs := e.virtualSubgraph(res, x)
 	if vs.Len() == 1 {
 		for j := range hw {
-			e.merit[x][base+j] *= p.BetaSize
+			e.tab.Merit[x][base+j] *= p.BetaSize
 		}
 		return
 	}
 	violated := false
 	if e.d.InScratch(vs, &e.io) > e.cfg.ReadPorts || e.d.OutScratch(vs, &e.io) > e.cfg.WritePorts {
 		for j := range hw {
-			e.merit[x][base+j] *= p.BetaIO
+			e.tab.Merit[x][base+j] *= p.BetaIO
 		}
 		violated = true
 	}
 	if !d.IsConvex(vs) {
 		for j := range hw {
-			e.merit[x][base+j] *= p.BetaConvex
+			e.tab.Merit[x][base+j] *= p.BetaConvex
 		}
 		violated = true
 	}
@@ -171,7 +171,7 @@ func (e *explorer) hwMeritReference(res *walkResult, x int) {
 		maxAEC = e.mobility(res, vs)
 	}
 	for j := range hw {
-		m := &e.merit[x][base+j]
+		m := &e.tab.Merit[x][base+j]
 		if p.MaxISECycles > 0 && cyclesOf[j] > p.MaxISECycles {
 			*m *= p.BetaIO
 			continue
@@ -252,7 +252,7 @@ func differentialDFGs(t *testing.T) []*dfg.DFG {
 // of eligible operations. It may be empty.
 func differentialFixed(t *testing.T, d *dfg.DFG, cfg machine.Config) []*ISE {
 	t.Helper()
-	r, err := ExploreWithParams(d, cfg, FastParams())
+	r, err := Explore(t.Context(), d, cfg, FastParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func explorerPair(t *testing.T, d *dfg.DFG, cfg machine.Config, p Params, fixed 
 			}
 		}
 		e.initPriority()
-		e.initTables()
+		e.tab.Seed(e.d, e.p.Coefs())
 		return e
 	}
 	return mk(), mk()
@@ -376,7 +376,7 @@ func TestIterationMatchesReference(t *testing.T) {
 				b.trailUpdate(rb, improved, prevB)
 				a.meritUpdate(ra)
 				b.meritUpdateReference(rb)
-				if !sameBits(a.merit, b.merit) || !sameBits(a.trail, b.trail) {
+				if !sameBits(a.tab.Merit, b.tab.Merit) || !sameBits(a.tab.Trail, b.tab.Trail) {
 					t.Fatalf("%s iter %d: tables differ from reference after meritUpdate", label, it)
 				}
 				prevA = append(prevA[:0], ra.orderPos...)

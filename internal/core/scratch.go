@@ -22,23 +22,18 @@ var (
 		"Exploration worker scratch acquisitions that had to build a fresh kernel + explorer.")
 )
 
-// WorkerScratch bundles the reusable per-worker state of one exploration
+// workerScratch bundles the reusable per-worker state of one exploration
 // worker: the scheduling kernel and the explorer arenas. Both are pure
 // scratch — which worker (or which exploration) previously used them never
 // affects a restart's result, because every consumer resets or overwrites
 // what it reads (explorer.reset rebinds per-DFG state; the kernel versions
 // its own tables per call).
-type WorkerScratch struct {
+type workerScratch struct {
 	kern *sched.Scheduler
 	exp  *explorer
 }
 
-// Kernel exposes the scratch's scheduling kernel so flow stages that only
-// schedule (candidate pricing, pool evaluation) can share the same warmed
-// arenas the exploration used.
-func (w *WorkerScratch) Kernel() *sched.Scheduler { return w.kern }
-
-// Scratch is a pool of WorkerScratch shared across the explorations of one
+// Scratch is a pool of worker scratch shared across the explorations of one
 // run (or one process — the pool only ever holds as many items as were
 // simultaneously in use). Safe for concurrent use; see
 // parallel.ScratchPool for the reuse contract.
@@ -46,7 +41,7 @@ type Scratch struct {
 	pool parallel.ScratchPool
 
 	// Prewarm bounds: the arena sizes of the largest DFG announced so far.
-	// Acquire presizes every handed-out explorer to them, so arenas warmed
+	// acquire presizes every handed-out explorer to them, so arenas warmed
 	// for a run's biggest block never regrow on any block (see prewarm.go).
 	mu     sync.Mutex
 	nodes  int // guarded by mu
@@ -57,7 +52,7 @@ type Scratch struct {
 }
 
 // Prewarm announces the DFGs an upcoming run will explore, so every
-// WorkerScratch handed out afterwards is presized to the largest of them —
+// worker scratch handed out afterwards is presized to the largest of them —
 // the arena-warmup amortization that removes the per-(worker, block) warmup
 // cost. Bounds only ever grow (several callers may announce different runs);
 // the call itself allocates nothing beyond the pool items' own growth.
@@ -107,18 +102,18 @@ func (s *Scratch) Prewarm(dfgs ...*dfg.DFG) {
 func NewScratch() *Scratch {
 	s := &Scratch{}
 	s.pool.New = func() any {
-		return &WorkerScratch{kern: sched.NewScheduler(), exp: &explorer{}}
+		return &workerScratch{kern: sched.NewScheduler(), exp: &explorer{}}
 	}
 	s.pool.Reused = obsScratchReused
 	s.pool.Fresh = obsScratchFresh
 	return s
 }
 
-// Acquire hands out one worker's scratch, warm when a previous exploration
+// acquire hands out one worker's scratch, warm when a previous exploration
 // released one, presized to the Prewarm bounds when any were announced.
-// Callers must Release it when their exploration finishes.
-func (s *Scratch) Acquire() *WorkerScratch {
-	ws := s.pool.Get().(*WorkerScratch)
+// Callers must release it when their exploration finishes.
+func (s *Scratch) acquire() *workerScratch {
+	ws := s.pool.Get().(*workerScratch)
 	s.mu.Lock()
 	n, opts, row, edges, ioNeed := s.nodes, s.opts, s.row, s.edges, s.ioNeed
 	s.mu.Unlock()
@@ -128,7 +123,5 @@ func (s *Scratch) Acquire() *WorkerScratch {
 	return ws
 }
 
-// Release returns ws to the pool. ws must not be used afterwards.
-func (s *Scratch) Release(ws *WorkerScratch) {
-	s.pool.Put(ws)
-}
+// release returns ws to the pool. ws must not be used afterwards.
+func (s *Scratch) release(ws *workerScratch) { s.pool.Put(ws) }

@@ -102,7 +102,7 @@ func TestResumeDeterminism(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		p := DefaultParams()
 		p.Workers = workers
-		want, err := ExploreWithParamsCtx(context.Background(), d, cfg, p)
+		want, err := Explore(context.Background(), d, cfg, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func TestResumeAtRestartBoundary(t *testing.T) {
 	p := FastParams()
 	p.Restarts = 4
 	p.Workers = 2
-	want, err := ExploreWithParamsCtx(context.Background(), d, cfg, p)
+	want, err := Explore(context.Background(), d, cfg, p)
 	if err != nil {
 		t.Fatal(err)
 	}

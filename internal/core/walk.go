@@ -46,17 +46,10 @@ type explorer struct {
 	fixed        []*ISE
 	fixedGroupOf []int // node -> index into fixed, or -1
 
-	// Option tables for free nodes. Options are indexed software first
-	// (numSW of them), hardware after. The rows slice two flat backing
-	// arrays sized once per DFG; initTables re-seeds the values each round.
-	trail [][]float64
-	merit [][]float64
-	numSW []int
-	sp    []float64 // scheduling priority per node (child count)
-	// trailBuf and meritBuf back every trail/merit row. arena: resliced by
-	// initTables, owned by the rows for the explorer's lifetime.
-	trailBuf, meritBuf []float64
-	tablesFor          *dfg.DFG // DFG the table structure was built for
+	// tab holds the trail and merit option tables of the free nodes,
+	// software options first; runOnce re-seeds them each round.
+	tab aco.Tables
+	sp  []float64 // scheduling priority per node (child count)
 
 	// asap/tail are per-iteration unit-latency longest-path arrays reused
 	// by the merit computation.
@@ -126,7 +119,7 @@ type explorer struct {
 	mobMembers  []int         // arena: mobility's member extraction buffer
 	hwCycles    []int         // arena: per-option subgraph cycles
 	hwAreas     []float64     // arena: per-option subgraph areas
-	spw         []float64     // arena: spWeights' result
+	cands       []*ISE        // arena: bestCandidate's candidate list
 }
 
 // reset rebinds a pooled explorer to one restart's inputs, keeping every
@@ -134,9 +127,6 @@ type explorer struct {
 // contraction) is reinitialized; per-iteration scratch needs none — each use
 // fully overwrites it.
 func (e *explorer) reset(d *dfg.DFG, cfg machine.Config, p Params, rng *rand.Rand, rngSrc *aco.CountingSource, cache *EvalCache, kern *sched.Scheduler, tr *obs.Tracer, tid int) {
-	if e.d != d {
-		e.tablesFor = nil
-	}
 	e.d, e.cfg, e.p = d, cfg, p
 	e.rng, e.rngSrc = rng, rngSrc
 	e.cache, e.kern = cache, kern
@@ -157,20 +147,8 @@ func (e *explorer) reset(d *dfg.DFG, cfg machine.Config, p Params, rng *rand.Ran
 // rescanning the whole DFG. The result aliases the explorer's arena and is
 // valid until the next call.
 func (e *explorer) membersInTopoOrder(vs graph.NodeSet) []int {
-	pos := e.d.TopoPos()
 	members := vs.AppendValues(e.vsMembers[:0])
-	// Insertion sort by (unique) topological position: members are already
-	// nearly sorted (node ids follow program order) and small, and unlike
-	// sort.Slice this allocates nothing.
-	for i := 1; i < len(members); i++ {
-		v := members[i]
-		j := i - 1
-		for j >= 0 && pos[members[j]] > pos[v] {
-			members[j+1] = members[j]
-			j--
-		}
-		members[j+1] = v
-	}
+	e.d.SortTopo(members)
 	e.vsMembers = members
 	//lint:ignore arenaescape callers consume the member list before the next membersInTopoOrder call
 	return members
@@ -203,11 +181,11 @@ type walkResult struct {
 }
 
 // isHWOption reports whether option index o of node x selects hardware.
-func (e *explorer) isHWOption(x, o int) bool { return o >= e.numSW[x] }
+func (e *explorer) isHWOption(x, o int) bool { return o >= e.tab.NumSW[x] }
 
 // hwDelay returns the delay of hardware option o (global index) of node x.
 func (e *explorer) hwDelay(x, o int) float64 {
-	return e.d.Nodes[x].HW[o-e.numSW[x]].DelayNS
+	return e.d.Nodes[x].HW[o-e.tab.NumSW[x]].DelayNS
 }
 
 // ensureUnits (re)builds the contraction of the DFG into schedulable units —
@@ -405,8 +383,9 @@ func (e *explorer) appendEntries(u int) {
 		return
 	}
 	x := um[0]
-	for o := range e.trail[x] {
-		w := e.p.Alpha*e.trail[x][o] + (1-e.p.Alpha)*e.merit[x][o] + e.p.Lambda*e.sp[x]
+	trail, merit := e.tab.Trail[x], e.tab.Merit[x]
+	for o := range trail {
+		w := e.p.Alpha*trail[o] + (1-e.p.Alpha)*merit[o] + e.p.Lambda*e.sp[x]
 		e.entUnit, e.entOpt = append(e.entUnit, u), append(e.entOpt, o)
 		e.entW = append(e.entW, w)
 	}
@@ -434,7 +413,7 @@ func (e *explorer) dropEntries(i int) {
 // Params.Greedy, else a weighted draw (Eq. 1).
 func (e *explorer) pickEntry(weights []float64) int {
 	if !e.p.Greedy {
-		return selectWeighted(e.rng, weights)
+		return aco.SelectWeighted(e.rng, weights)
 	}
 	pick := 0
 	for i := 1; i < len(weights); i++ {

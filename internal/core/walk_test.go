@@ -14,13 +14,13 @@ import (
 // hardware option of every eligible node — making the packing rules of
 // Fig. 4.3.4 deterministic and directly observable.
 func forceHW(e *explorer) {
-	for x := range e.merit {
-		for o := range e.merit[x] {
-			if e.isHWOption(x, o) && o == e.numSW[x] {
-				e.trail[x][o] = 1e9
+	for x := range e.tab.Merit {
+		for o := range e.tab.Merit[x] {
+			if e.isHWOption(x, o) && o == e.tab.NumSW[x] {
+				e.tab.Trail[x][o] = 1e9
 			} else {
-				e.trail[x][o] = 0
-				e.merit[x][o] = 1e-9
+				e.tab.Trail[x][o] = 0
+				e.tab.Merit[x][o] = 1e-9
 			}
 		}
 	}

@@ -368,6 +368,22 @@ func (d *DFG) Topo() []int { return d.closure().Order() }
 // modified.
 func (d *DFG) TopoPos() []int { return d.closure().Pos() }
 
+// SortTopo sorts members in place by topological position. It is an
+// insertion sort: member lists are small and nearly sorted already (node ids
+// follow program order), and unlike sort.Slice it allocates nothing.
+func (d *DFG) SortTopo(members []int) {
+	pos := d.TopoPos()
+	for i := 1; i < len(members); i++ {
+		v := members[i]
+		j := i - 1
+		for j >= 0 && pos[members[j]] > pos[v] {
+			members[j+1] = members[j]
+			j--
+		}
+		members[j+1] = v
+	}
+}
+
 // IsConvex reports whether S is convex in the full dependence graph. It is
 // answered from the DFG's closure and allocates nothing; graph.IsConvex is
 // the traversal it agrees with.

@@ -75,8 +75,9 @@ type Pool struct {
 	Groups []merging.Group
 
 	// CacheHits and CacheMisses report the schedule-evaluation cache
-	// traffic of the pool's exploration and pricing stages (best-effort
-	// counters; see core.EvalCache).
+	// traffic of the pool's exploration and pricing stages. The counts are
+	// exact (see core.EvalCache.Stats); the cache is the pool's own, so they
+	// cover this pool's traffic only.
 	CacheHits, CacheMisses uint64
 
 	// mu guards baseLen: BuildPool fully populates the map, but a Pool made

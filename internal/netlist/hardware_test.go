@@ -37,7 +37,7 @@ func TestISEHardwareMatchesRealExecution(t *testing.T) {
 			}
 			hot := prof.HotBlocks(bm.Prog, 1)
 			d := dfg.BuildAll(bm.Prog, hot, prof.BlockCounts)[0]
-			res, err := core.ExploreWithParams(d, cfg, core.FastParams())
+			res, err := core.Explore(t.Context(), d, cfg, core.FastParams())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -11,7 +11,7 @@ func TestForEachCtxCompletesWithoutCancel(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		const n = 200
 		counts := make([]int32, n)
-		err := ForEachCtx(context.Background(), n, workers, func(i int) {
+		err := ForEachWorkerCtx(context.Background(), n, workers, func(_, i int) {
 			atomic.AddInt32(&counts[i], 1)
 		})
 		if err != nil {
@@ -29,7 +29,7 @@ func TestForEachCtxAlreadyCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
-		err := ForEachCtx(ctx, 100, workers, func(int) {
+		err := ForEachWorkerCtx(ctx, 100, workers, func(int, int) {
 			t.Errorf("workers=%d: fn ran under a canceled context", workers)
 		})
 		if !errors.Is(err, context.Canceled) {

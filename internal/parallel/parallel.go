@@ -33,7 +33,7 @@ var (
 )
 
 // runItem wraps one fn invocation with the pool metrics. poolStart is when
-// the enclosing ForEach* call began.
+// the enclosing ForEachWorkerCtx call began.
 func runItem(poolStart time.Time, fn func(worker, i int), worker, i int) {
 	obsQueueWait.Observe(time.Since(poolStart).Seconds())
 	obsBusy.Add(1)
@@ -63,41 +63,24 @@ func Degree(requested, n int) int {
 	return w
 }
 
-// ForEach runs fn(i) for every i in [0, n) on at most Degree(workers, n)
-// goroutines and returns when all calls have finished. With one worker it
-// degenerates to a plain loop on the calling goroutine. Items are handed out
-// in index order but may complete in any order; fn must confine its writes
-// to per-index state. A panic in any fn is re-raised on the calling
-// goroutine after the pool drains, matching sequential behavior.
-func ForEach(n, workers int, fn func(i int)) {
-	ForEachWorker(n, workers, func(_, i int) { fn(i) })
-}
-
-// ForEachCtx is ForEach with cooperative cancellation: once ctx is done, no
-// further items are handed out (items already running complete normally) and
-// the context's error is returned. A nil error means every item ran.
-func ForEachCtx(ctx context.Context, n, workers int, fn func(i int)) error {
-	return ForEachWorkerCtx(ctx, n, workers, func(_, i int) { fn(i) })
-}
-
-// ForEachWorker is ForEach for callers that keep per-worker state (a
-// scheduling kernel's arena, a scratch buffer pool): fn receives the index of
-// the worker goroutine running it, in [0, Degree(workers, n)), alongside the
-// work-item index. Items handed to the same worker run sequentially, so state
-// indexed by the worker id needs no locking. Worker ids must not leak into
-// results — the item→worker mapping is timing-dependent — which is exactly
-// why per-worker state must be scratch whose content never alters fn's
-// output for a given i.
-func ForEachWorker(n, workers int, fn func(worker, i int)) {
-	// context.Background() is never done, so the error is always nil.
-	//lint:ignore ctxflow compat wrapper: ForEachWorker predates cancellation; ForEachWorkerCtx is the cancellable form
-	_ = ForEachWorkerCtx(context.Background(), n, workers, fn)
-}
-
-// ForEachWorkerCtx is ForEachWorker with cooperative cancellation. Workers
-// check ctx before claiming each item: once ctx is done no new items start,
-// in-flight items run to completion, and the call returns ctx's error after
-// the pool has drained. Items are handed out in index order, so on
+// ForEachWorkerCtx runs fn(worker, i) for every i in [0, n) on at most
+// Degree(workers, n) goroutines and returns when all calls have finished.
+// With one worker it degenerates to a plain loop on the calling goroutine.
+// Items are handed out in index order but may complete in any order; fn must
+// confine its writes to per-index state. A panic in any fn is re-raised on
+// the calling goroutine after the pool drains, matching sequential behavior.
+//
+// fn receives the index of the worker goroutine running it, in
+// [0, Degree(workers, n)), for callers that keep per-worker state (a
+// scheduling kernel's arena, a scratch buffer pool). Items handed to the
+// same worker run sequentially, so state indexed by the worker id needs no
+// locking. Worker ids must not leak into results — the item→worker mapping
+// is timing-dependent — which is exactly why per-worker state must be
+// scratch whose content never alters fn's output for a given i.
+//
+// Cancellation is cooperative: workers check ctx before claiming each item.
+// Once ctx is done no new items start, in-flight items run to completion,
+// and the call returns ctx's error after the pool has drained. On
 // cancellation the set of completed items is a timing-dependent subset of
 // [0, n) — callers that checkpoint must record which slots were filled
 // rather than assume a prefix. A nil return means every item ran.

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -28,9 +29,11 @@ func TestForEachRunsEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 7, 64} {
 		const n = 500
 		counts := make([]int32, n)
-		ForEach(n, workers, func(i int) {
+		if err := ForEachWorkerCtx(context.Background(), n, workers, func(_, i int) {
 			atomic.AddInt32(&counts[i], 1)
-		})
+		}); err != nil {
+			t.Fatal(err)
+		}
 		for i, c := range counts {
 			if c != 1 {
 				t.Fatalf("workers=%d: index %d ran %d times", workers, i, c)
@@ -40,14 +43,19 @@ func TestForEachRunsEveryIndexOnce(t *testing.T) {
 }
 
 func TestForEachZeroItems(t *testing.T) {
-	ForEach(0, 4, func(int) { t.Fatal("fn called with no items") })
-	ForEach(-1, 4, func(int) { t.Fatal("fn called with negative items") })
+	for _, n := range []int{0, -1} {
+		if err := ForEachWorkerCtx(context.Background(), n, 4, func(int, int) {
+			t.Fatalf("fn called with %d items", n)
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 func TestForEachBoundsConcurrency(t *testing.T) {
 	const workers = 3
 	var cur, peak atomic.Int32
-	ForEach(100, workers, func(int) {
+	_ = ForEachWorkerCtx(context.Background(), 100, workers, func(int, int) {
 		c := cur.Add(1)
 		for {
 			p := peak.Load()
@@ -70,7 +78,7 @@ func TestForEachPropagatesPanic(t *testing.T) {
 					t.Errorf("workers=%d: recovered %v, want \"boom\"", workers, r)
 				}
 			}()
-			ForEach(10, workers, func(i int) {
+			_ = ForEachWorkerCtx(context.Background(), 10, workers, func(_, i int) {
 				if i == 5 {
 					panic("boom")
 				}
@@ -89,7 +97,7 @@ func TestForEachWorkerContract(t *testing.T) {
 		degree := Degree(workers, n)
 		counts := make([]int32, n)
 		busy := make([]atomic.Int32, degree)
-		ForEachWorker(n, workers, func(w, i int) {
+		_ = ForEachWorkerCtx(context.Background(), n, workers, func(w, i int) {
 			if w < 0 || w >= degree {
 				t.Errorf("workers=%d: worker id %d out of [0,%d)", workers, w, degree)
 				return

@@ -22,7 +22,7 @@ import (
 // Schedule call on the same Scheduler. Callers that retain schedules must
 // Clone them — ListSchedule does exactly that. A Scheduler must not be shared
 // between goroutines; the parallel stages hand one to each worker
-// (parallel.ForEachWorker).
+// (parallel.ForEachWorkerCtx).
 //
 // Across consecutive calls the kernel also reuses the contraction prologue
 // incrementally: when the same DFG and machine are scheduled under an
