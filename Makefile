@@ -30,7 +30,9 @@ race: lint
 # stage's matching) and Evaluate (a cold Pool.Evaluate, mostly replacement
 # matching) on the crc32/O3 pool, Convex (the closure-backed convexity test
 # of both explorers' merit sweeps, 0 allocs/op), ExploreMI / ExploreSI plus
-# the engine-ablation pair (exploration), BuildPool and Headline (the flow), and
+# the engine-ablation pair (exploration), ExploreRestartMI / ExploreRestartSI
+# (one restart on one worker on jpeg/O3's hottest block: the per-iteration
+# cost without the restart fan-out), BuildPool and Headline (the flow), and
 # internal/core's instrumented round-loop pair
 # ExploreIter{Trace,Flight}{Off,On}, whose nil-path variants must stay at
 # 0 allocs/op (DESIGN.md §16), and internal/baseline's BaselineIter (one

@@ -514,7 +514,7 @@ func BenchmarkExploreMISeedBaseline(b *testing.B) {
 }
 
 // BenchmarkExploreMIParallelCached measures the parallel, cached exploration
-// engine (worker pool sized to GOMAXPROCS, schedule-evaluation memo cache)
+// engine (one worker per restart, schedule-evaluation memo cache)
 // and reports the cache hit rate alongside the wall-clock time.
 func BenchmarkExploreMIParallelCached(b *testing.B) {
 	d := ablationDFG()
@@ -583,4 +583,58 @@ func BenchmarkAblationTwoASFUs(b *testing.B) {
 		last = r
 	}
 	reportAvg(b, last.Reduction())
+}
+
+// restartDFG is the block the per-restart benchmarks explore: the hottest
+// block of jpeg/O3 (row_loop, 183 nodes), the block of every perfbench
+// flow-explore design point.
+var restartDFG = sync.OnceValue(func() *dfg.DFG {
+	bm, err := bench.Get("jpeg", "O3")
+	if err != nil {
+		panic(err)
+	}
+	prof, err := bm.Run()
+	if err != nil {
+		panic(err)
+	}
+	return dfg.BuildAll(bm.Prog, prof.HotBlocks(bm.Prog, 1), prof.BlockCounts)[0]
+})
+
+// restartParams are the paper's exploration parameters cut to one restart on
+// one worker, so a benchmark op is one restart's iterations and nothing
+// waits for, or shares a core with, another restart.
+func restartParams() core.Params {
+	p := core.DefaultParams()
+	p.Workers = 1
+	p.Restarts = 1
+	return p
+}
+
+// BenchmarkExploreRestartMI measures one MI restart on restartDFG: the
+// per-iteration cost of the explorer (walk, trail and merit updates) times
+// its iteration count, free of the restart fan-out's scheduling.
+func BenchmarkExploreRestartMI(b *testing.B) {
+	d := restartDFG()
+	cfg := machine.New(2, 4, 2)
+	p := restartParams()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Explore(b.Context(), d, cfg, p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkExploreRestartSI is BenchmarkExploreRestartMI for the
+// single-issue baseline.
+func BenchmarkExploreRestartSI(b *testing.B) {
+	d := restartDFG()
+	cfg := machine.New(2, 4, 2)
+	p := restartParams()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := baseline.ExploreSharedCtx(b.Context(), d, cfg, p, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -43,7 +43,7 @@ func main() {
 		extended  = flag.Bool("extended", false, "include the extension benchmarks (sha, stringsearch) in the matrix")
 		hot       = flag.Int("hot", 3, "hot basic blocks explored per benchmark")
 		seed      = flag.Int64("seed", 1, "random seed")
-		workers   = flag.Int("workers", 0, "exploration worker pool size (0 = one per CPU, 1 = sequential; results are identical)")
+		workers   = flag.Int("workers", 0, "exploration worker pool size (0 = one per item, 1 = sequential; results are identical)")
 		cpuPath   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memPath   = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)

@@ -51,7 +51,7 @@ func main() {
 		hot       = flag.Int("hot", 1, "number of hot basic blocks to explore")
 		fast      = flag.Bool("fast", false, "use reduced-effort exploration parameters")
 		seed      = flag.Int64("seed", 1, "random seed")
-		workers   = flag.Int("workers", 0, "restart worker pool size (0 = one per CPU, 1 = sequential; results are identical)")
+		workers   = flag.Int("workers", 0, "restart worker pool size (0 = one per restart, 1 = sequential; results are identical)")
 		showDFG   = flag.Bool("dfg", false, "print the dataflow graph of each explored block")
 		verilog   = flag.Bool("verilog", false, "emit a Verilog datapath module for each ISE")
 		dot       = flag.Bool("dot", false, "emit a Graphviz DOT graph of each block with its ISEs highlighted")

@@ -189,6 +189,10 @@ type explorer struct {
 	hwAreas   []float64     // arena: per-option subgraph areas
 
 	io dfg.IOScratch // IN/OUT counting without dfg.In/Out's per-call map
+
+	// evalAssign is schedulable's reusable assignment buffer. arena: valid
+	// until the next schedulable call.
+	evalAssign sched.Assignment
 }
 
 // reset rebinds a pooled explorer to one restart's inputs, keeping every
@@ -572,7 +576,7 @@ func (e *explorer) measureVS(members []int, f *vsFacts) {
 // hwMerit applies the legality-only merit cases to every hardware option of
 // operation x, whose virtual subgraph (in the vsSet arena) has the facts f.
 func (e *explorer) hwMerit(chosen []int, x int, f *vsFacts) {
-	p := e.p
+	p := &e.p
 	hw := e.d.Nodes[x].HW
 	merit := e.tab.Merit[x][e.tab.NumSW[x]:]
 
@@ -669,7 +673,7 @@ func (e *explorer) bestCandidate(curSerial int, kern *sched.Scheduler) (*core.IS
 			optOf[x] = o - e.tab.NumSW[x]
 		}
 	}
-	e.cands = core.Candidates(e.cands[:0], d, taken, optOf, e.cfg, e.p.MaxISECycles)
+	e.cands = core.Candidates(e.cands[:0], d, taken, optOf, e.cfg, e.p.MaxISECycles, &e.io)
 	parts := e.cands
 	for {
 		i, serial := bestSerialPart(parts, curSerial)
@@ -703,9 +707,9 @@ func bestSerialPart(parts []*core.ISE, curSerial int) (int, int) {
 }
 
 // schedulable reports whether kern accepts ise together with the accepted
-// ISEs.
+// ISEs. The assignment is built in the explorer's reusable buffer.
 func (e *explorer) schedulable(ise *core.ISE, kern *sched.Scheduler) bool {
-	ises := append(e.fixed[:len(e.fixed):len(e.fixed)], ise)
-	_, err := kern.Schedule(e.d, core.BuildAssignment(e.d, ises), e.cfg)
+	e.evalAssign = core.BuildAssignmentWith(e.evalAssign, e.d, e.fixed, ise)
+	_, err := kern.Schedule(e.d, e.evalAssign, e.cfg)
 	return err == nil
 }

@@ -163,7 +163,7 @@ type dJob struct {
 	remaining   int           // guarded by Coordinator.mu — shards without a result
 	failed      error         // guarded by Coordinator.mu — first terminal failure
 	canceled    bool          // guarded by Coordinator.mu — ExploreBlock gave up (ctx)
-	done        chan struct{} // closed (under Coordinator.mu) when remaining==0 or failed
+	done        chan struct{} // closed under Coordinator.mu when the job fails, after the last shard is folded in when it completes
 	cacheHits   uint64        // guarded by Coordinator.mu — summed worker local-cache hits
 	cacheMisses uint64        // guarded by Coordinator.mu — summed worker local-cache misses
 	onShardDone func(ShardEvent)
@@ -597,9 +597,12 @@ func (c *Coordinator) Result(jobID string, shard int, req resultRequest, tc obs.
 	s.span.Arg("final_cycles", int64(req.Result.FinalCycles)).End()
 	s.span = obs.Span{}
 	j.remaining--
-	if j.remaining == 0 && j.failed == nil {
-		close(j.done)
-	}
+	// The last shard completes the job, but done is closed only after its
+	// sidecar is folded in and OnShardDone has run (below), so ExploreBlock
+	// never returns a trace or journal without it. No other path closes
+	// done once every shard is done: nothing is left to claim, expire or
+	// fail.
+	last := j.remaining == 0 && j.failed == nil
 	if j.onShardDone != nil {
 		ev = ShardEvent{
 			Shard:        s.index,
@@ -631,6 +634,9 @@ func (c *Coordinator) Result(jobID string, shard int, req resultRequest, tc obs.
 	obsShardsDone.Inc()
 	if notify != nil {
 		notify(ev)
+	}
+	if last {
+		close(j.done)
 	}
 	return nil
 }

@@ -242,7 +242,7 @@ func TestTrimPortsReducesDemand(t *testing.T) {
 		b.R(isa.OpADD, prog.T3, prog.S2, prog.S3)
 	})
 	s := graph.NodeSetOf(d.Len(), 0, 1, 2, 3)
-	trimmed := TrimPorts(d, s, 4, 2)
+	trimmed := TrimPorts(d, s, 4, 2, new(dfg.IOScratch))
 	if trimmed.Len() == 0 {
 		t.Fatal("trimmed to nothing")
 	}
@@ -251,7 +251,7 @@ func TestTrimPortsReducesDemand(t *testing.T) {
 	}
 	// Already-feasible sets are untouched.
 	ok := graph.NodeSetOf(d.Len(), 0)
-	if got := TrimPorts(d, ok, 4, 2); !got.Equal(ok) {
+	if got := TrimPorts(d, ok, 4, 2, new(dfg.IOScratch)); !got.Equal(ok) {
 		t.Fatalf("feasible set modified: %v", got)
 	}
 }
@@ -268,6 +268,7 @@ func TestWalkProducesCompleteValidSchedule(t *testing.T) {
 	for i := range e.fixedGroupOf {
 		e.fixedGroupOf[i] = -1
 	}
+	e.initDFG()
 	e.tab.Seed(e.d, e.p.Coefs())
 	for trial := 0; trial < 20; trial++ {
 		res := e.walk()

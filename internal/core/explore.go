@@ -599,7 +599,7 @@ func (e *explorer) bestCandidate(curLen int) *candidate {
 			optOf[x] = o - e.tab.NumSW[x]
 		}
 	}
-	e.cands = Candidates(e.cands[:0], d, taken, optOf, e.cfg, e.p.MaxISECycles)
+	e.cands = Candidates(e.cands[:0], d, taken, optOf, e.cfg, e.p.MaxISECycles, &e.io)
 	var best *candidate
 	for _, ise := range e.cands {
 		cyc, err := e.evaluate(ise)
@@ -626,33 +626,8 @@ func (e *explorer) bestCandidate(curLen int) *candidate {
 func (e *explorer) evaluate(cand *ISE) (int, error) {
 	obsCandidates.Inc()
 	sp := e.tr.Begin("evaluate", e.tid).Arg("nodes", int64(cand.Nodes.Len()))
-	a := e.assignmentWith(cand)
-	n, err := e.cache.ScheduleWith(e.kern, e.d, a, e.cfg)
+	e.evalAssign = BuildAssignmentWith(e.evalAssign, e.d, e.fixed, cand)
+	n, err := e.cache.ScheduleWith(e.kern, e.d, e.evalAssign, e.cfg)
 	sp.Arg("cycles", int64(n)).End()
 	return n, err
-}
-
-// assignmentWith builds the assignment realizing the accepted ISEs plus cand
-// into the explorer's reusable buffer. The result is equal to
-// BuildAssignment(e.d, append(e.fixed, cand)) — groups numbered in
-// acceptance order, candidate last — and valid until the next call.
-func (e *explorer) assignmentWith(cand *ISE) sched.Assignment {
-	n := e.d.Len()
-	if cap(e.evalAssign) < n {
-		e.evalAssign = make(sched.Assignment, n)
-	}
-	a := e.evalAssign[:n]
-	for i := range a {
-		a[i] = sched.NodeChoice{Kind: sched.KindSW, Opt: 0, Group: -1}
-	}
-	for g, f := range e.fixed {
-		for _, v := range f.Nodes.Values() {
-			a[v] = sched.NodeChoice{Kind: sched.KindHW, Opt: f.Option[v], Group: g}
-		}
-	}
-	for _, v := range cand.Nodes.Values() {
-		a[v] = sched.NodeChoice{Kind: sched.KindHW, Opt: cand.Option[v], Group: len(e.fixed)}
-	}
-	e.evalAssign = a
-	return a
 }

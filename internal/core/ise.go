@@ -107,16 +107,17 @@ func groupDelayNS(d *dfg.DFG, nodes graph.NodeSet, opts map[int]int) float64 {
 // convex, trimmed to cfg's register ports, to maxCycles pipestages under the
 // hardware options optOf, and to the ports again; every connected piece of at
 // least two operations left becomes one ISE, in discovery order. A single
-// operation cannot run faster than its 1-cycle software form.
-func Candidates(dst []*ISE, d *dfg.DFG, taken graph.NodeSet, optOf map[int]int, cfg machine.Config, maxCycles int) []*ISE {
+// operation cannot run faster than its 1-cycle software form. io is the
+// caller's scratch for the port counts.
+func Candidates(dst []*ISE, d *dfg.DFG, taken graph.NodeSet, optOf map[int]int, cfg machine.Config, maxCycles int, io *dfg.IOScratch) []*ISE {
 	if taken.Empty() {
 		return dst
 	}
 	for _, comp := range d.G.ConnectedComponents(taken) {
 		for _, convex := range MakeConvex(d, comp) {
-			feasible := TrimPorts(d, convex, cfg.ReadPorts, cfg.WritePorts)
+			feasible := TrimPorts(d, convex, cfg.ReadPorts, cfg.WritePorts, io)
 			feasible = TrimLatency(d, feasible, optOf, maxCycles)
-			feasible = TrimPorts(d, feasible, cfg.ReadPorts, cfg.WritePorts)
+			feasible = TrimPorts(d, feasible, cfg.ReadPorts, cfg.WritePorts, io)
 			for _, part := range d.G.ConnectedComponents(feasible) {
 				if part.Len() >= 2 {
 					dst = append(dst, NewISE(d, part, optOf))
@@ -152,19 +153,22 @@ func MakeConvex(d *dfg.DFG, s graph.NodeSet) []graph.NodeSet {
 // greedily removing the boundary node whose removal lowers the total port
 // demand most (ties: smallest resulting area loss, then largest node ID so
 // later operations are shed first). Removal keeps the set convex because
-// only extreme (source/sink within S) nodes are dropped.
-func TrimPorts(d *dfg.DFG, s graph.NodeSet, nin, nout int) graph.NodeSet {
+// only extreme (source/sink within S) nodes are dropped. The port counts go
+// through io, the caller's scratch, and each trial removal is made and
+// undone in place.
+func TrimPorts(d *dfg.DFG, s graph.NodeSet, nin, nout int, io *dfg.IOScratch) graph.NodeSet {
 	cur := s.Clone()
+	var members []int
 	for cur.Len() > 0 {
-		in, out := d.In(cur), d.Out(cur)
-		if in <= nin && out <= nout {
+		if d.InScratch(cur, io) <= nin && d.OutScratch(cur, io) <= nout {
 			return cur
 		}
 		// Candidate removals: nodes with no predecessor inside (sources) or
 		// no successor inside (sinks) — removing an interior node would
 		// break convexity.
 		bestNode, bestCost := -1, 1<<30
-		for _, v := range cur.Values() {
+		members = cur.AppendValues(members[:0])
+		for _, v := range members {
 			hasPredIn, hasSuccIn := false, false
 			for _, p := range d.G.Preds(v) {
 				if cur.Contains(p) {
@@ -181,9 +185,9 @@ func TrimPorts(d *dfg.DFG, s graph.NodeSet, nin, nout int) graph.NodeSet {
 			if hasPredIn && hasSuccIn {
 				continue
 			}
-			trial := cur.Clone()
-			trial.Remove(v)
-			cost := d.In(trial) + d.Out(trial)
+			cur.Remove(v)
+			cost := d.InScratch(cur, io) + d.OutScratch(cur, io)
+			cur.Add(v)
 			if cost < bestCost || (cost == bestCost && v > bestNode) {
 				bestCost, bestNode = cost, v
 			}
@@ -246,6 +250,30 @@ func TrimLatency(d *dfg.DFG, s graph.NodeSet, opts map[int]int, maxCycles int) g
 		cur.Remove(worstNode)
 	}
 	return cur
+}
+
+// BuildAssignmentWith is BuildAssignment(d, append(ises, cand)) built in
+// buf's array when it is large enough: the accepted ISEs are groups in
+// acceptance order, cand the last group. The result reuses buf, so it is
+// valid until buf's next use.
+func BuildAssignmentWith(buf sched.Assignment, d *dfg.DFG, ises []*ISE, cand *ISE) sched.Assignment {
+	n := d.Len()
+	if cap(buf) < n {
+		buf = make(sched.Assignment, n)
+	}
+	a := buf[:n]
+	for i := range a {
+		a[i] = sched.NodeChoice{Kind: sched.KindSW, Opt: 0, Group: -1}
+	}
+	for g, f := range ises {
+		for _, v := range f.Nodes.Values() {
+			a[v] = sched.NodeChoice{Kind: sched.KindHW, Opt: f.Option[v], Group: g}
+		}
+	}
+	for _, v := range cand.Nodes.Values() {
+		a[v] = sched.NodeChoice{Kind: sched.KindHW, Opt: cand.Option[v], Group: len(ises)}
+	}
+	return a
 }
 
 // BuildAssignment converts accepted ISEs into a full scheduler assignment,

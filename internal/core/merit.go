@@ -52,33 +52,84 @@ func (e *explorer) virtualSubgraph(res *walkResult, x int) graph.NodeSet {
 	return e.vsSet
 }
 
-// vsMetrics measures vSx assuming x uses hardware option hwIdx (index into
-// the node's HW table) and every other member keeps its iteration choice.
-// members must hold vs's members in topological order (membersInTopoOrder).
-func (e *explorer) vsMetrics(res *walkResult, vs graph.NodeSet, members []int, x, hwIdx int) (delayNS, areaUM2 float64, cycles int) {
+// iterHW returns member v's delay and area under its iteration choice. A
+// member that never chose hardware this iteration is only possible for the
+// node vSx was built for, and takes its first hardware option.
+func (e *explorer) iterHW(res *walkResult, v int) (delayNS, areaUM2 float64) {
+	o := 0
+	if e.choseHW(res, v) {
+		o = res.chosen[v] - e.tab.NumSW[v]
+	}
+	hw := &e.d.Nodes[v].HW[o]
+	return hw.DelayNS, hw.AreaUM2
+}
+
+// vsBase sweeps f's members once with every member at its iteration choice
+// (iterHW). A member's depth reads only earlier members, so a vsMetrics sweep
+// for member x shares everything before x with this one: the depths, kept in
+// vsBaseDepth, and the running delay and area, kept per position in
+// vsPreDelay and vsPreArea.
+func (e *explorer) vsBase(res *walkResult, f *vsFacts) {
 	d := e.d
+	m := len(f.members)
 	e.depthF = growFloats(e.depthF, d.Len())
+	e.vsBaseDepth = growFloats(e.vsBaseDepth, d.Len())
+	e.vsPreDelay = growFloats(e.vsPreDelay, m)
+	e.vsPreArea = growFloats(e.vsPreArea, m)
 	depth := e.depthF
-	for _, v := range members {
+	delayNS, areaUM2 := 0.0, 0.0
+	for i, v := range f.members {
+		e.vsPreDelay[i], e.vsPreArea[i] = delayNS, areaUM2
 		in := 0.0
 		for _, p := range d.G.Preds(v) {
-			if vs.Contains(p) && depth[p] > in {
+			if f.vs.Contains(p) && depth[p] > in {
 				in = depth[p]
 			}
 		}
-		// The member's delay and area under the assumed choices: x takes
-		// option hwIdx, everyone else their iteration choice (a member that
-		// never chose hardware this iteration is only possible for x itself,
-		// so the first-option fallback mirrors the historical behavior).
+		dl, ar := e.iterHW(res, v)
+		depth[v] = in + dl
+		e.vsBaseDepth[v] = depth[v]
+		if depth[v] > delayNS {
+			delayNS = depth[v]
+		}
+		areaUM2 += ar
+	}
+	f.based = m
+}
+
+// vsMetrics measures vSx assuming x uses hardware option hwIdx (index into
+// the node's HW table) and every other member keeps its iteration choice. It
+// resumes vsBase's sweep at x's topological position: the same members are
+// visited with the same float operations in the same order as a sweep over
+// all of them, so the results are bit-identical to one (vsMetricsReference
+// in the tests).
+func (e *explorer) vsMetrics(res *walkResult, f *vsFacts, x, hwIdx int) (delayNS, areaUM2 float64, cycles int) {
+	d := e.d
+	members := f.members
+	k := 0
+	for members[k] != x {
+		k++
+	}
+	// An earlier member's sweep overwrote the depths from its own position
+	// on; put back the base depths of the members before x.
+	depth := e.depthF
+	for i := f.based; i < k; i++ {
+		depth[members[i]] = e.vsBaseDepth[members[i]]
+	}
+	f.based = k
+	delayNS, areaUM2 = e.vsPreDelay[k], e.vsPreArea[k]
+	for _, v := range members[k:] {
+		in := 0.0
+		for _, p := range d.G.Preds(v) {
+			if f.vs.Contains(p) && depth[p] > in {
+				in = depth[p]
+			}
+		}
 		var dl, ar float64
-		switch {
-		case v == x:
+		if v == x {
 			dl, ar = d.Nodes[v].HW[hwIdx].DelayNS, d.Nodes[v].HW[hwIdx].AreaUM2
-		case e.choseHW(res, v):
-			o := res.chosen[v] - e.tab.NumSW[v]
-			dl, ar = d.Nodes[v].HW[o].DelayNS, d.Nodes[v].HW[o].AreaUM2
-		default:
-			dl, ar = d.Nodes[v].HW[0].DelayNS, d.Nodes[v].HW[0].AreaUM2
+		} else {
+			dl, ar = e.iterHW(res, v)
 		}
 		depth[v] = in + dl
 		if depth[v] > delayNS {
@@ -137,35 +188,6 @@ func (e *explorer) mobility(res *walkResult, vs graph.NodeSet) int {
 	return aec
 }
 
-// refreshMobility recomputes the unit-latency ASAP and tail arrays shared by
-// every mobility query of one iteration.
-func (e *explorer) refreshMobility() {
-	d := e.d
-	n := d.Len()
-	e.asap = growInts(e.asap, n)
-	e.tail = growInts(e.tail, n)
-	order := d.Topo()
-	for _, v := range order {
-		in := 0
-		for _, p := range d.G.Preds(v) {
-			if e.asap[p] > in {
-				in = e.asap[p]
-			}
-		}
-		e.asap[v] = in + 1
-	}
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		out := 0
-		for _, s := range d.G.Succs(v) {
-			if e.tail[s] > out {
-				out = e.tail[s]
-			}
-		}
-		e.tail[v] = out + 1
-	}
-}
-
 // meritUpdate implements the merit function (Eq. 3 software part and
 // Fig. 4.3.7 hardware part) followed by per-operation normalization.
 //
@@ -179,7 +201,6 @@ func (e *explorer) refreshMobility() {
 //alloc:free
 func (e *explorer) meritUpdate(res *walkResult) {
 	d := e.d
-	e.refreshMobility()
 	e.vsDone.Reset(d.Len())
 	var f vsFacts
 	for x := 0; x < d.Len(); x++ {
@@ -240,6 +261,9 @@ type vsFacts struct {
 	swDepth    int
 	onCritical bool // after the NoCriticalPath/NoMaxAEC ablations
 	maxAEC     int  // set when !onCritical
+	// based counts the leading members whose depthF entry still holds
+	// vsBase's depth.
+	based int
 }
 
 // measureVS fills f with vs's facts. f.vs and f.members alias the
@@ -247,7 +271,7 @@ type vsFacts struct {
 // membersInTopoOrder call.
 func (e *explorer) measureVS(res *walkResult, vs graph.NodeSet, f *vsFacts) {
 	d := e.d
-	p := e.p
+	p := &e.p
 	*f = vsFacts{vs: vs, size: vs.Len()}
 	if f.size == 1 {
 		return
@@ -276,13 +300,14 @@ func (e *explorer) measureVS(res *walkResult, vs graph.NodeSet, f *vsFacts) {
 	if !f.onCritical {
 		f.maxAEC = e.mobility(res, vs)
 	}
+	e.vsBase(res, f)
 }
 
 // hwMerit applies the four cases of Fig. 4.3.7 to every hardware option of
 // operation x, whose virtual subgraph vSx has the facts f.
 func (e *explorer) hwMerit(res *walkResult, x int, f *vsFacts) {
 	d := e.d
-	p := e.p
+	p := &e.p
 	hw := d.Nodes[x].HW
 	merit := e.tab.Merit[x][e.tab.NumSW[x]:]
 
@@ -322,7 +347,7 @@ func (e *explorer) hwMerit(res *walkResult, x int, f *vsFacts) {
 	cyclesOf, areaOf := e.hwCycles, e.hwAreas
 	minCycles, maxArea := 1<<30, 0.0
 	for j := range hw {
-		_, area, cyc := e.vsMetrics(res, f.vs, f.members, x, j)
+		_, area, cyc := e.vsMetrics(res, f, x, j)
 		cyclesOf[j], areaOf[j] = cyc, area
 		if cyc < minCycles {
 			minCycles = cyc

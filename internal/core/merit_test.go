@@ -25,6 +25,7 @@ func newExplorer(t testing.TB, d *dfg.DFG, cfg machine.Config) *explorer {
 		e.fixedGroupOf[i] = -1
 	}
 	e.initPriority()
+	e.initDFG()
 	e.tab.Seed(e.d, e.p.Coefs())
 	return e
 }
@@ -61,7 +62,6 @@ func TestMeritCase1CriticalBoost(t *testing.T) {
 	e := newExplorer(t, d, machine.New(2, 4, 2))
 	// Everything hardware so case 4 applies to n0/n1 and n2 stays singleton.
 	res := fakeWalk(e, []bool{true, true, false}, graph.NodeSetOf(d.Len(), 0, 1), 3)
-	e.refreshMobility()
 	before0 := e.tab.Merit[0][e.tab.NumSW[0]] / e.tab.Merit[0][0] // hw/sw ratio
 	before2 := e.tab.Merit[2][e.tab.NumSW[2]] / e.tab.Merit[2][0]
 	e.meritUpdate(res)
@@ -239,7 +239,6 @@ func TestMobilityWindow(t *testing.T) {
 	})
 	e := newExplorer(t, d, machine.New(2, 6, 3))
 	res := fakeWalk(e, nil, graph.NodeSetOf(d.Len(), 0, 1, 2, 3), 4)
-	e.refreshMobility()
 	if got := e.mobility(res, graph.NodeSetOf(d.Len(), 4)); got != 4 {
 		t.Errorf("Max_AEC of slack node = %d, want 4", got)
 	}

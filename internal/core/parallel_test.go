@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/bench"
@@ -84,7 +85,9 @@ func TestExploreParallelDeterminism(t *testing.T) {
 			}
 
 			label := bm.name + "/" + bm.opt
-			for _, w := range []int{4, 8} {
+			// 0 is one worker per restart; GOMAXPROCS+1 oversubscribes the
+			// CPUs.
+			for _, w := range []int{0, 4, 8, runtime.GOMAXPROCS(0) + 1} {
 				p.Workers = w
 				par, err := Explore(t.Context(), d, cfg, p)
 				if err != nil {

@@ -86,7 +86,8 @@ type Params struct {
 
 	// Workers bounds the worker pool that fans out restarts (core and
 	// baseline exploration) and per-block explorations (flow.BuildPool).
-	// 0 means one worker per available CPU; 1 forces sequential execution.
+	// 0 means one worker per item (every restart or block starts at once);
+	// 1 forces sequential execution.
 	// Results are identical for every worker count — only wall-clock time
 	// changes (see DESIGN.md, "Concurrency model").
 	Workers int

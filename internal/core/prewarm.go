@@ -13,9 +13,8 @@ import "repro/internal/dfg"
 
 // arenaBounds derives the presize bounds one DFG imposes on an explorer:
 // node count, total option-table entries, the widest per-node option row,
-// total edge endpoints (the criticalNodes CSR bound), and the IN-counting
-// mark space (dfg.InKeys).
-func arenaBounds(d *dfg.DFG) (n, totalOpts, maxRow, edges, ioNeed int) {
+// and the IN-counting mark space (dfg.InKeys).
+func arenaBounds(d *dfg.DFG) (n, totalOpts, maxRow, ioNeed int) {
 	n = d.Len()
 	for i := 0; i < n; i++ {
 		node := d.Nodes[i]
@@ -24,9 +23,8 @@ func arenaBounds(d *dfg.DFG) (n, totalOpts, maxRow, edges, ioNeed int) {
 		if opts > maxRow {
 			maxRow = opts
 		}
-		edges += len(d.G.Succs(i))
 	}
-	return n, totalOpts, maxRow, edges, d.InKeys()
+	return n, totalOpts, maxRow, d.InKeys()
 }
 
 // presize grows every counter-tracked arena of the explorer to the given
@@ -39,7 +37,7 @@ func arenaBounds(d *dfg.DFG) (n, totalOpts, maxRow, edges, ioNeed int) {
 // reslicing once the arrays are warm.
 //
 //alloc:amortized prewarm pass; allocates only while arenas grow to the run's largest block
-func (e *explorer) presize(n, totalOpts, maxRow, edges, ioNeed int) {
+func (e *explorer) presize(n, totalOpts, maxRow, ioNeed int) {
 	e.fixedGroupOf = growInts(e.fixedGroupOf, n)
 	e.sp = growFloats(e.sp, n)
 	if e.io.Reserve(ioNeed) {
@@ -57,20 +55,18 @@ func (e *explorer) presize(n, totalOpts, maxRow, edges, ioNeed int) {
 	e.issueCycle = growInts(e.issueCycle, n)
 	e.issued = growBools(e.issued, n)
 	e.cFinalOf = growInts(e.cFinalOf, n)
-	e.cSuccStart = growInts(e.cSuccStart, n+1)
-	e.cPredStart = growInts(e.cPredStart, n+1)
-	e.cSuccs = growInts(e.cSuccs, edges)
-	e.cPreds = growInts(e.cPreds, edges)
-	e.cCurA = growInts(e.cCurA, n)
-	e.cCurB = growInts(e.cCurB, n)
-	e.cIndeg = growInts(e.cIndeg, n)
 	e.cOrder = growInts(e.cOrder, n)
 	e.cDown = growInts(e.cDown, n)
 	e.cUp = growInts(e.cUp, n)
 	e.asap = growInts(e.asap, n)
 	e.tail = growInts(e.tail, n)
+	e.soloIn = growInts(e.soloIn, n)
+	e.soloOut = growInts(e.soloOut, n)
 	e.depthF = growFloats(e.depthF, n)
 	e.depthI = growInts(e.depthI, n)
+	e.vsBaseDepth = growFloats(e.vsBaseDepth, n)
+	e.vsPreDelay = growFloats(e.vsPreDelay, n)
+	e.vsPreArea = growFloats(e.vsPreArea, n)
 	e.hwCycles = growInts(e.hwCycles, maxRow)
 	e.hwAreas = growFloats(e.hwAreas, maxRow)
 	e.vsDone.Reset(n)

@@ -56,7 +56,7 @@ func TestPrewarmBoundsMonotonic(t *testing.T) {
 	if n1 < n0 {
 		t.Fatalf("Prewarm shrank node bound: %d -> %d", n0, n1)
 	}
-	bn, _, _, _, _ := arenaBounds(big)
+	bn, _, _, _ := arenaBounds(big)
 	if n0 != bn {
 		t.Fatalf("Prewarm bound %d != arenaBounds %d", n0, bn)
 	}

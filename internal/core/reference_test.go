@@ -18,8 +18,9 @@ import (
 
 // Reference implementations of the explorer's optimized paths, kept as
 // test-only code for the differential tests below: the per-step
-// Ready-Matrix rebuild over an explicit ready list, and the per-node
-// hardware merit that builds and measures vSx for every operation.
+// Ready-Matrix rebuild over an explicit ready list, the critical path over
+// an explicit contracted graph in Kahn order, and the per-node hardware
+// merit that builds and measures vSx for every operation with full sweeps.
 
 // walkReference is walk with the Ready-Matrix rebuilt at every step from the
 // ready list.
@@ -82,11 +83,144 @@ func (e *explorer) walkReference() *walkResult {
 	return res
 }
 
+// criticalNodesReference is criticalNodes over an explicit contracted graph:
+// a CSR of the cross-unit edges (duplicates kept) swept in FIFO Kahn order.
+// It also reports whether the nodes' issue cycles strictly increase along
+// every contracted edge, the property criticalNodes' issue-cycle sweep
+// relies on.
+func (e *explorer) criticalNodesReference(res *walkResult) (critical graph.NodeSet, issueOrderTopo bool) {
+	d := e.d
+	n := d.Len()
+	finalOf := make([]int, n)
+	for i := range finalOf {
+		finalOf[i] = -1
+	}
+	var lats []int
+	for gi := range res.groups {
+		g := &res.groups[gi]
+		for _, v := range g.nodes.Values() {
+			finalOf[v] = len(lats)
+		}
+		lats = append(lats, g.lat)
+	}
+	for _, f := range e.fixed {
+		for _, v := range f.Nodes.Values() {
+			finalOf[v] = len(lats)
+		}
+		lats = append(lats, f.Cycles)
+	}
+	for i := 0; i < n; i++ {
+		if finalOf[i] < 0 {
+			lat := 1
+			if res.chosen[i] >= 0 && !e.isHWOption(i, res.chosen[i]) {
+				lat = d.Nodes[i].SW[res.chosen[i]].Cycles
+			}
+			finalOf[i] = len(lats)
+			lats = append(lats, lat)
+		}
+	}
+	nu := len(lats)
+	succs := make([][]int, nu)
+	preds := make([][]int, nu)
+	issueOrderTopo = true
+	for u := 0; u < n; u++ {
+		a := finalOf[u]
+		for _, v := range d.G.Succs(u) {
+			if b := finalOf[v]; a != b {
+				succs[a] = append(succs[a], b)
+				preds[b] = append(preds[b], a)
+				if e.issueCycle[v] <= e.issueCycle[u] {
+					issueOrderTopo = false
+				}
+			}
+		}
+	}
+	indeg := make([]int, nu)
+	var order []int
+	for m := 0; m < nu; m++ {
+		indeg[m] = len(preds[m])
+		if indeg[m] == 0 {
+			order = append(order, m)
+		}
+	}
+	for qh := 0; qh < len(order); qh++ {
+		for _, s := range succs[order[qh]] {
+			indeg[s]--
+			if indeg[s] == 0 {
+				order = append(order, s)
+			}
+		}
+	}
+	down := make([]int, nu)
+	up := make([]int, nu)
+	best := 0
+	for _, m := range order {
+		in := 0
+		for _, p := range preds[m] {
+			if down[p] > in {
+				in = down[p]
+			}
+		}
+		down[m] = in + lats[m]
+		if down[m] > best {
+			best = down[m]
+		}
+	}
+	for i := len(order) - 1; i >= 0; i-- {
+		m := order[i]
+		out := 0
+		for _, s := range succs[m] {
+			if up[s] > out {
+				out = up[s]
+			}
+		}
+		up[m] = out + lats[m]
+	}
+	critical = graph.NewNodeSet(n)
+	for v := 0; v < n; v++ {
+		m := finalOf[v]
+		if down[m]+up[m]-lats[m] == best {
+			critical.Add(v)
+		}
+	}
+	return critical, issueOrderTopo
+}
+
+// vsMetricsReference is vsMetrics as one sweep over all of vs's members,
+// which must be in topological order.
+func (e *explorer) vsMetricsReference(res *walkResult, vs graph.NodeSet, members []int, x, hwIdx int) (delayNS, areaUM2 float64, cycles int) {
+	d := e.d
+	depth := make([]float64, d.Len())
+	for _, v := range members {
+		in := 0.0
+		for _, p := range d.G.Preds(v) {
+			if vs.Contains(p) && depth[p] > in {
+				in = depth[p]
+			}
+		}
+		var dl, ar float64
+		switch {
+		case v == x:
+			dl, ar = d.Nodes[v].HW[hwIdx].DelayNS, d.Nodes[v].HW[hwIdx].AreaUM2
+		case e.choseHW(res, v):
+			o := res.chosen[v] - e.tab.NumSW[v]
+			dl, ar = d.Nodes[v].HW[o].DelayNS, d.Nodes[v].HW[o].AreaUM2
+		default:
+			dl, ar = d.Nodes[v].HW[0].DelayNS, d.Nodes[v].HW[0].AreaUM2
+		}
+		depth[v] = in + dl
+		if depth[v] > delayNS {
+			delayNS = depth[v]
+		}
+		areaUM2 += ar
+	}
+	return delayNS, areaUM2, sched.CyclesForDelay(delayNS)
+}
+
 // meritUpdateReference is meritUpdate with vSx built and measured for every
 // operation on its own.
 func (e *explorer) meritUpdateReference(res *walkResult) {
 	d := e.d
-	e.refreshMobility()
 	for x := 0; x < d.Len(); x++ {
 		if e.fixedGroupOf[x] >= 0 {
 			continue
@@ -144,7 +278,7 @@ func (e *explorer) hwMeritReference(res *walkResult, x int) {
 	areaOf := make([]float64, len(hw))
 	minCycles, maxArea := 1<<30, 0.0
 	for j := range hw {
-		_, area, cyc := e.vsMetrics(res, vs, members, x, j)
+		_, area, cyc := e.vsMetricsReference(res, vs, members, x, j)
 		cyclesOf[j], areaOf[j] = cyc, area
 		if cyc < minCycles {
 			minCycles = cyc
@@ -427,6 +561,49 @@ func TestNewISEMatchesReference(t *testing.T) {
 				}
 			}
 			check(d, nodes, opts)
+		}
+	}
+}
+
+// TestCriticalNodesMatchesReference checks the issue-cycle sweep of
+// criticalNodes against the CSR-and-Kahn reference over the kernels' O3 hot
+// blocks and random blocks, on every paper machine and a 2-ASFU machine,
+// with and without accepted ISEs: along every contracted edge the issue
+// cycle must strictly increase, and the critical sets must be identical.
+func TestCriticalNodesMatchesReference(t *testing.T) {
+	cfgs := append(machine.Configs(), machine.New(2, 4, 2).WithASFUs(2))
+	for i, d := range differentialDFGs(t) {
+		for _, cfg := range cfgs {
+			fixed := differentialFixed(t, d, cfg)
+			for _, variant := range []string{"free", "fixed"} {
+				p := FastParams()
+				p.Seed = int64(200 + i)
+				var f []*ISE
+				if variant == "fixed" {
+					f = fixed
+				}
+				label := fmt.Sprintf("%d:%s/%s/%s", i, d.Name, cfg.Name, variant)
+				e, _ := explorerPair(t, d, cfg, p, f)
+				var prev []int
+				tetOld := 1 << 30
+				for it := 0; it < 15; it++ {
+					res := e.walk()
+					want, topo := e.criticalNodesReference(res)
+					if !topo {
+						t.Fatalf("%s iter %d: issue cycles do not increase along a contracted edge", label, it)
+					}
+					if !res.critical.Equal(want) {
+						t.Fatalf("%s iter %d: critical %v, reference %v", label, it, res.critical, want)
+					}
+					improved := res.tet <= tetOld
+					if improved {
+						tetOld = res.tet
+					}
+					e.trailUpdate(res, improved, prev)
+					e.meritUpdate(res)
+					prev = append(prev[:0], res.orderPos...)
+				}
+			}
 		}
 	}
 }

@@ -47,7 +47,6 @@ type Scratch struct {
 	nodes  int // guarded by mu
 	opts   int // guarded by mu
 	row    int // guarded by mu
-	edges  int // guarded by mu
 	ioNeed int // guarded by mu
 }
 
@@ -57,12 +56,12 @@ type Scratch struct {
 // cost. Bounds only ever grow (several callers may announce different runs);
 // the call itself allocates nothing beyond the pool items' own growth.
 func (s *Scratch) Prewarm(dfgs ...*dfg.DFG) {
-	var n, opts, row, edges, ioNeed int
+	var n, opts, row, ioNeed int
 	for _, d := range dfgs {
 		if d == nil {
 			continue
 		}
-		bn, bo, br, be, bi := arenaBounds(d)
+		bn, bo, br, bi := arenaBounds(d)
 		if bn > n {
 			n = bn
 		}
@@ -71,9 +70,6 @@ func (s *Scratch) Prewarm(dfgs ...*dfg.DFG) {
 		}
 		if br > row {
 			row = br
-		}
-		if be > edges {
-			edges = be
 		}
 		if bi > ioNeed {
 			ioNeed = bi
@@ -88,9 +84,6 @@ func (s *Scratch) Prewarm(dfgs ...*dfg.DFG) {
 	}
 	if row > s.row {
 		s.row = row
-	}
-	if edges > s.edges {
-		s.edges = edges
 	}
 	if ioNeed > s.ioNeed {
 		s.ioNeed = ioNeed
@@ -115,10 +108,10 @@ func NewScratch() *Scratch {
 func (s *Scratch) acquire() *workerScratch {
 	ws := s.pool.Get().(*workerScratch)
 	s.mu.Lock()
-	n, opts, row, edges, ioNeed := s.nodes, s.opts, s.row, s.edges, s.ioNeed
+	n, opts, row, ioNeed := s.nodes, s.opts, s.row, s.ioNeed
 	s.mu.Unlock()
 	if n > 0 {
-		ws.exp.presize(n, opts, row, edges, ioNeed)
+		ws.exp.presize(n, opts, row, ioNeed)
 	}
 	return ws
 }

@@ -38,7 +38,7 @@ type explorer struct {
 	tr  *obs.Tracer
 	tid int
 	// evalAssign is evaluate's reusable assignment buffer. arena: valid
-	// until the next assignmentWith call.
+	// until the next evaluate call.
 	evalAssign sched.Assignment
 
 	// fixed are ISEs accepted in earlier rounds; their members no longer
@@ -51,15 +51,20 @@ type explorer struct {
 	tab aco.Tables
 	sp  []float64 // scheduling priority per node (child count)
 
-	// asap/tail are per-iteration unit-latency longest-path arrays reused
-	// by the merit computation.
-	asap []int
-	tail []int
+	// Per-DFG invariants, computed once per restart by initDFG: the
+	// unit-latency longest paths into (asap) and out of (tail) each node,
+	// which every mobility query reads, and each node's IN/OUT as a
+	// single-operation ISE, which every new walk group starts from.
+	asap    []int // arena: rebuilt by reset
+	tail    []int // arena: rebuilt by reset
+	soloIn  []int // arena: rebuilt by reset
+	soloOut []int // arena: rebuilt by reset
 
 	// depthF and depthI are scratch longest-path arrays for the
-	// subgraph-metric hot paths (vsMetrics, swDepth). Entries are written
-	// before they are read in topological order, so no reset is needed
-	// between calls. Each restart owns its explorer, keeping them race-free.
+	// subgraph-metric hot paths (vsBase and vsMetrics, swDepth). Entries are
+	// written before they are read in topological order, so no reset is
+	// needed between calls. Each restart owns its explorer, keeping them
+	// race-free.
 	depthF []float64
 	depthI []int
 
@@ -92,20 +97,14 @@ type explorer struct {
 	entW       []float64    // arena: Ready-Matrix entry weights
 
 	// criticalNodes scratch: the final contraction (iteration groups, fixed
-	// ISEs, software singles) and its longest-path sweep. arena: reused
-	// every iteration.
-	cFinalOf   []int // arena: node -> final unit
-	cLats      []int // arena: latency per final unit
-	cSuccStart []int // arena: CSR offsets, successors
-	cSuccs     []int // arena: successor units (duplicates allowed)
-	cPredStart []int // arena: CSR offsets, predecessors
-	cPreds     []int // arena: predecessor units (duplicates allowed)
-	cCurA      []int // arena: successor fill cursors
-	cCurB      []int // arena: predecessor fill cursors
-	cIndeg     []int // arena: topo indegrees
-	cOrder     []int // arena: FIFO topo order
-	cDown      []int // arena: downward longest path
-	cUp        []int // arena: upward longest path
+	// ISEs, software singles), the nodes in issue-cycle order and the
+	// longest-path sweeps. arena: reused every iteration.
+	cFinalOf    []int // arena: node -> final unit
+	cLats       []int // arena: latency per final unit
+	cCycleStart []int // arena: counting-sort offsets past 254 cycles
+	cOrder      []int // arena: nodes in issue-cycle order
+	cDown       []int // arena: downward longest path
+	cUp         []int // arena: upward longest path
 
 	io      dfg.IOScratch // IN/OUT counting without dfg.In/Out's per-call map
 	members []int         // arena: group member extraction buffer
@@ -117,6 +116,9 @@ type explorer struct {
 	vsDone      graph.NodeSet // arena: nodes whose component meritUpdate swept
 	compMembers []int         // arena: the swept component's members
 	mobMembers  []int         // arena: mobility's member extraction buffer
+	vsBaseDepth []float64     // arena: vsBase's depth per node
+	vsPreDelay  []float64     // arena: vsBase's running delay per position
+	vsPreArea   []float64     // arena: vsBase's running area per position
 	hwCycles    []int         // arena: per-option subgraph cycles
 	hwAreas     []float64     // arena: per-option subgraph areas
 	cands       []*ISE        // arena: bestCandidate's candidate list
@@ -140,6 +142,45 @@ func (e *explorer) reset(d *dfg.DFG, cfg machine.Config, p Params, rng *rand.Ran
 	e.sp = growFloats(e.sp, n)
 	e.unitFixedN = -1
 	e.initPriority()
+	e.initDFG()
+}
+
+// initDFG computes the per-DFG invariants the iterations read: the
+// unit-latency ASAP and tail of every node (mobility) and every node's IN and
+// OUT on its own (a fresh single-operation walk group).
+func (e *explorer) initDFG() {
+	d := e.d
+	n := d.Len()
+	e.asap = growInts(e.asap, n)
+	e.tail = growInts(e.tail, n)
+	order := d.Topo()
+	for _, v := range order {
+		in := 0
+		for _, p := range d.G.Preds(v) {
+			if e.asap[p] > in {
+				in = e.asap[p]
+			}
+		}
+		e.asap[v] = in + 1
+	}
+	for i := len(order) - 1; i >= 0; i-- {
+		v := order[i]
+		out := 0
+		for _, s := range d.G.Succs(v) {
+			if e.tail[s] > out {
+				out = e.tail[s]
+			}
+		}
+		e.tail[v] = out + 1
+	}
+	e.soloIn = growInts(e.soloIn, n)
+	e.soloOut = growInts(e.soloOut, n)
+	e.vsSet.Reset(n)
+	for v := 0; v < n; v++ {
+		e.vsSet.Add(v)
+		e.soloIn[v], e.soloOut[v] = d.InScratch(e.vsSet, &e.io), d.OutScratch(e.vsSet, &e.io)
+		e.vsSet.Remove(v)
+	}
 }
 
 // membersInTopoOrder returns the members of vs sorted by topological
@@ -503,7 +544,7 @@ func (e *explorer) scheduleHW(res *walkResult, table *sched.Table, x, opt, lts, 
 	lat := sched.CyclesForDelay(delay)
 	g := e.appendGroup(res)
 	g.nodes.Add(x)
-	reads, writes := e.d.InScratch(g.nodes, &e.io), e.d.OutScratch(g.nodes, &e.io)
+	reads, writes := e.soloIn[x], e.soloOut[x]
 	cts := lts + 1
 	for !table.FitsNewISE(cts, lat, reads, writes) {
 		cts++
@@ -590,40 +631,41 @@ func (e *explorer) tryPack(res *walkResult, table *sched.Table, g *walkGroup, x,
 
 // criticalNodes computes the latency-weighted critical path of the
 // iteration's contracted schedule graph (walk groups, fixed ISEs, software
-// nodes) and marks member nodes in res.critical. Duplicate contracted edges
-// (several node edges between one unit pair) are kept: the indegree
-// bookkeeping counts them consistently and the longest-path sweeps take
-// maxima, so deduplication would only cost time.
+// nodes) and marks member nodes in res.critical.
+//
+// The longest-path sweeps visit the nodes in issue-cycle order, which is a
+// topological order of the contraction. Every member of a unit issues in the
+// unit's cycle, every latency is at least one cycle, and the walk issues a
+// node only after each operand produced outside its unit has completed:
+// issueUnit starts its search at the latest such completion + 1, tryPack
+// packs only nodes whose outside operands complete before the group's cycle,
+// and a group's latency grows only while its scheduled consumers still issue
+// after its new completion. So along every contracted edge the issue cycle
+// strictly increases. Longest paths are maxima, the same over any
+// topological order and over duplicate contracted edges, so the marks equal
+// those of the CSR-and-Kahn sweep kept as criticalNodesReference in the
+// tests.
 func (e *explorer) criticalNodes(res *walkResult) {
 	d := e.d
 	n := d.Len()
-	// Final contraction: iteration groups override the unit view for free
-	// HW nodes.
+	// Final contraction: the iteration groups, then the fixed ISEs, then
+	// every other node on its own.
 	e.cFinalOf = growInts(e.cFinalOf, n)
 	finalOf := e.cFinalOf
-	for i := range finalOf {
-		finalOf[i] = -1
-	}
 	lats := e.cLats[:0]
 	for gi := range res.groups {
-		g := &res.groups[gi]
-		members := g.nodes.AppendValues(e.members[:0])
-		e.members = members
-		for _, v := range members {
-			finalOf[v] = len(lats)
-		}
-		lats = append(lats, g.lat)
+		lats = append(lats, res.groups[gi].lat)
 	}
 	for _, f := range e.fixed {
-		members := f.Nodes.AppendValues(e.members[:0])
-		e.members = members
-		for _, v := range members {
-			finalOf[v] = len(lats)
-		}
 		lats = append(lats, f.Cycles)
 	}
 	for i := 0; i < n; i++ {
-		if finalOf[i] < 0 {
+		switch {
+		case res.groupOf[i] >= 0:
+			finalOf[i] = res.groupOf[i]
+		case e.fixedGroupOf[i] >= 0:
+			finalOf[i] = len(res.groups) + e.fixedGroupOf[i]
+		default:
 			lat := 1
 			if res.chosen[i] >= 0 && !e.isHWOption(i, res.chosen[i]) {
 				lat = d.Nodes[i].SW[res.chosen[i]].Cycles
@@ -635,97 +677,57 @@ func (e *explorer) criticalNodes(res *walkResult) {
 	e.cLats = lats
 	nu := len(lats)
 
-	// Contracted edge CSR (with duplicates), built by counting sort.
-	e.cSuccStart = growInts(e.cSuccStart, nu+1)
-	e.cPredStart = growInts(e.cPredStart, nu+1)
-	sStart, pStart := e.cSuccStart, e.cPredStart
-	for i := 0; i <= nu; i++ {
-		sStart[i], pStart[i] = 0, 0
-	}
-	total := 0
-	for u := 0; u < n; u++ {
-		a := finalOf[u]
-		for _, v := range d.G.Succs(u) {
-			if b := finalOf[v]; a != b {
-				sStart[a+1]++
-				pStart[b+1]++
-				total++
-			}
+	// Counting sort of the nodes by issue cycle, 1..res.tet. The offsets
+	// sit on the stack for schedules of up to 254 cycles.
+	var buf [256]int
+	start := buf[:]
+	if need := res.tet + 2; need > len(buf) {
+		e.cCycleStart = growInts(e.cCycleStart, need)
+		start = e.cCycleStart
+		for c := range start {
+			start[c] = 0
 		}
+	} else {
+		start = buf[:need]
 	}
-	for i := 0; i < nu; i++ {
-		sStart[i+1] += sStart[i]
-		pStart[i+1] += pStart[i]
+	for _, c := range e.issueCycle {
+		start[c+1]++
 	}
-	e.cSuccs = growInts(e.cSuccs, total)
-	e.cPreds = growInts(e.cPreds, total)
-	succs, preds := e.cSuccs, e.cPreds
-	e.cCurA = growInts(e.cCurA, nu)
-	e.cCurB = growInts(e.cCurB, nu)
-	curA, curB := e.cCurA, e.cCurB
-	copy(curA, sStart[:nu])
-	copy(curB, pStart[:nu])
-	for u := 0; u < n; u++ {
-		a := finalOf[u]
-		for _, v := range d.G.Succs(u) {
-			if b := finalOf[v]; a != b {
-				succs[curA[a]] = b
-				curA[a]++
-				preds[curB[b]] = a
-				curB[b]++
-			}
-		}
+	for c := 1; c < len(start); c++ {
+		start[c] += start[c-1]
 	}
-
-	// FIFO topological order over the contraction.
-	e.cIndeg = growInts(e.cIndeg, nu)
-	e.cOrder = growInts(e.cOrder, nu)
-	indeg, order := e.cIndeg, e.cOrder
-	qt := 0
-	for m := 0; m < nu; m++ {
-		indeg[m] = pStart[m+1] - pStart[m]
-		if indeg[m] == 0 {
-			order[qt] = m
-			qt++
-		}
-	}
-	for qh := 0; qh < qt; qh++ {
-		m := order[qh]
-		for _, s := range succs[sStart[m]:sStart[m+1]] {
-			indeg[s]--
-			if indeg[s] == 0 {
-				order[qt] = s
-				qt++
-			}
-		}
+	e.cOrder = growInts(e.cOrder, n)
+	order := e.cOrder
+	for v, c := range e.issueCycle {
+		order[start[c]] = v
+		start[c]++
 	}
 
 	e.cDown = growInts(e.cDown, nu)
 	e.cUp = growInts(e.cUp, nu)
 	down, up := e.cDown, e.cUp
+	copy(down, lats)
+	copy(up, lats)
 	best := 0
-	for i := 0; i < nu; i++ {
-		m := order[i]
-		in := 0
-		for _, p := range preds[pStart[m]:pStart[m+1]] {
-			if down[p] > in {
-				in = down[p]
+	for _, v := range order {
+		m := finalOf[v]
+		for _, p := range d.G.Preds(v) {
+			if a := finalOf[p]; a != m && down[a]+lats[m] > down[m] {
+				down[m] = down[a] + lats[m]
 			}
 		}
-		down[m] = in + lats[m]
 		if down[m] > best {
 			best = down[m]
 		}
 	}
-	for i := nu - 1; i >= 0; i-- {
-		m := order[i]
-		out := 0
-		for _, s := range succs[sStart[m]:sStart[m+1]] {
-			if up[s] > out {
-				out = up[s]
+	for i := n - 1; i >= 0; i-- {
+		v := order[i]
+		m := finalOf[v]
+		for _, s := range d.G.Succs(v) {
+			if b := finalOf[s]; b != m && up[b]+lats[m] > up[m] {
+				up[m] = up[b] + lats[m]
 			}
 		}
-		up[m] = out + lats[m]
 	}
 	res.critical.Reset(n)
 	for v := 0; v < n; v++ {

@@ -3,6 +3,7 @@ package flow
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -290,12 +291,17 @@ func TestBuildPoolWorkerCountInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Params.Workers = 8
-	par, err := BuildPool(bm, opts)
-	if err != nil {
-		t.Fatal(err)
+	// 0 is one worker per block and restart; GOMAXPROCS+1 oversubscribes
+	// the CPUs.
+	var par *Pool
+	for _, w := range []int{0, 8, runtime.GOMAXPROCS(0) + 1} {
+		opts.Params.Workers = w
+		par, err = BuildPool(bm, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		poolsEqual(t, seq, par)
 	}
-	poolsEqual(t, seq, par)
 	if seq.CacheHits == 0 || par.CacheHits == 0 {
 		t.Fatalf("pools report no cache hits: %d / %d", seq.CacheHits, par.CacheHits)
 	}

@@ -8,7 +8,6 @@ package parallel
 
 import (
 	"context"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,14 +46,17 @@ func runItem(poolStart time.Time, fn func(worker, i int), worker, i int) {
 }
 
 // Degree resolves a requested worker count for n work items: requested <= 0
-// means "one worker per available CPU" (GOMAXPROCS); the result is clamped
-// to [1, n] so no idle goroutines are spawned.
+// means "one worker per item", so every item starts at once and the Go
+// scheduler time-shares them across the CPUs; the result is clamped to
+// [1, n] so no idle goroutines are spawned.
+//
+// One goroutine per item, not one per CPU, because the pool's items are few,
+// equal and indivisible (an exploration's restarts, a run's hot blocks): with
+// GOMAXPROCS workers, 5 restarts on 2 CPUs run in waves of 2, 2 and 1, and
+// one CPU idles through the whole last wave (DESIGN.md §8).
 func Degree(requested, n int) int {
 	w := requested
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
+	if w <= 0 || w > n {
 		w = n
 	}
 	if w < 1 {

@@ -12,11 +12,15 @@ func TestDegree(t *testing.T) {
 	cases := []struct {
 		requested, n, want int
 	}{
-		{0, 100, cpus},  // default: one per CPU
-		{-3, 100, cpus}, // negative behaves like default
-		{4, 2, 2},       // clamped to item count
-		{1, 100, 1},     // explicit sequential
-		{8, 0, 1},       // no items still yields a valid degree
+		{0, 100, 100},             // default: one per item
+		{-3, 5, 5},                // negative behaves like default
+		{0, 1, 1},                 // a single item runs on the caller
+		{4, 2, 2},                 // clamped to item count
+		{3, 100, 3},               // explicit bound kept
+		{1, 100, 1},               // explicit sequential
+		{8, 0, 1},                 // no items still yields a valid degree
+		{0, 0, 1},                 // ... also by default
+		{cpus + 1, 100, cpus + 1}, // an explicit bound may exceed the CPUs
 	}
 	for _, c := range cases {
 		if got := Degree(c.requested, c.n); got != c.want {

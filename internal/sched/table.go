@@ -63,12 +63,17 @@ func (t *Table) at(c int) *cycleUse {
 	return &t.use[c]
 }
 
-// peek returns the usage at cycle c without growing the table.
-func (t *Table) peek(c int) cycleUse {
+// noUse is the usage of every cycle past the ledger's end. Read-only: peek
+// hands it out, and at never does.
+var noUse cycleUse
+
+// peek returns the usage at cycle c without growing the table or copying the
+// entry. The result must not be written through.
+func (t *Table) peek(c int) *cycleUse {
 	if c < len(t.use) {
-		return t.use[c]
+		return &t.use[c]
 	}
-	return cycleUse{}
+	return &noUse
 }
 
 // FitsSW reports whether a software instruction of the given class and port

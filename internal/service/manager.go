@@ -187,6 +187,7 @@ func (m *Manager) reload(cp *Checkpoint) {
 		flight:    obs.NewFlight(0),
 	}
 	j.flight.Restore(cp.Flight)
+	j.events.publish(Event{Type: EventQueued, Time: time.Now(), State: StateQueued})
 	m.mu.Lock()
 	j.state = StateQueued
 	j.resumed = true
@@ -196,7 +197,6 @@ func (m *Manager) reload(cp *Checkpoint) {
 	m.queue = append(m.queue, j)
 	m.mu.Unlock()
 	m.met.incResumed()
-	j.events.publish(Event{Type: EventQueued, Time: time.Now(), State: StateQueued})
 	m.logf("service: reloaded job %s (%d blocks done, snapshot=%v)",
 		j.id, len(cp.Blocks), cp.Snapshot != nil)
 }
@@ -226,6 +226,10 @@ func (m *Manager) Submit(spec JobSpec) (JobStatus, error) {
 		flight:    obs.NewFlight(0),
 	}
 	cp := &Checkpoint{JobID: j.id, Spec: spec, SubmittedAt: j.submitted}
+	// Publish queued before the job is claimable: once it is on the queue a
+	// runner may publish started at any moment. Until then nobody can
+	// subscribe to it, and a rejected job's bus is simply dropped.
+	j.events.publish(Event{Type: EventQueued, Time: time.Now(), State: StateQueued})
 
 	m.mu.Lock()
 	if m.draining {
@@ -250,7 +254,6 @@ func (m *Manager) Submit(spec JobSpec) (JobStatus, error) {
 			m.logf("service: persist job %s: %v", j.id, err)
 		}
 	}
-	j.events.publish(Event{Type: EventQueued, Time: time.Now(), State: StateQueued})
 	m.signalWake()
 	return m.Get(j.id)
 }

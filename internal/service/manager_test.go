@@ -95,8 +95,8 @@ func TestJobLifecycle(t *testing.T) {
 	for ev := range ch {
 		types = append(types, ev.Type)
 	}
-	if len(types) < 3 || types[0] != EventQueued || types[len(types)-1] != EventDone {
-		t.Fatalf("event stream %v, want queued … done", types)
+	if len(types) < 3 || types[0] != EventQueued || types[1] != EventStarted || types[len(types)-1] != EventDone {
+		t.Fatalf("event stream %v, want queued, started … done", types)
 	}
 	sawRestart := false
 	for _, ty := range types {
@@ -111,7 +111,10 @@ func TestJobLifecycle(t *testing.T) {
 
 func TestSubmitValidation(t *testing.T) {
 	m := newTestManager(t, Config{})
+	tooMany := testSpec(0)
+	tooMany.Params.Restarts = maxRestarts + 1
 	bad := []JobSpec{
+		tooMany,
 		{},                             // neither bench nor program
 		{Bench: "crc32", Program: "x"}, // both
 		{Bench: "crc32"},               // no machine

@@ -72,6 +72,11 @@ type DistributedSpec struct {
 
 const maxProgramBytes = 1 << 20
 
+// maxRestarts bounds a job's restart count. With Params.Workers 0 every
+// restart runs at once on its own goroutine, with its own scheduling kernel
+// and explorer arenas, so the restart count sizes the job's memory.
+const maxRestarts = 1024
+
 func (s *JobSpec) validate() error {
 	if (s.Bench == "") == (s.Program == "") {
 		return fmt.Errorf("exactly one of bench and program must be set")
@@ -91,6 +96,9 @@ func (s *JobSpec) validate() error {
 	if p := s.Params; p != nil {
 		if p.Restarts < 0 || p.MaxRounds < 0 || p.MaxIterations < 0 {
 			return fmt.Errorf("params counts must be >= 0")
+		}
+		if p.Restarts > maxRestarts {
+			return fmt.Errorf("params restarts must be <= %d, got %d", maxRestarts, p.Restarts)
 		}
 	}
 	if d := s.Distributed; d != nil && d.Shards < 0 {
