@@ -2,22 +2,26 @@ package main
 
 // TestClusterSmoke is the `make cluster-smoke` target: it builds the real
 // iseserve binary, boots one coordinator and two worker daemons on loopback,
-// runs the same distributed job twice, and asserts (a) both results match
-// what the iseexplore CLI prints for the identical kernel/machine/parameters
-// — the fleet determinism contract end to end over real processes and real
-// HTTP — (b) the merged Chrome trace shows the coordinator's dispatch spans
-// plus both workers' uploaded span tracks on one monotone timeline, (c) both
+// runs the same distributed job twice with tracing on and once with it off,
+// and asserts (a) all three results match what the iseexplore CLI prints for
+// the identical kernel/machine/parameters — the fleet determinism contract
+// end to end over real processes and real HTTP — (b) each traced job's
+// merged Chrome trace shows the coordinator's dispatch spans plus both
+// workers' uploaded span tracks on one monotone timeline, (c) both traced
 // jobs record the identical convergence ("round") flight series, (d) the
-// coordinator's /metrics carries the cluster families after each job, and
-// (e) GET /v1/fleet/metrics renders a valid node-labeled exposition covering
-// the coordinator and both workers. It finishes by SIGTERMing all three
-// daemons. Gated behind ISECLUSTER_SMOKE so `go test ./...` stays fast.
+// coordinator's /metrics carries the cluster families after each traced
+// job, (e) the untraced job has no trace (GET /v1/jobs/{id}/trace answers
+// 404), and (f) GET /v1/fleet/metrics renders a valid node-labeled
+// exposition covering the coordinator and both workers. It finishes by
+// SIGTERMing all three daemons. Gated behind ISECLUSTER_SMOKE so
+// `go test ./...` stays fast.
 
 import (
 	"bufio"
 	"bytes"
 	"encoding/json"
 	"io"
+	"maps"
 	"net/http"
 	"os"
 	"os/exec"
@@ -102,6 +106,20 @@ func TestClusterSmoke(t *testing.T) {
 		t.Fatalf("round flight series differ between identical jobs:\nA: %s\nB: %s",
 			rounds["A"], rounds["B"])
 	}
+	// An untraced job next to the traced ones: the same answer, and no trace
+	// anywhere in the fleet — its claims propagate no context, its workers
+	// ship no spans, so the coordinator has nothing to serve.
+	untraced := maps.Clone(spec)
+	untraced["trace"] = false
+	id, base, final, shardEvents := runDistributedJob(t, coordURL, untraced)
+	if base != wantBase || final != wantFinal {
+		t.Fatalf("untraced job: fleet result %d -> %d cycles, CLI says %d -> %d",
+			base, final, wantBase, wantFinal)
+	}
+	if shardEvents != 2 {
+		t.Fatalf("untraced job: %d shard_done events, want 2", shardEvents)
+	}
+	checkNoTrace(t, coordURL, id)
 	checkFleetMetrics(t, coordURL)
 
 	// All three daemons drain cleanly on SIGTERM.
@@ -293,6 +311,24 @@ func checkMergedTrace(t *testing.T, baseURL, id string) {
 	}
 	t.Logf("trace %s: %d events, %d worker spans across %d worker rows",
 		id, len(doc.TraceEvents), nested, len(workers))
+}
+
+// checkNoTrace asserts that an untraced job has no merged trace: GET
+// /v1/jobs/{id}/trace answers 404 (service.ErrNoTrace).
+func checkNoTrace(t *testing.T, baseURL, id string) {
+	t.Helper()
+	resp, err := http.Get(baseURL + "/v1/jobs/" + id + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("untraced job trace: status %d, want 404: %s", resp.StatusCode, raw)
+	}
 }
 
 // fetchRoundSeries returns the job's deterministic convergence samples —

@@ -372,10 +372,13 @@ func specFor(s *shard) ShardSpec {
 // Claim hands the next pending shard to the requesting worker, re-checking
 // leases first so a dead worker's shard re-dispatches as soon as anyone asks
 // for work. The envelope carries the shard's last uploaded snapshot on a
-// re-dispatch; the returned TraceContext names the distributed trace the
-// shard's work belongs to (the job) and the dispatch span it nests under —
-// the HTTP layer propagates it as response headers, and the worker echoes it
-// on every RPC of the shard.
+// re-dispatch. When the job is traced — its own BlockOptions.Trace, else the
+// coordinator-wide Options.Trace — the returned TraceContext names the
+// distributed trace the shard's work belongs to (the job) and the dispatch
+// span it nests under; the HTTP layer propagates it as response headers, and
+// the worker echoes it on every RPC of the shard. An untraced job's claims
+// return the zero context, so its workers run the shard untraced and ship
+// no spans.
 func (c *Coordinator) Claim(req claimRequest) (*ShardEnvelope, obs.TraceContext, bool) {
 	now := c.opts.Now()
 	c.expire(now)
@@ -391,15 +394,15 @@ func (c *Coordinator) Claim(req claimRequest) (*ShardEnvelope, obs.TraceContext,
 		s.worker = req.Worker
 		s.lastBeat = now
 		s.claimedAt = now
-		tr := s.job.tracer(c.opts.Trace)
-		if tr.Enabled() {
+		var tc obs.TraceContext
+		if tr := s.job.tracer(c.opts.Trace); tr.Enabled() {
 			s.span = tr.Begin("shard", 0).
 				Arg("shard", int64(s.index)).
 				Arg("first_restart", int64(s.firstRestart))
-		}
-		tc := obs.TraceContext{
-			TraceID:    s.job.id,
-			ParentSpan: fmt.Sprintf("shard-%d-try-%d", s.index, s.retries),
+			tc = obs.TraceContext{
+				TraceID:    s.job.id,
+				ParentSpan: fmt.Sprintf("shard-%d-try-%d", s.index, s.retries),
+			}
 		}
 		env := &ShardEnvelope{Spec: specFor(s), Snapshot: s.snap}
 		retry := s.retries
@@ -520,11 +523,11 @@ func (c *Coordinator) Heartbeat(jobID string, shard int, req heartbeatRequest) e
 // Result records a shard's outcome. A worker error consumes one retry and
 // re-queues the shard (resuming from its last snapshot); a success stores
 // the serialized shard winner, folds the shard's observability sidecar —
-// uploaded spans rebased onto the coordinator clock, flight samples rebased
-// to global restart indices — into the job's trace and journal, and
-// completes the job when it was the last shard. tc is the trace context the
-// worker echoed on the RPC (observability cross-check only; a zero context
-// is fine).
+// uploaded spans rebased onto the coordinator clock (traced jobs only),
+// flight samples rebased to global restart indices — into the job's trace
+// and journal, and completes the job when it was the last shard. tc is the
+// trace context the worker echoed on the RPC (observability cross-check
+// only; a zero context is fine).
 func (c *Coordinator) Result(jobID string, shard int, req resultRequest, tc obs.TraceContext) error {
 	now := c.opts.Now()
 	c.registerWorker(req.Worker, "", now)
@@ -627,8 +630,14 @@ func (c *Coordinator) Result(jobID string, shard int, req resultRequest, tc obs.
 	// coord = worker − offset) and clamp into the dispatch window
 	// [claim, result] on the coordinator clock, so offset-estimation error
 	// cannot break nesting under the dispatch span ended above.
-	tr.Import(req.Trace, -req.Clock.OffsetMicros, pid, "worker "+req.Worker,
-		claimed.UnixMicro(), now.UnixMicro())
+	if req.Trace != nil {
+		var offset int64
+		if req.Clock != nil {
+			offset = req.Clock.OffsetMicros
+		}
+		tr.Import(*req.Trace, -offset, pid, "worker "+req.Worker,
+			claimed.UnixMicro(), now.UnixMicro())
+	}
 	fl.MergeRebased(req.Flight, block, firstRestart)
 	fl.RecordEvent(obs.FlightShard, "done", shard, retries, float64(req.Result.FinalCycles))
 	obsShardsDone.Inc()

@@ -72,14 +72,16 @@ type heartbeatRequest struct {
 // buffered shard spans with its local trace epoch, Clock the worker's
 // clock-offset estimate against this coordinator (the coordinator rebases
 // Trace onto its own timeline with it), and Flight the shard's convergence
-// journal in shard-local restart coordinates.
+// journal in shard-local restart coordinates. Trace and Clock are present
+// only when the shard was claimed with a valid trace context; an untraced
+// shard's result carries neither. Flight rides every successful result.
 type resultRequest struct {
 	Worker      string             `json:"worker"`
 	Error       string             `json:"error,omitempty"`
 	Result      *core.ResultState  `json:"result,omitempty"`
 	CacheHits   uint64             `json:"cache_hits"`
 	CacheMisses uint64             `json:"cache_misses"`
-	Trace       obs.TraceExport    `json:"trace,omitempty"`
-	Clock       obs.ClockState     `json:"clock,omitempty"`
+	Trace       *obs.TraceExport   `json:"trace,omitempty"`
+	Clock       *obs.ClockState    `json:"clock,omitempty"`
 	Flight      []obs.FlightSample `json:"flight,omitempty"`
 }

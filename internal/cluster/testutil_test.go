@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -77,4 +78,35 @@ func startWorker(ctx context.Context, opts WorkerOptions) <-chan struct{} {
 		_ = w.Run(ctx)
 	}()
 	return done
+}
+
+// startFleet mounts a fresh coordinator on a loopback server, its mux
+// wrapped by wrap when non-nil, and attaches one real Worker per name. The
+// workers are stopped and drained before the server closes. logf receives
+// both sides' log lines (nil: discard).
+func startFleet(tb testing.TB, wrap func(http.Handler) http.Handler, logf func(string, ...any), names ...string) *Coordinator {
+	tb.Helper()
+	c := NewCoordinator(Options{Logf: logf})
+	mux := http.NewServeMux()
+	Mount(mux, c)
+	var h http.Handler = mux
+	if wrap != nil {
+		h = wrap(mux)
+	}
+	srv := httptest.NewServer(h)
+	tb.Cleanup(srv.Close)
+	ctx, stop := context.WithCancel(context.Background())
+	dones := make([]<-chan struct{}, len(names))
+	for i, name := range names {
+		dones[i] = startWorker(ctx, WorkerOptions{
+			Coordinator: srv.URL, Name: name, Poll: 2 * time.Millisecond, Logf: logf,
+		})
+	}
+	tb.Cleanup(func() {
+		stop()
+		for _, d := range dones {
+			<-d
+		}
+	})
+	return c
 }

@@ -132,8 +132,8 @@ func TestMergedTraceClockSkew(t *testing.T) {
 		err := coord.Result(env.Spec.Job, env.Spec.Shard, resultRequest{
 			Worker: wk.name,
 			Result: states[i],
-			Trace:  exp,
-			Clock:  obs.ClockState{OffsetMicros: wk.skew.Microseconds(), Samples: 1},
+			Trace:  &exp,
+			Clock:  &obs.ClockState{OffsetMicros: wk.skew.Microseconds(), Samples: 1},
 			Flight: series,
 		}, tc)
 		if err != nil {

@@ -156,10 +156,11 @@ func (w *Worker) claim(ctx context.Context) (*ShardEnvelope, obs.TraceContext, e
 // runShard executes one claimed shard to a posted result, a posted error, or
 // abandonment (canceled context / lost lease — the coordinator re-dispatches
 // from the last uploaded snapshot either way). tc is the claim's propagated
-// trace context: when it names a trace, the shard runs with a local tracer
-// whose buffered spans ship with the result for the coordinator to merge.
-// The shard's flight journal is always on — it is bounded, cheap, and rides
-// the same result post.
+// trace context: when it names a trace (the job is traced), the shard runs
+// with a local tracer whose buffered spans ship with the result for the
+// coordinator to merge; otherwise the shard runs with the nil tracer and its
+// result carries no trace sidecar. The shard's flight journal is always on —
+// it is bounded, cheap, and rides the same result post.
 func (w *Worker) runShard(ctx context.Context, env *ShardEnvelope, tc obs.TraceContext) {
 	if w.opts.onClaim != nil {
 		w.opts.onClaim(env)
@@ -237,14 +238,20 @@ func (w *Worker) runShard(ctx context.Context, env *ShardEnvelope, tc obs.TraceC
 		}
 		hits, misses := cache.Stats()
 		shardSpan.End()
-		// The observability sidecar rides the result post: buffered shard
-		// spans with this worker's trace epoch, the clock-offset estimate
-		// the coordinator rebases them with, and the shard's convergence
-		// journal in shard-local restart coordinates.
-		w.postResult(ctx, spec, resultRequest{
+		// The observability sidecar rides the result post: the shard's
+		// convergence journal in shard-local restart coordinates and, for a
+		// traced shard only, its buffered spans with this worker's trace
+		// epoch plus the clock-offset estimate the coordinator rebases them
+		// with.
+		req := resultRequest{
 			Worker: w.opts.Name, Result: res.State(), CacheHits: hits, CacheMisses: misses,
-			Trace: tr.Export(), Clock: w.clock.State(), Flight: fl.Series(),
-		}, tc)
+			Flight: fl.Series(),
+		}
+		if tr.Enabled() {
+			exp, clock := tr.Export(), w.clock.State()
+			req.Trace, req.Clock = &exp, &clock
+		}
+		w.postResult(ctx, spec, req, tc)
 		return
 	}
 }
