@@ -1,20 +1,14 @@
 package baseline
 
-import "repro/internal/obs"
-
 // Arena helpers for the baseline explorer's reusable scratch, mirroring
 // internal/core's (DESIGN.md §13): each returns a slice of length n backed
 // by buf's array when it is large enough, allocating only while the arena
 // warms up to its workload. Contents are unspecified; callers overwrite
 // every element they read.
 
-var obsBaselineArenaGrows = obs.Default.Counter("ise_baseline_arena_grows_total",
-	"Baseline-explorer arena buffer (re)allocations — nonzero only while per-worker arenas warm up to their DFG.")
-
 //alloc:amortized grow-on-demand arena helper; allocates only while per-worker buffers warm up to the DFG size
 func growInts(buf []int, n int) []int {
 	if cap(buf) < n {
-		obsBaselineArenaGrows.Inc()
 		return make([]int, n)
 	}
 	return buf[:n]
@@ -23,7 +17,6 @@ func growInts(buf []int, n int) []int {
 //alloc:amortized grow-on-demand arena helper; allocates only while per-worker buffers warm up to the DFG size
 func growFloats(buf []float64, n int) []float64 {
 	if cap(buf) < n {
-		obsBaselineArenaGrows.Inc()
 		return make([]float64, n)
 	}
 	return buf[:n]
@@ -32,7 +25,6 @@ func growFloats(buf []float64, n int) []float64 {
 //alloc:amortized grow-on-demand arena helper; allocates only while per-worker buffers warm up to the DFG size
 func growBools(buf []bool, n int) []bool {
 	if cap(buf) < n {
-		obsBaselineArenaGrows.Inc()
 		return make([]bool, n)
 	}
 	return buf[:n]

@@ -30,16 +30,8 @@ import (
 	"repro/internal/dfg"
 	"repro/internal/graph"
 	"repro/internal/machine"
-	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/sched"
-)
-
-var (
-	obsBaselineScratchReused = obs.Default.Counter("ise_baseline_scratch_reused_total",
-		"Baseline worker scratch (kernel + explorer arenas) acquisitions served warm from a Scratch pool.")
-	obsBaselineScratchFresh = obs.Default.Counter("ise_baseline_scratch_fresh_total",
-		"Baseline worker scratch acquisitions that had to build a fresh kernel + explorer.")
 )
 
 // workerScratch bundles the reusable per-worker state of one baseline
@@ -64,8 +56,6 @@ func NewScratch() *Scratch {
 	s.pool.New = func() any {
 		return &workerScratch{kern: sched.NewScheduler(), exp: &explorer{}}
 	}
-	s.pool.Reused = obsBaselineScratchReused
-	s.pool.Fresh = obsBaselineScratchFresh
 	return s
 }
 
@@ -215,9 +205,7 @@ func runOnce(ctx context.Context, d *dfg.DFG, cfg machine.Config, p core.Params,
 	res := &core.Result{BaseCycles: baseCycles, FinalCycles: baseCycles}
 	curSerial := e.serialCycles(nil)
 	for round := 0; round < p.MaxRounds; round++ {
-		if e.tab.Seed(d, p.Coefs()) {
-			obsBaselineArenaGrows.Inc()
-		}
+		e.tab.Seed(d, p.Coefs())
 		iters, err := e.converge(ctx)
 		if err != nil {
 			return nil, 0, err

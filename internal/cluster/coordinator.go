@@ -413,7 +413,6 @@ func (c *Coordinator) Claim(req claimRequest) (*ShardEnvelope, obs.TraceContext,
 			label = "retry"
 		}
 		fl.RecordEvent(obs.FlightShard, label, s.index, retry, 0)
-		obsShardsClaimed.Inc()
 		c.opts.Logf("cluster: job %s shard %d -> worker %s (resume=%v, retry %d)",
 			env.Spec.Job, env.Spec.Shard, req.Worker, env.Snapshot != nil, retry)
 		return env, tc, true
@@ -457,7 +456,6 @@ func (c *Coordinator) expire(now time.Time) {
 			if s.retries > c.opts.MaxRetries {
 				j.failed = fmt.Errorf("cluster: job %s shard %d exceeded %d retries",
 					j.id, s.index, c.opts.MaxRetries)
-				obsJobsFailed.Inc()
 				events = append(events, flightEvent{j.flight, "failed", s.index, s.retries})
 				close(j.done)
 				break // job is dead; its other shards no longer matter
@@ -498,7 +496,6 @@ func (c *Coordinator) Heartbeat(jobID string, shard int, req heartbeatRequest) e
 	s.lastBeat = now
 	if req.Snapshot != nil {
 		s.snap = req.Snapshot
-		obsSnapshotUploads.Inc()
 	}
 	// Fold the delta between the worker's cumulative local-cache report and
 	// the last one seen into the shard's labeled counters and the job totals. A
@@ -561,7 +558,6 @@ func (c *Coordinator) Result(jobID string, shard int, req resultRequest, tc obs.
 		if s.retries > c.opts.MaxRetries {
 			j.failed = fmt.Errorf("cluster: job %s shard %d exceeded %d retries",
 				jobID, shard, c.opts.MaxRetries)
-			obsJobsFailed.Inc()
 			label = "failed"
 			close(j.done)
 		} else {
@@ -640,7 +636,6 @@ func (c *Coordinator) Result(jobID string, shard int, req resultRequest, tc obs.
 	}
 	fl.MergeRebased(req.Flight, block, firstRestart)
 	fl.RecordEvent(obs.FlightShard, "done", shard, retries, float64(req.Result.FinalCycles))
-	obsShardsDone.Inc()
 	if notify != nil {
 		notify(ev)
 	}
@@ -691,6 +686,5 @@ func (c *Coordinator) reduce(j *dJob) (*core.Result, error) {
 		return nil, fmt.Errorf("cluster: job %s reduced to no result", j.id)
 	}
 	best.CacheHits, best.CacheMisses = hits, misses
-	obsJobsDone.Inc()
 	return best, nil
 }

@@ -210,7 +210,6 @@ func (w *Worker) runShard(ctx context.Context, env *ShardEnvelope, tc obs.TraceC
 			// Slice expired mid-run: checkpoint and keep going, unless the
 			// worker itself is shutting down.
 			if ctx.Err() != nil {
-				obsWorkerAbandoned.Inc()
 				w.opts.Logf("cluster: worker %s abandoning job %s shard %d (shutdown)", w.opts.Name, spec.Job, spec.Shard)
 				return
 			}
@@ -220,7 +219,6 @@ func (w *Worker) runShard(ctx context.Context, env *ShardEnvelope, tc obs.TraceC
 				Worker: w.opts.Name, Snapshot: snap, CacheHits: hits, CacheMisses: misses,
 			}, tc); err != nil {
 				if errors.Is(err, ErrGone) {
-					obsWorkerAbandoned.Inc()
 					w.opts.Logf("cluster: worker %s abandoning job %s shard %d (lease gone)", w.opts.Name, spec.Job, spec.Shard)
 					return
 				}
@@ -275,11 +273,10 @@ func (w *Worker) heartbeat(ctx context.Context, spec ShardSpec, req heartbeatReq
 	return w.rpc(ctx, w.shardURL(spec, "heartbeat"), req, tc)
 }
 
-// postResult delivers the shard outcome, counting the shard as run. A
-// delivery error is logged and dropped: the lease lapses and the shard
-// re-dispatches, which is the same recovery path as worker death.
+// postResult delivers the shard outcome. A delivery error is logged and
+// dropped: the lease lapses and the shard re-dispatches, which is the same
+// recovery path as worker death.
 func (w *Worker) postResult(ctx context.Context, spec ShardSpec, req resultRequest, tc obs.TraceContext) {
-	obsWorkerShardsRun.Inc()
 	if err := w.rpc(ctx, w.shardURL(spec, "result"), req, tc); err != nil && !errors.Is(err, ErrGone) {
 		w.opts.Logf("cluster: worker %s result job %s shard %d: %v", w.opts.Name, spec.Job, spec.Shard, err)
 	}

@@ -255,7 +255,6 @@ func exploreResumable(ctx context.Context, d *dfg.DFG, cfg machine.Config, p Par
 		default:
 			results[r] = res
 			partials[r] = nil
-			obsRestarts.Inc()
 			if opts.Flight.Enabled() {
 				hits, misses := cache.Stats()
 				rate := 0.0
@@ -263,10 +262,6 @@ func exploreResumable(ctx context.Context, d *dfg.DFG, cfg machine.Config, p Par
 					rate = float64(hits) / float64(total)
 				}
 				opts.Flight.Record(obs.FlightCache, r, res.Rounds, rate, float64(hits+misses))
-				// The cumulative kernel delta-resume counter, snapshotted
-				// into the journal (an obs value fed straight back into
-				// obs — the read never reaches a decision).
-				opts.Flight.Record(obs.FlightDelta, r, res.Rounds, obsDeltaResumes.Value(), 0)
 			}
 			if opts.OnRestartDone != nil {
 				hits, misses := cache.Stats()
@@ -624,7 +619,6 @@ func (e *explorer) bestCandidate(curLen int) *candidate {
 // previous call's leading groups (the accepted ISEs), so only the candidate
 // group is validated and measured from scratch.
 func (e *explorer) evaluate(cand *ISE) (int, error) {
-	obsCandidates.Inc()
 	sp := e.tr.Begin("evaluate", e.tid).Arg("nodes", int64(cand.Nodes.Len()))
 	e.evalAssign = BuildAssignmentWith(e.evalAssign, e.d, e.fixed, cand)
 	n, err := e.cache.ScheduleWith(e.kern, e.d, e.evalAssign, e.cfg)

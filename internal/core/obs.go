@@ -16,17 +16,8 @@ var (
 	obsCacheHits   [evalShards]*obs.Counter
 	obsCacheMisses [evalShards]*obs.Counter
 
-	obsRestarts   = obs.Default.Counter("ise_explore_restarts_total", "Exploration restarts completed.")
 	obsRounds     = obs.Default.Counter("ise_explore_rounds_total", "ACO rounds converged across all restarts.")
 	obsIterations = obs.Default.Counter("ise_explore_iterations_total", "ACO convergence iterations (ant walks) across all restarts.")
-	obsCandidates = obs.Default.Counter("ise_explore_candidates_total", "ISE candidate evaluations (schedule calls through the memo).")
-
-	// obsDeltaResumes is the scheduling kernel's delta-resume counter —
-	// registration is get-or-create, so this is the same *Counter
-	// internal/sched increments. The exploration loop snapshots its value
-	// into the flight recorder at restart boundaries (obs.FlightDelta).
-	obsDeltaResumes = obs.Default.Counter("ise_sched_delta_resumes_total",
-		"Schedule calls that replayed the previous schedule's unaffected prefix instead of scheduling from cycle 1.")
 )
 
 func init() {

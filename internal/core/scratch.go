@@ -4,22 +4,8 @@ import (
 	"sync"
 
 	"repro/internal/dfg"
-	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/sched"
-)
-
-// Cross-exploration scratch pooling (DESIGN.md §13). One exploration worker
-// needs a scheduling kernel and an explorer, both of which are grow-only
-// arenas: warming them is a fixed cost per (worker, DFG) pair. A Scratch
-// keeps those pairs alive across explorations, so a flow run that explores
-// many hot blocks — or an experiments sweep that builds many pools — pays
-// warmup once per worker for the whole run instead of once per block.
-var (
-	obsScratchReused = obs.Default.Counter("ise_explore_scratch_reused_total",
-		"Exploration worker scratch (kernel + explorer arenas) acquisitions served warm from a Scratch pool.")
-	obsScratchFresh = obs.Default.Counter("ise_explore_scratch_fresh_total",
-		"Exploration worker scratch acquisitions that had to build a fresh kernel + explorer.")
 )
 
 // workerScratch bundles the reusable per-worker state of one exploration
@@ -37,6 +23,13 @@ type workerScratch struct {
 // run (or one process — the pool only ever holds as many items as were
 // simultaneously in use). Safe for concurrent use; see
 // parallel.ScratchPool for the reuse contract.
+//
+// One exploration worker needs a scheduling kernel and an explorer, both of
+// which are grow-only arenas: warming them is a fixed cost per (worker, DFG)
+// pair. A Scratch keeps those pairs alive across explorations (DESIGN.md
+// §13), so a flow run that explores many hot blocks — or an experiments
+// sweep that builds many pools — pays warmup once per worker for the whole
+// run instead of once per block.
 type Scratch struct {
 	pool parallel.ScratchPool
 
@@ -97,8 +90,6 @@ func NewScratch() *Scratch {
 	s.pool.New = func() any {
 		return &workerScratch{kern: sched.NewScheduler(), exp: &explorer{}}
 	}
-	s.pool.Reused = obsScratchReused
-	s.pool.Fresh = obsScratchFresh
 	return s
 }
 

@@ -18,20 +18,10 @@ import (
 	"repro/internal/dfg"
 	"repro/internal/machine"
 	"repro/internal/merging"
-	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/replace"
 	"repro/internal/sched"
 	"repro/internal/selection"
-)
-
-// Flow-stage metrics on the obs.Default registry (observation-only; see
-// DESIGN.md §12).
-var (
-	obsPoolsBuilt = obs.Default.Counter("ise_flow_pools_built_total",
-		"Design-flow pools built (profile + exploration + merging).")
-	obsPricingEvals = obs.Default.Counter("ise_flow_pricing_evals_total",
-		"Schedule evaluations issued by candidate pricing (realMarginalGains).")
 )
 
 // Algorithm names the exploration algorithm to use.
@@ -288,7 +278,6 @@ func BuildPoolCtx(ctx context.Context, bm *bench.Benchmark, opts Options) (*Pool
 	}
 	pool.CacheHits, pool.CacheMisses = cache.Stats()
 	pool.Groups = merging.Merge(cands)
-	obsPoolsBuilt.Inc()
 	return pool, nil
 }
 
@@ -303,7 +292,6 @@ func BuildPoolCtx(ctx context.Context, bm *bench.Benchmark, opts Options) (*Pool
 // exploration has already scheduled every cumulative prefix it accepted, so
 // pricing is normally all cache hits.
 func realMarginalGains(d *dfg.DFG, cfg machine.Config, ises []*core.ISE, cache *core.EvalCache, kern *sched.Scheduler) ([]float64, error) {
-	obsPricingEvals.Add(float64(len(ises) + 1))
 	prevLen, err := cache.ScheduleWith(kern, d, sched.AllSoftware(d.Len()), cfg)
 	if err != nil {
 		return nil, fmt.Errorf("flow: pricing %s: %w", d.Name, err)

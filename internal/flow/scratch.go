@@ -3,7 +3,6 @@ package flow
 import (
 	"repro/internal/baseline"
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/sched"
 )
@@ -17,11 +16,6 @@ import (
 // per restart, the kernels version their tables per call), so results are
 // byte-identical with or without pooling, at any worker count.
 var (
-	obsFlowKernReused = obs.Default.Counter("ise_flow_kern_reused_total",
-		"Flow scheduling-kernel acquisitions served warm from the process-wide pool.")
-	obsFlowKernFresh = obs.Default.Counter("ise_flow_kern_fresh_total",
-		"Flow scheduling-kernel acquisitions that had to build a fresh kernel.")
-
 	// exploreScratch pools the MI exploration's per-worker scratch (kernel +
 	// explorer arenas) across hot blocks and across pools.
 	exploreScratch = core.NewScratch()
@@ -30,11 +24,7 @@ var (
 	// kernPool pools the flow's own scheduling kernels: whole-program base
 	// schedules, candidate pricing, and the per-block re-scheduling of
 	// Evaluate sweeps.
-	kernPool = parallel.ScratchPool{
-		New:    func() any { return sched.NewScheduler() },
-		Reused: obsFlowKernReused,
-		Fresh:  obsFlowKernFresh,
-	}
+	kernPool = parallel.ScratchPool{New: func() any { return sched.NewScheduler() }}
 )
 
 // getKern borrows a warmed scheduling kernel from the process-wide pool;

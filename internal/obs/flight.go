@@ -20,10 +20,6 @@ const (
 	// traffic depends on timing and on what other work warmed the cache,
 	// so cache samples sit outside the determinism comparison.
 	FlightCache = "cache"
-	// FlightDelta snapshots the cumulative delta-scheduling resume
-	// counter at the end of a restart (Value); like cache samples it is
-	// timing-dependent.
-	FlightDelta = "delta"
 	// FlightShard is a shard lifecycle event recorded by the cluster
 	// coordinator: Restart is the shard index, Round the dispatch
 	// attempt, Label one of "claim", "retry", "done", "failed".

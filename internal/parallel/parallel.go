@@ -10,40 +10,14 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 )
 
-// Pool metrics on the obs.Default registry: items run, workers currently
-// busy, per-item run time, and per-item queue wait (time from pool start to
-// the item being claimed — the item's wait for a free worker). Observation
-// only: fn's outputs never depend on them, and the pool's determinism
-// contract (per-index slots) is untouched.
-var (
-	obsItems = obs.Default.Counter("ise_parallel_items_total",
-		"Work items completed by the bounded worker pool.")
-	obsBusy = obs.Default.Gauge("ise_parallel_workers_busy",
-		"Worker goroutines currently running an item.")
-	obsItemSeconds = obs.Default.Histogram("ise_parallel_item_seconds",
-		"Run time of one work item.", nil)
-	obsQueueWait = obs.Default.Histogram("ise_parallel_queue_wait_seconds",
-		"Delay between pool start and an item being claimed by a worker.", nil)
-)
-
-// runItem wraps one fn invocation with the pool metrics. poolStart is when
-// the enclosing ForEachWorkerCtx call began.
-func runItem(poolStart time.Time, fn func(worker, i int), worker, i int) {
-	obsQueueWait.Observe(time.Since(poolStart).Seconds())
-	obsBusy.Add(1)
-	itemStart := time.Now()
-	defer func() {
-		obsItemSeconds.Observe(time.Since(itemStart).Seconds())
-		obsBusy.Add(-1)
-		obsItems.Inc()
-	}()
-	fn(worker, i)
-}
+// obsItems counts the pool's completed work items on the obs.Default
+// registry. Observation only: fn's outputs never depend on it.
+var obsItems = obs.Default.Counter("ise_parallel_items_total",
+	"Work items completed by the bounded worker pool.")
 
 // Degree resolves a requested worker count for n work items: requested <= 0
 // means "one worker per item", so every item starts at once and the Go
@@ -90,14 +64,14 @@ func ForEachWorkerCtx(ctx context.Context, n, workers int, fn func(worker, i int
 	if n <= 0 {
 		return ctx.Err()
 	}
-	start := time.Now()
 	w := Degree(workers, n)
 	if w == 1 {
 		for i := 0; i < n; i++ {
 			if ctx.Err() != nil {
 				return ctx.Err()
 			}
-			runItem(start, fn, 0, i)
+			fn(0, i)
+			obsItems.Inc()
 		}
 		return ctx.Err()
 	}
@@ -129,7 +103,8 @@ func ForEachWorkerCtx(ctx context.Context, n, workers int, fn func(worker, i int
 				if i >= n {
 					return
 				}
-				runItem(start, fn, worker, i)
+				fn(worker, i)
+				obsItems.Inc()
 			}
 		}(k)
 	}

@@ -1,10 +1,6 @@
 package parallel
 
-import (
-	"sync"
-
-	"repro/internal/obs"
-)
+import "sync"
 
 // ScratchPool is a concurrency-safe free list of per-worker scratch values
 // (scheduling kernels, explorer arenas). Unlike sync.Pool it never discards
@@ -24,11 +20,6 @@ type ScratchPool struct {
 	// before the first Get and never changed afterwards.
 	New func() any
 
-	// Reused and Fresh, when non-nil, count Gets served from the free list
-	// and Gets that had to build a new item — the observability hook behind
-	// the "arenas stay warm across blocks" claim. Observation only.
-	Reused, Fresh *obs.Counter
-
 	mu   sync.Mutex
 	free []any // guarded by mu
 }
@@ -42,15 +33,9 @@ func (p *ScratchPool) Get() any {
 		p.free[n-1] = nil
 		p.free = p.free[:n-1]
 		p.mu.Unlock()
-		if p.Reused != nil {
-			p.Reused.Inc()
-		}
 		return v
 	}
 	p.mu.Unlock()
-	if p.Fresh != nil {
-		p.Fresh.Inc()
-	}
 	return p.New()
 }
 

@@ -2,15 +2,9 @@ package sched
 
 import "repro/internal/obs"
 
-// Process-wide kernel metrics on the obs.Default registry. Observation-only:
-// written on the hot path (one counter CAS per call, one per arena grow),
+// obsScheduleCalls counts kernel invocations on the obs.Default registry.
+// Observation-only: written on the hot path (one counter CAS per call),
 // never read back; the kernel's 0 allocs/op steady state is unchanged
-// (counters and disabled spans allocate nothing).
-var (
-	obsScheduleCalls = obs.Default.Counter("ise_sched_schedule_calls_total",
-		"List-scheduling kernel invocations.")
-	obsArenaGrows = obs.Default.Counter("ise_sched_arena_grows_total",
-		"Scheduler arena buffer (re)allocations — nonzero only while arenas warm up to their workload.")
-	obsDeltaResumes = obs.Default.Counter("ise_sched_delta_resumes_total",
-		"Schedule calls that replayed the previous schedule's unaffected prefix instead of scheduling from cycle 1.")
-)
+// (counters allocate nothing).
+var obsScheduleCalls = obs.Default.Counter("ise_sched_schedule_calls_total",
+	"List-scheduling kernel invocations.")

@@ -158,7 +158,6 @@ func (s *Schedule) Clone() *Schedule {
 //alloc:amortized grow-on-demand arena helper; allocates only while the scheduler arena warms up to the DFG size
 func growInts(buf []int, n int) []int {
 	if cap(buf) < n {
-		obsArenaGrows.Inc()
 		return make([]int, n)
 	}
 	return buf[:n]
@@ -167,7 +166,6 @@ func growInts(buf []int, n int) []int {
 //alloc:amortized grow-on-demand arena helper; allocates only while the scheduler arena warms up to the DFG size
 func growFloats(buf []float64, n int) []float64 {
 	if cap(buf) < n {
-		obsArenaGrows.Inc()
 		return make([]float64, n)
 	}
 	return buf[:n]
@@ -176,7 +174,6 @@ func growFloats(buf []float64, n int) []float64 {
 //alloc:amortized grow-on-demand arena helper; allocates only while the scheduler arena warms up to the DFG size
 func growMarks(buf []uint32, n int) []uint32 {
 	if cap(buf) < n {
-		obsArenaGrows.Inc()
 		return make([]uint32, n)
 	}
 	return buf[:n]
@@ -185,7 +182,6 @@ func growMarks(buf []uint32, n int) []uint32 {
 //alloc:amortized grow-on-demand arena helper; allocates only while the scheduler arena warms up to the DFG size
 func growBools(buf []bool, n int) []bool {
 	if cap(buf) < n {
-		obsArenaGrows.Inc()
 		return make([]bool, n)
 	}
 	return buf[:n]
@@ -728,7 +724,6 @@ func (s *Scheduler) listSchedule(d *dfg.DFG, cfg machine.Config, from int) error
 		from = limit + 1
 	}
 	if from > 1 {
-		obsDeltaResumes.Inc()
 		// Replay the unaffected prefix of the previous schedule: matched
 		// macros issued before the repair point keep their cycles and
 		// reservations verbatim. Reservations are commutative, so reserving

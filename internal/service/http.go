@@ -22,8 +22,7 @@ import (
 //	GET    /v1/fleet/metrics    merged fleet exposition, node-labeled (404
 //	                            unless this server is a coordinator)
 //	GET    /healthz             200 ok / 503 draining
-//	GET    /metrics             Prometheus text exposition (?format=json for
-//	                            the legacy JSON counters, ?format=dump for
+//	GET    /metrics             Prometheus text exposition (?format=dump for
 //	                            the machine-readable registry dump that
 //	                            fleet coordinators scrape)
 func NewMux(m *Manager) *http.ServeMux {
@@ -93,11 +92,7 @@ func NewMux(m *Manager) *http.ServeMux {
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		switch r.URL.Query().Get("format") {
-		case "json":
-			writeJSON(w, http.StatusOK, m.Metrics())
-			return
-		case "dump":
+		if r.URL.Query().Get("format") == "dump" {
 			writeJSON(w, http.StatusOK, m.MetricsDump())
 			return
 		}

@@ -121,16 +121,16 @@ func TestHTTPHealthAndMetrics(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz %d", resp.StatusCode)
 	}
-	resp, err = http.Get(srv.URL + "/metrics?format=json")
+	resp, err = http.Get(srv.URL + "/metrics?format=dump")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var met map[string]any
+	var met obs.RegistryDump
 	if err := json.NewDecoder(resp.Body).Decode(&met); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := met["queue_depth"]; !ok {
+	if _, ok := dumpSeries(met, "queue_depth"); !ok {
 		t.Fatalf("metrics missing queue_depth: %v", met)
 	}
 

@@ -196,7 +196,7 @@ func (m *Manager) reload(cp *Checkpoint) {
 	m.jobs[j.id] = j
 	m.queue = append(m.queue, j)
 	m.mu.Unlock()
-	m.met.incResumed()
+	m.met.resumed.Inc()
 	m.logf("service: reloaded job %s (%d blocks done, snapshot=%v)",
 		j.id, len(cp.Blocks), cp.Snapshot != nil)
 }
@@ -234,12 +234,12 @@ func (m *Manager) Submit(spec JobSpec) (JobStatus, error) {
 	m.mu.Lock()
 	if m.draining {
 		m.mu.Unlock()
-		m.met.incRejected()
+		m.met.rejected.Inc()
 		return JobStatus{}, ErrDraining
 	}
 	if len(m.queue) >= m.cfg.QueueSize {
 		m.mu.Unlock()
-		m.met.incRejected()
+		m.met.rejected.Inc()
 		return JobStatus{}, ErrQueueFull
 	}
 	j.state = StateQueued
@@ -248,7 +248,7 @@ func (m *Manager) Submit(spec JobSpec) (JobStatus, error) {
 	m.queue = append(m.queue, j)
 	m.mu.Unlock()
 
-	m.met.incSubmitted()
+	m.met.submitted.Inc()
 	if m.store != nil {
 		if err := m.store.Save(cp); err != nil {
 			m.logf("service: persist job %s: %v", j.id, err)
@@ -360,7 +360,7 @@ func (m *Manager) Cancel(id string) (JobStatus, error) {
 		j.finished = time.Now()
 		j.cp = nil
 		m.mu.Unlock()
-		m.met.incCanceled()
+		m.met.canceled.Inc()
 		j.events.publish(Event{Type: EventCanceled, Time: time.Now(),
 			State: StateCanceled, Error: errCancelCause.Error()})
 		j.events.close()
@@ -420,24 +420,6 @@ func (m *Manager) Draining() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.draining
-}
-
-// Metrics returns the /metrics payload: counters, latency quantiles, queue
-// depth and per-state job counts.
-func (m *Manager) Metrics() map[string]any {
-	out := m.met.snapshot()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out["queue_depth"] = len(m.queue)
-	out["jobs_running"] = m.running
-	states := map[State]int{}
-	for _, j := range m.jobs {
-		states[j.state]++
-	}
-	for s, n := range states {
-		out["jobs_state_"+string(s)] = n
-	}
-	return out
 }
 
 // Drain begins graceful shutdown: new submissions are rejected, running
@@ -516,7 +498,7 @@ func (m *Manager) next() (*job, context.Context, context.CancelCauseFunc) {
 			wait := j.started.Sub(j.submitted)
 			m.running++
 			m.mu.Unlock()
-			m.met.observeQueueWait(wait)
+			m.met.queueWait.Observe(wait.Seconds())
 			return j, ctx, cancel
 		}
 		m.mu.Unlock()
@@ -666,7 +648,8 @@ func (m *Manager) blockDone(j *job, blocks []BlockResult, br BlockResult, bi, to
 		Blocks: j.blocks, Block: bi + 1, Flight: fl}
 	ncp := j.cp
 	m.mu.Unlock()
-	m.met.addCache(br.CacheHits, br.CacheMisses)
+	m.met.cacheHits.Add(float64(br.CacheHits))
+	m.met.cacheMisses.Add(float64(br.CacheMisses))
 	if m.store != nil {
 		if err := m.store.Save(ncp); err != nil {
 			m.logf("service: persist job %s: %v", j.id, err)
@@ -738,7 +721,7 @@ func (m *Manager) interrupted(j *job, ctx context.Context, blocks []BlockResult,
 		j.cp = cp
 		m.running--
 		m.mu.Unlock()
-		m.met.incCheckpoints()
+		m.met.checkpoints.Inc()
 		if m.store != nil {
 			if err := m.store.Save(cp); err != nil {
 				m.logf("service: checkpoint job %s: %v", j.id, err)
@@ -776,13 +759,13 @@ func (m *Manager) finish(j *job, state State, errMsg string) {
 	evType := EventDone
 	switch state {
 	case StateDone:
-		m.met.incDone()
-		m.met.observeLatency(latency)
+		m.met.done.Inc()
+		m.met.latency.Observe(latency.Seconds())
 	case StateFailed:
-		m.met.incFailed()
+		m.met.failed.Inc()
 		evType = EventFailed
 	case StateCanceled:
-		m.met.incCanceled()
+		m.met.canceled.Inc()
 		evType = EventCanceled
 	}
 	j.events.publish(Event{Type: evType, Time: now, State: state, Error: errMsg})

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // testSpec is a small, fast job: the crc32 inner loop with reduced-effort
@@ -160,9 +161,8 @@ func TestQueueOverflowRejects(t *testing.T) {
 	if full != 3 {
 		t.Fatalf("%d rejections, want 3", full)
 	}
-	met := m.Metrics()
-	if met["jobs_rejected_total"].(uint64) != 3 {
-		t.Fatalf("jobs_rejected_total = %v, want 3", met["jobs_rejected_total"])
+	if s, _ := dumpSeries(m.MetricsDump(), "jobs_rejected_total"); s.Value != 3 {
+		t.Fatalf("jobs_rejected_total = %v, want 3", s.Value)
 	}
 	if _, err := m.Cancel(pinned.ID); err != nil {
 		t.Fatal(err)
@@ -291,8 +291,8 @@ func TestConcurrentCancelQueuedJob(t *testing.T) {
 	if won != 1 {
 		t.Fatalf("%d Cancel calls succeeded, want 1", won)
 	}
-	if n := m.Metrics()["jobs_canceled_total"].(uint64); n != 1 {
-		t.Fatalf("jobs_canceled_total = %d, want 1", n)
+	if s, _ := dumpSeries(m.MetricsDump(), "jobs_canceled_total"); s.Value != 1 {
+		t.Fatalf("jobs_canceled_total = %v, want 1", s.Value)
 	}
 	if _, err := m.Cancel(first.ID); err != nil {
 		t.Fatal(err)
@@ -320,9 +320,8 @@ func TestCancelRunningJob(t *testing.T) {
 	if final.Error == "" {
 		t.Fatal("canceled job has no error message")
 	}
-	met := m.Metrics()
-	if met["jobs_canceled_total"].(uint64) != 1 {
-		t.Fatalf("jobs_canceled_total = %v, want 1", met["jobs_canceled_total"])
+	if s, _ := dumpSeries(m.MetricsDump(), "jobs_canceled_total"); s.Value != 1 {
+		t.Fatalf("jobs_canceled_total = %v, want 1", s.Value)
 	}
 }
 
@@ -350,19 +349,33 @@ func TestMetricsShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, m, st.ID, StateDone)
-	met := m.Metrics()
+	met := m.MetricsDump()
 	for _, key := range []string{
 		"jobs_submitted_total", "jobs_done_total", "queue_depth",
 		"eval_cache_hits_total", "eval_cache_misses_total",
-		"job_latency_seconds_p50", "job_latency_seconds_p99",
 	} {
-		if _, ok := met[key]; !ok {
+		if _, ok := dumpSeries(met, key); !ok {
 			t.Errorf("metrics missing %s", key)
 		}
 	}
-	if met["jobs_done_total"].(uint64) != 1 {
-		t.Fatalf("jobs_done_total = %v", met["jobs_done_total"])
+	// The finished job's latency is recorded, so its quantiles are defined.
+	if s, _ := dumpSeries(met, "job_latency_seconds"); s.Hist == nil || s.Hist.Count == 0 {
+		t.Errorf("metrics missing job_latency_seconds samples: %+v", s.Hist)
 	}
+	if s, _ := dumpSeries(met, "jobs_done_total"); s.Value != 1 {
+		t.Fatalf("jobs_done_total = %v", s.Value)
+	}
+}
+
+// dumpSeries returns the first series of family name in d, and whether the
+// family is there.
+func dumpSeries(d obs.RegistryDump, name string) (obs.SeriesDump, bool) {
+	for _, f := range d.Families {
+		if f.Name == name && len(f.Series) > 0 {
+			return f.Series[0], true
+		}
+	}
+	return obs.SeriesDump{}, false
 }
 
 func TestDrainRejectsSubmissions(t *testing.T) {

@@ -61,49 +61,6 @@ func newMetrics() *metrics {
 	}
 }
 
-func (m *metrics) incSubmitted()   { m.submitted.Inc() }
-func (m *metrics) incRejected()    { m.rejected.Inc() }
-func (m *metrics) incResumed()     { m.resumed.Inc() }
-func (m *metrics) incDone()        { m.done.Inc() }
-func (m *metrics) incFailed()      { m.failed.Inc() }
-func (m *metrics) incCanceled()    { m.canceled.Inc() }
-func (m *metrics) incCheckpoints() { m.checkpoints.Inc() }
-
-// addCache folds one finished block's cache counters into the totals.
-func (m *metrics) addCache(hits, misses uint64) {
-	m.cacheHits.Add(float64(hits))
-	m.cacheMisses.Add(float64(misses))
-}
-
-// observeLatency records one completed job's running time.
-func (m *metrics) observeLatency(d time.Duration) { m.latency.Observe(d.Seconds()) }
-
-// observeQueueWait records how long a claimed job sat in the queue.
-func (m *metrics) observeQueueWait(d time.Duration) { m.queueWait.Observe(d.Seconds()) }
-
-// snapshot returns the counters and latency quantiles as a flat JSON-ready
-// map (expvar-style: one scalar per key) — the compatibility body of
-// GET /metrics?format=json. Counter keys and types match the pre-obs
-// implementation exactly; quantile keys appear once a job has finished.
-func (m *metrics) snapshot() map[string]any {
-	out := map[string]any{
-		"jobs_submitted_total":    uint64(m.submitted.Value()),
-		"jobs_rejected_total":     uint64(m.rejected.Value()),
-		"jobs_resumed_total":      uint64(m.resumed.Value()),
-		"jobs_done_total":         uint64(m.done.Value()),
-		"jobs_failed_total":       uint64(m.failed.Value()),
-		"jobs_canceled_total":     uint64(m.canceled.Value()),
-		"checkpoints_total":       uint64(m.checkpoints.Value()),
-		"eval_cache_hits_total":   uint64(m.cacheHits.Value()),
-		"eval_cache_misses_total": uint64(m.cacheMisses.Value()),
-	}
-	if m.latency.Count() > 0 {
-		out["job_latency_seconds_p50"] = m.latency.Quantile(0.50)
-		out["job_latency_seconds_p99"] = m.latency.Quantile(0.99)
-	}
-	return out
-}
-
 // WritePrometheus writes the manager's registry followed by the
 // process-global engine registry (eval-cache, scheduler, worker-pool
 // metrics) in Prometheus text exposition format — the default body of
