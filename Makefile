@@ -1,4 +1,4 @@
-.PHONY: tier1 race lint bench benchall fmt results serve-smoke cluster-smoke profile
+.PHONY: tier1 race lint bench benchall fmt loc results serve-smoke cluster-smoke profile
 
 # Tier 1: the fast correctness gate.
 tier1:
@@ -51,6 +51,12 @@ benchall:
 
 fmt:
 	gofmt -l .
+
+# Non-test code lines under internal/ and cmd/: every .go file except tests
+# and lint fixtures, without blank and comment-only lines. CHANGES.md and
+# ROADMAP.md quote this count.
+loc:
+	@find internal cmd -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | grep -vcE '^\s*($$|//)'
 
 # Pin the paper's numbers to the code: regenerate every table and figure
 # and diff the output against results_full.txt line for line, ignoring only

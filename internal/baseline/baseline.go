@@ -26,6 +26,7 @@ import (
 	"math/rand"
 
 	"repro/internal/aco"
+	"repro/internal/arena"
 	"repro/internal/core"
 	"repro/internal/dfg"
 	"repro/internal/graph"
@@ -170,13 +171,8 @@ type explorer struct {
 	groupNodes []int         // arena: flat group-member storage
 	groupStack []int         // arena: component DFS stack
 
-	// Subgraph-metric scratch. depthF entries are written before they are
-	// read in topological order, so no reset is needed between calls.
-	depthF    []float64     // arena: longest-path depths
-	vsSet     graph.NodeSet // arena: hwMerit's virtual subgraph vSx
-	vsMembers []int         // arena: membersInTopoOrder's result
-	hwCycles  []int         // arena: per-option subgraph cycles
-	hwAreas   []float64     // arena: per-option subgraph areas
+	meter core.VSMeter  // measures each vSx and applies its merit cases
+	vsSet graph.NodeSet // arena: the virtual subgraph vSx being measured
 
 	io dfg.IOScratch // IN/OUT counting without dfg.In/Out's per-call map
 
@@ -192,7 +188,7 @@ type explorer struct {
 func (e *explorer) reset(d *dfg.DFG, cfg machine.Config, p core.Params, rng *rand.Rand) {
 	e.d, e.cfg, e.p, e.rng = d, cfg, p, rng
 	e.fixed = e.fixed[:0]
-	e.inISE = growBools(e.inISE, d.Len())
+	e.inISE = arena.Grow(e.inISE, d.Len())
 	for i := range e.inISE {
 		e.inISE[i] = false
 	}
@@ -266,7 +262,7 @@ func (e *explorer) converge(ctx context.Context) (int, error) {
 //alloc:free
 func (e *explorer) selectOptions() []int {
 	n := e.d.Len()
-	e.chosen = growInts(e.chosen, n)
+	e.chosen = arena.Grow(e.chosen, n)
 	chosen := e.chosen
 	for x := 0; x < n; x++ {
 		if e.inISE[x] {
@@ -298,7 +294,7 @@ func (e *explorer) buildGroups(chosen []int) {
 			anyHW = true
 		}
 	}
-	e.groupOf = growInts(e.groupOf, n)
+	e.groupOf = arena.Grow(e.groupOf, n)
 	groupOf := e.groupOf
 	for i := range groupOf {
 		groupOf[i] = -1
@@ -358,85 +354,14 @@ func (e *explorer) serialCycles(chosen []int) int {
 		e.buildGroups(chosen)
 		for g := 0; g < len(e.groupStart)-1; g++ {
 			members := e.groupNodes[e.groupStart[g]:e.groupStart[g+1]]
-			cycles += sched.CyclesForDelay(e.groupDelay(members, chosen))
+			// A member's predecessors in hwSet are in its own group.
+			cycles += sched.CyclesForDelay(e.meter.Delay(e.d, e.hwSet, members, chosen, e.tab.NumSW))
 			counted += len(members)
 		}
 	}
 	// Fixed members, group members and the remaining one-cycle software
 	// stream are disjoint, so the uncounted remainder is n - counted.
 	return cycles + e.d.Len() - counted
-}
-
-// groupDelay is the combinational depth of one iteration group. members must
-// be the group's CSR segment (topologically sorted), so each member's
-// in-group predecessors are written into depthF before it reads them.
-func (e *explorer) groupDelay(members []int, chosen []int) float64 {
-	d := e.d
-	e.depthF = growFloats(e.depthF, d.Len())
-	depth := e.depthF
-	g := e.groupOf[members[0]]
-	maxDelay := 0.0
-	for _, v := range members {
-		j := chosen[v] - e.tab.NumSW[v]
-		if j < 0 {
-			j = 0 // member chose software; assume its first cell
-		}
-		in := 0.0
-		for _, p := range d.G.Preds(v) {
-			if e.groupOf[p] == g && depth[p] > in {
-				in = depth[p]
-			}
-		}
-		dv := in + d.Nodes[v].HW[j].DelayNS
-		depth[v] = dv
-		if dv > maxDelay {
-			maxDelay = dv
-		}
-	}
-	return maxDelay
-}
-
-// vsMetrics measures subgraph vs's combinational depth and area; if override
-// is a member, it uses hwIdx for that node instead of its chosen option.
-// members must be vs's members in topological order — the float accumulation
-// order of the original whole-topo scan.
-func (e *explorer) vsMetrics(vs graph.NodeSet, members []int, chosen []int, override, hwIdx int) (delayNS, areaUM2 float64) {
-	d := e.d
-	e.depthF = growFloats(e.depthF, d.Len())
-	depth := e.depthF
-	for _, v := range members {
-		j := hwIdx
-		if v != override {
-			j = chosen[v] - e.tab.NumSW[v]
-			if j < 0 {
-				j = 0 // member chose software; assume its first cell
-			}
-		}
-		in := 0.0
-		for _, p := range d.G.Preds(v) {
-			if vs.Contains(p) && depth[p] > in {
-				in = depth[p]
-			}
-		}
-		dv := in + d.Nodes[v].HW[j].DelayNS
-		depth[v] = dv
-		if dv > delayNS {
-			delayNS = dv
-		}
-		areaUM2 += d.Nodes[v].HW[j].AreaUM2
-	}
-	return delayNS, areaUM2
-}
-
-// membersInTopoOrder returns the members of vs sorted by topological
-// position. The result aliases the explorer's arena and is valid until the
-// next call.
-func (e *explorer) membersInTopoOrder(vs graph.NodeSet) []int {
-	members := vs.AppendValues(e.vsMembers[:0])
-	e.d.SortTopo(members)
-	e.vsMembers = members
-	//lint:ignore arenaescape callers consume the member list before the next membersInTopoOrder call
-	return members
 }
 
 // trailUpdate applies Fig. 4.3.5 (aco.Tables.UpdateTrail) to every free
@@ -451,29 +376,31 @@ func (e *explorer) trailUpdate(chosen []int, improved bool) {
 	}
 }
 
-// meritUpdate is the legality-only merit function: no critical-path case, no
-// slack case — only size, constraint violations, and serial cycle saving. It
+// meritUpdate is the legality-only merit function: MI's Fig. 4.3.7 update
+// (core.VSMeter) with no critical-path case and no slack case — only size,
+// constraint violations, and serial cycle saving. The meter's
+// location-unaware case-4 inputs are the baseline's: a legal vSx replaces
+// size(vSx) one-cycle instructions and every subgraph counts as critical. It
 // reads the iteration groups serialCycles(chosen) left in the explorer, so
 // it must run after serialCycles with the same chosen.
 //
 // A grouped node's vSx is exactly its iteration group, whose member segment
 // is already in topological order. Each operation's update writes only its
 // own merit row, so the sweep visits grouped nodes one group at a time and
-// measures each group's vsFacts once; ungrouped nodes build their own vSx.
+// measures each group once; ungrouped nodes build their own vSx.
 //
 //alloc:free
 func (e *explorer) meritUpdate(chosen []int) {
 	d := e.d
-	var f vsFacts
 	for g := 0; g < len(e.groupStart)-1; g++ {
 		members := e.groupNodes[e.groupStart[g]:e.groupStart[g+1]]
 		e.vsSet.Reset(d.Len())
 		for _, v := range members {
 			e.vsSet.Add(v)
 		}
-		e.measureVS(members, &f)
+		e.meter.Measure(d, &e.cfg, e.vsSet, members, chosen, e.tab.NumSW, &e.io)
 		for _, x := range members {
-			e.nodeMerit(chosen, x, &f)
+			e.meter.Merit(&e.p, d, e.tab.Merit[x], x)
 		}
 	}
 	for x := 0; x < d.Len(); x++ {
@@ -482,24 +409,10 @@ func (e *explorer) meritUpdate(chosen []int) {
 		}
 		if len(d.Nodes[x].HW) > 0 {
 			e.ungroupedVS(x)
-			e.measureVS(nil, &f)
+			e.meter.Measure(d, &e.cfg, e.vsSet, nil, chosen, e.tab.NumSW, &e.io)
 		}
-		e.nodeMerit(chosen, x, &f)
+		e.meter.Merit(&e.p, d, e.tab.Merit[x], x)
 	}
-}
-
-// nodeMerit updates node x's merit row: the software part, the hardware part
-// against vSx's facts f (when x has hardware options), then normalization.
-func (e *explorer) nodeMerit(chosen []int, x int, f *vsFacts) {
-	node := e.d.Nodes[x]
-	merit := e.tab.Merit[x]
-	for i := 0; i < e.tab.NumSW[x]; i++ {
-		merit[i] *= float64(node.SW[i].Cycles)
-	}
-	if len(node.HW) > 0 {
-		e.hwMerit(chosen, x, f)
-	}
-	aco.Normalize(merit, 100*float64(len(merit)))
 }
 
 // addGroupMembers unions iteration group g into the virtual-subgraph arena.
@@ -524,104 +437,6 @@ func (e *explorer) ungroupedVS(x int) {
 	for _, nb := range d.G.Preds(x) {
 		if g := e.groupOf[nb]; g >= 0 {
 			e.addGroupMembers(g)
-		}
-	}
-}
-
-// vsFacts are the properties of the virtual subgraph in the vsSet arena
-// that hwMerit reads and that do not depend on which member is being
-// updated. members is set only when neither case 2 nor case 3 decides the
-// update.
-type vsFacts struct {
-	size      int
-	overPorts bool // IN or OUT exceeds the machine's register ports
-	nonConvex bool
-	members   []int // vs's members in topological order
-}
-
-// measureVS fills f with the facts of the subgraph in the vsSet arena.
-// members, when non-nil, must be its members in topological order; nil
-// sorts them on demand. f.members may alias the explorer's arena, valid
-// until the next membersInTopoOrder call.
-func (e *explorer) measureVS(members []int, f *vsFacts) {
-	d := e.d
-	vs := e.vsSet
-	*f = vsFacts{size: vs.Len()}
-	if f.size == 1 {
-		return
-	}
-	f.overPorts = d.InScratch(vs, &e.io) > e.cfg.ReadPorts || d.OutScratch(vs, &e.io) > e.cfg.WritePorts
-	f.nonConvex = !d.IsConvex(vs)
-	if f.overPorts || f.nonConvex {
-		return
-	}
-	if members == nil {
-		members = e.membersInTopoOrder(vs)
-	}
-	f.members = members
-}
-
-// hwMerit applies the legality-only merit cases to every hardware option of
-// operation x, whose virtual subgraph (in the vsSet arena) has the facts f.
-func (e *explorer) hwMerit(chosen []int, x int, f *vsFacts) {
-	p := &e.p
-	hw := e.d.Nodes[x].HW
-	merit := e.tab.Merit[x][e.tab.NumSW[x]:]
-
-	if f.size == 1 {
-		for j := range hw {
-			merit[j] *= p.BetaSize
-		}
-		return
-	}
-	if f.overPorts {
-		for j := range hw {
-			merit[j] *= p.BetaIO
-		}
-	}
-	if f.nonConvex {
-		for j := range hw {
-			merit[j] *= p.BetaConvex
-		}
-	}
-	if f.overPorts || f.nonConvex {
-		return
-	}
-	// Serial saving: the group replaces size(vS) one-cycle instructions.
-	minCycles, maxArea := 1<<30, 0.0
-	e.hwCycles = growInts(e.hwCycles, len(hw))
-	e.hwAreas = growFloats(e.hwAreas, len(hw))
-	cyc, area := e.hwCycles, e.hwAreas
-	for j := range hw {
-		dly, a := e.vsMetrics(e.vsSet, f.members, chosen, x, j)
-		cyc[j] = sched.CyclesForDelay(dly)
-		area[j] = a
-		if cyc[j] < minCycles {
-			minCycles = cyc[j]
-		}
-		if a > maxArea {
-			maxArea = a
-		}
-	}
-	for j := range hw {
-		m := &merit[j]
-		if p.MaxISECycles > 0 && cyc[j] > p.MaxISECycles {
-			*m *= p.BetaIO
-			continue
-		}
-		saving := f.size - cyc[j]
-		switch {
-		case saving > 0:
-			*m *= float64(1 + saving)
-		case saving < 0:
-			*m /= float64(1 - saving)
-		}
-		if cyc[j] == minCycles {
-			if area[j] > 0 {
-				*m *= maxArea / area[j]
-			}
-		} else {
-			*m /= float64(1 + cyc[j] - minCycles)
 		}
 	}
 }

@@ -11,14 +11,15 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/dfg"
+	"repro/internal/graph"
 	"repro/internal/machine"
 	"repro/internal/randprog"
 	"repro/internal/sched"
 )
 
 // meritUpdateReference is meritUpdate with vSx built and measured for every
-// operation on its own, kept as the test-only reference of the per-group
-// sweep.
+// operation on its own, with its own full sweep per option: the legality-only
+// merit as the baseline computed it before it shared core.VSMeter.
 func (e *explorer) meritUpdateReference(chosen []int) {
 	d := e.d
 	for x := 0; x < d.Len(); x++ {
@@ -69,12 +70,13 @@ func (e *explorer) hwMeritReference(chosen []int, x int) {
 	if violated {
 		return
 	}
-	members := e.membersInTopoOrder(vs)
+	members := vs.AppendValues(nil)
+	d.SortTopo(members)
 	minCycles, maxArea := 1<<30, 0.0
 	cyc := make([]int, len(hw))
 	area := make([]float64, len(hw))
 	for j := range hw {
-		dly, a := e.vsMetrics(vs, members, chosen, x, j)
+		dly, a := e.vsMetricsReference(vs, members, chosen, x, j)
 		cyc[j] = sched.CyclesForDelay(dly)
 		area[j] = a
 		if cyc[j] < minCycles {
@@ -107,6 +109,64 @@ func (e *explorer) hwMeritReference(chosen []int, x int) {
 	}
 }
 
+// vsMetricsReference measures subgraph vs's combinational depth and area in
+// one sweep over its members, which must be in topological order, with x at
+// hardware option hwIdx and every other member at its chosen option.
+func (e *explorer) vsMetricsReference(vs graph.NodeSet, members []int, chosen []int, x, hwIdx int) (delayNS, areaUM2 float64) {
+	d := e.d
+	depth := make([]float64, d.Len())
+	for _, v := range members {
+		j := hwIdx
+		if v != x {
+			j = chosen[v] - e.tab.NumSW[v]
+			if j < 0 {
+				j = 0 // member chose software; assume its first cell
+			}
+		}
+		in := 0.0
+		for _, p := range d.G.Preds(v) {
+			if vs.Contains(p) && depth[p] > in {
+				in = depth[p]
+			}
+		}
+		depth[v] = in + d.Nodes[v].HW[j].DelayNS
+		if depth[v] > delayNS {
+			delayNS = depth[v]
+		}
+		areaUM2 += d.Nodes[v].HW[j].AreaUM2
+	}
+	return delayNS, areaUM2
+}
+
+// serialCyclesReference is serialCycles with each group's delay from its own
+// depth sweep, reading predecessors through groupOf.
+func (e *explorer) serialCyclesReference(chosen []int) int {
+	e.buildGroups(chosen)
+	cycles, counted := 0, 0
+	for _, f := range e.fixed {
+		cycles += f.Cycles
+		counted += f.Nodes.Len()
+	}
+	depth := make([]float64, e.d.Len())
+	for g := 0; g < len(e.groupStart)-1; g++ {
+		members := e.groupNodes[e.groupStart[g]:e.groupStart[g+1]]
+		delay := 0.0
+		for _, v := range members {
+			in := 0.0
+			for _, p := range e.d.G.Preds(v) {
+				if e.groupOf[p] == g && depth[p] > in {
+					in = depth[p]
+				}
+			}
+			depth[v] = in + e.d.Nodes[v].HW[chosen[v]-e.tab.NumSW[v]].DelayNS
+			delay = max(delay, depth[v])
+		}
+		cycles += sched.CyclesForDelay(delay)
+		counted += len(members)
+	}
+	return cycles + e.d.Len() - counted
+}
+
 func sameBits(a, b [][]float64) bool {
 	for x := range a {
 		for o := range a[x] {
@@ -120,11 +180,11 @@ func sameBits(a, b [][]float64) bool {
 
 // TestMeritUpdateMatchesReference drives the per-group merit sweep and the
 // per-node reference side by side from identical state, over the seven
-// kernels' O3 hot blocks and random blocks, with and without accepted ISEs:
-// every iteration must draw the same options and leave bit-identical
-// tables.
+// kernels' O3 hot blocks and random blocks on every paper machine (tight and
+// wide register ports), with and without accepted ISEs: every iteration must
+// draw the same options, count the same serial cycles and leave
+// bit-identical tables.
 func TestMeritUpdateMatchesReference(t *testing.T) {
-	cfg := machine.New(2, 4, 2)
 	var dfgs []*dfg.DFG
 	for _, name := range bench.Names() {
 		dfgs = append(dfgs, hotBenchDFG(t, name, "O3"))
@@ -137,49 +197,55 @@ func TestMeritUpdateMatchesReference(t *testing.T) {
 			MultFrac: r.Float64() * 0.15,
 		}))
 	}
-	for i, d := range dfgs {
-		p := core.FastParams()
-		res, err := ExploreSharedCtx(t.Context(), d, cfg, p, nil)
-		if err != nil {
-			t.Fatal(err)
+	for _, cfg := range machine.Configs() {
+		for i, d := range dfgs {
+			checkMeritUpdate(t, d, cfg, i)
 		}
-		for _, fixed := range [][]*core.ISE{nil, res.ISEs} {
-			label := fmt.Sprintf("%d:%s/fixed=%d", i, d.Name, len(fixed))
-			mk := func() *explorer {
-				e := &explorer{}
-				e.reset(d, cfg, p, aco.NewRand(int64(100+i)))
-				e.fixed = append(e.fixed, fixed...)
-				for _, f := range fixed {
-					for _, v := range f.Nodes.Values() {
-						e.inISE[v] = true
-					}
+	}
+}
+
+func checkMeritUpdate(t *testing.T, d *dfg.DFG, cfg machine.Config, i int) {
+	p := core.FastParams()
+	res, err := ExploreSharedCtx(t.Context(), d, cfg, p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fixed := range [][]*core.ISE{nil, res.ISEs} {
+		label := fmt.Sprintf("%d:%s/%s/fixed=%d", i, d.Name, cfg.Name, len(fixed))
+		mk := func() *explorer {
+			e := &explorer{}
+			e.reset(d, cfg, p, aco.NewRand(int64(100+i)))
+			e.fixed = append(e.fixed, fixed...)
+			for _, f := range fixed {
+				for _, v := range f.Nodes.Values() {
+					e.inISE[v] = true
 				}
-				e.tab.Seed(e.d, e.p.Coefs())
-				return e
 			}
-			a, b := mk(), mk()
-			tetOld := 1 << 30
-			for it := 0; it < 40; it++ {
-				ca := a.selectOptions()
-				cb := b.selectOptions()
-				if !reflect.DeepEqual(ca, cb) {
-					t.Fatalf("%s iter %d: option draws differ", label, it)
-				}
-				tet := a.serialCycles(ca)
-				if tb := b.serialCycles(cb); tb != tet {
-					t.Fatalf("%s iter %d: serial cycles %d vs %d", label, it, tet, tb)
-				}
-				improved := tet <= tetOld
-				if improved {
-					tetOld = tet
-				}
-				a.trailUpdate(ca, improved)
-				b.trailUpdate(cb, improved)
-				a.meritUpdate(ca)
-				b.meritUpdateReference(cb)
-				if !sameBits(a.tab.Merit, b.tab.Merit) || !sameBits(a.tab.Trail, b.tab.Trail) {
-					t.Fatalf("%s iter %d: tables differ from reference after meritUpdate", label, it)
-				}
+			e.tab.Seed(e.d, e.p.Coefs())
+			return e
+		}
+		a, b := mk(), mk()
+		tetOld := 1 << 30
+		for it := 0; it < 40; it++ {
+			ca := a.selectOptions()
+			cb := b.selectOptions()
+			if !reflect.DeepEqual(ca, cb) {
+				t.Fatalf("%s iter %d: option draws differ", label, it)
+			}
+			tet := a.serialCycles(ca)
+			if tb := b.serialCyclesReference(cb); tb != tet {
+				t.Fatalf("%s iter %d: serial cycles %d vs reference %d", label, it, tet, tb)
+			}
+			improved := tet <= tetOld
+			if improved {
+				tetOld = tet
+			}
+			a.trailUpdate(ca, improved)
+			b.trailUpdate(cb, improved)
+			a.meritUpdate(ca)
+			b.meritUpdateReference(cb)
+			if !sameBits(a.tab.Merit, b.tab.Merit) || !sameBits(a.tab.Trail, b.tab.Trail) {
+				t.Fatalf("%s iter %d: tables differ from reference after meritUpdate", label, it)
 			}
 		}
 	}

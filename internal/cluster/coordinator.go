@@ -196,8 +196,8 @@ type shard struct {
 	misses    uint64            // guarded by Coordinator.mu
 	span      obs.Span          // guarded by Coordinator.mu — open dispatch span
 
-	// hitC/missC are the shard-index-labeled metric series, resolved once.
-	hitC, missC *obs.Counter
+	// hitC is the shard-index-labeled hit series, resolved once.
+	hitC *obs.Counter
 }
 
 // NewCoordinator builds a coordinator.
@@ -317,7 +317,6 @@ func (c *Coordinator) enqueue(wl Workload, block int, d *dfg.DFG, opts BlockOpti
 			restarts:     r.Len(),
 			lastBeat:     now,
 			hitC:         shardCacheHits(i),
-			missC:        shardCacheMisses(i),
 		}
 	}
 	c.mu.Lock()
@@ -498,21 +497,16 @@ func (c *Coordinator) Heartbeat(jobID string, shard int, req heartbeatRequest) e
 		s.snap = req.Snapshot
 	}
 	// Fold the delta between the worker's cumulative local-cache report and
-	// the last one seen into the shard's labeled counters and the job totals. A
-	// re-dispatched shard's counters restart from zero; a backwards report
-	// resets the baseline so the retried work is re-counted (which is what
-	// actually happened).
+	// the last one seen into the shard's labeled hit counter and the job
+	// totals. A re-dispatched shard's counters restart from zero; a backwards
+	// report resets the baseline so the retried work is re-counted (which is
+	// what actually happened).
 	if req.CacheHits < s.hits || req.CacheMisses < s.misses {
 		s.hits, s.misses = 0, 0
 	}
-	if d := req.CacheHits - s.hits; d > 0 {
-		s.hitC.Add(float64(d))
-		j.cacheHits += d
-	}
-	if d := req.CacheMisses - s.misses; d > 0 {
-		s.missC.Add(float64(d))
-		j.cacheMisses += d
-	}
+	s.hitC.Add(float64(req.CacheHits - s.hits))
+	j.cacheHits += req.CacheHits - s.hits
+	j.cacheMisses += req.CacheMisses - s.misses
 	s.hits, s.misses = req.CacheHits, req.CacheMisses
 	return nil
 }
@@ -582,14 +576,9 @@ func (c *Coordinator) Result(jobID string, shard int, req resultRequest, tc obs.
 	if req.CacheHits < s.hits || req.CacheMisses < s.misses {
 		s.hits, s.misses = 0, 0
 	}
-	if d := req.CacheHits - s.hits; d > 0 {
-		s.hitC.Add(float64(d))
-		j.cacheHits += d
-	}
-	if d := req.CacheMisses - s.misses; d > 0 {
-		s.missC.Add(float64(d))
-		j.cacheMisses += d
-	}
+	s.hitC.Add(float64(req.CacheHits - s.hits))
+	j.cacheHits += req.CacheHits - s.hits
+	j.cacheMisses += req.CacheMisses - s.misses
 	s.hits, s.misses = req.CacheHits, req.CacheMisses
 	s.result = req.Result
 	s.state = shardDone

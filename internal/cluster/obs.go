@@ -16,18 +16,12 @@ var (
 		"Shard re-dispatches: heartbeat leases that lapsed plus worker-reported shard errors.")
 )
 
-// Per-shard-index counter families, created lazily per label value (the
-// registry get-or-creates series). The pair mirrors each worker's local
-// eval-cache counters so cache efficacy is observable per shard on one
-// coordinator scrape.
+// shardCacheHits is the per-shard-index hit family, created lazily per label
+// value (the registry get-or-creates series). It mirrors each worker's local
+// eval-cache hits so cache reuse is observable per shard on one coordinator
+// scrape.
 func shardCacheHits(shard int) *obs.Counter {
 	return obs.Default.Counter("ise_cluster_shard_cache_hits_total",
 		"Worker-local eval-cache hits, by shard index (reported with heartbeats and results).",
-		"shard", strconv.Itoa(shard))
-}
-
-func shardCacheMisses(shard int) *obs.Counter {
-	return obs.Default.Counter("ise_cluster_shard_cache_misses_total",
-		"Worker-local eval-cache misses, by shard index (reported with heartbeats and results).",
 		"shard", strconv.Itoa(shard))
 }

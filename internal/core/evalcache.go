@@ -137,7 +137,6 @@ func (c *EvalCache) ScheduleWith(kern *sched.Scheduler, d *dfg.DFG, a sched.Assi
 	sh.m[k] = e
 	sh.mu.Unlock()
 	c.misses.Add(1)
-	obsCacheMisses[si].Inc()
 	n, err := scheduleLen(kern, d, a, cfg)
 	if err != nil {
 		sh.mu.Lock()

@@ -107,8 +107,9 @@ type ResumeOptions struct {
 	Scratch *Scratch
 	// Flight, when non-nil, is the convergence flight recorder: the loop
 	// records one obs.FlightRound sample per converged round (best
-	// schedule length so far) plus per-restart eval-cache and
-	// delta-resume snapshots. Like Trace it is observation-only — the
+	// schedule length so far) plus one obs.FlightCache sample per
+	// finished restart (the eval cache's hit rate and lookups so far).
+	// Like Trace it is observation-only — the
 	// engine writes samples and never reads them back (enforced by
 	// iselint's obspurity pass), results are byte-identical with Flight
 	// set or nil, and a nil recorder costs nothing on the hot path

@@ -246,3 +246,28 @@ func TestMobilityWindow(t *testing.T) {
 		t.Errorf("Max_AEC of critical head = %d, want 1", got)
 	}
 }
+
+// TestVSMeterRebindsAfterPresize: presizing a meter for smaller bounds than
+// the DFG it last measured (a pooled explorer handed out under a smaller run's
+// Prewarm bounds) must not leave it bound to that DFG with short arenas.
+func TestVSMeterRebindsAfterPresize(t *testing.T) {
+	d := hotBenchDFG(t, "crc32", "O3")
+	chosen := make([]int, d.Len())
+	numSW := make([]int, d.Len())
+	vs := graph.NewNodeSet(d.Len())
+	var members []int
+	for _, v := range d.Topo() {
+		numSW[v] = len(d.Nodes[v].SW)
+		chosen[v] = numSW[v] // first hardware option
+		if len(d.Nodes[v].HW) > 0 {
+			vs.Add(v)
+			members = append(members, v)
+		}
+	}
+	var m VSMeter
+	want := m.Delay(d, vs, members, chosen, numSW)
+	m.presize(1, 1)
+	if got := m.Delay(d, vs, members, chosen, numSW); got != want {
+		t.Fatalf("delay after presize = %v, want %v", got, want)
+	}
+}

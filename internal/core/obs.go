@@ -13,8 +13,7 @@ import (
 // that feed determinism-excluded Result fields stay on EvalCache's own
 // atomics.
 var (
-	obsCacheHits   [evalShards]*obs.Counter
-	obsCacheMisses [evalShards]*obs.Counter
+	obsCacheHits [evalShards]*obs.Counter
 
 	obsRounds     = obs.Default.Counter("ise_explore_rounds_total", "ACO rounds converged across all restarts.")
 	obsIterations = obs.Default.Counter("ise_explore_iterations_total", "ACO convergence iterations (ant walks) across all restarts.")
@@ -22,10 +21,7 @@ var (
 
 func init() {
 	for i := range obsCacheHits {
-		shard := strconv.Itoa(i)
 		obsCacheHits[i] = obs.Default.Counter("ise_evalcache_hits_total",
-			"Schedule-evaluation cache hits per shard.", "shard", shard)
-		obsCacheMisses[i] = obs.Default.Counter("ise_evalcache_misses_total",
-			"Schedule-evaluation cache misses (scheduler invocations) per shard.", "shard", shard)
+			"Schedule-evaluation cache hits per shard.", "shard", strconv.Itoa(i))
 	}
 }

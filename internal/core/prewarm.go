@@ -38,39 +38,34 @@ func arenaBounds(d *dfg.DFG) (n, totalOpts, maxRow, ioNeed int) {
 //
 //alloc:amortized prewarm pass; allocates only while arenas grow to the run's largest block
 func (e *explorer) presize(n, totalOpts, maxRow, ioNeed int) {
-	e.fixedGroupOf = growInts(e.fixedGroupOf, n)
-	e.sp = growFloats(e.sp, n)
+	e.fixedGroupOf = grow(e.fixedGroupOf, n)
+	e.sp = grow(e.sp, n)
 	if e.io.Reserve(ioNeed) {
 		obsExploreArenaGrows.Inc()
 	}
-	e.unitOf = growInts(e.unitOf, n)
-	e.unitMark = growInts(e.unitMark, n)
-	e.unitIndeg0 = growInts(e.unitIndeg0, n)
-	e.wres.chosen = growInts(e.wres.chosen, n)
-	e.wres.orderPos = growInts(e.wres.orderPos, n)
-	e.wres.groupOf = growInts(e.wres.groupOf, n)
-	e.wres.depthNS = growFloats(e.wres.depthNS, n)
-	e.indeg = growInts(e.indeg, n)
-	e.doneCycle = growInts(e.doneCycle, n)
-	e.issueCycle = growInts(e.issueCycle, n)
-	e.issued = growBools(e.issued, n)
-	e.cFinalOf = growInts(e.cFinalOf, n)
-	e.cOrder = growInts(e.cOrder, n)
-	e.cDown = growInts(e.cDown, n)
-	e.cUp = growInts(e.cUp, n)
-	e.asap = growInts(e.asap, n)
-	e.tail = growInts(e.tail, n)
-	e.soloIn = growInts(e.soloIn, n)
-	e.soloOut = growInts(e.soloOut, n)
-	e.depthF = growFloats(e.depthF, n)
-	e.depthI = growInts(e.depthI, n)
-	e.vsBaseDepth = growFloats(e.vsBaseDepth, n)
-	e.vsPreDelay = growFloats(e.vsPreDelay, n)
-	e.vsPreArea = growFloats(e.vsPreArea, n)
-	e.hwCycles = growInts(e.hwCycles, maxRow)
-	e.hwAreas = growFloats(e.hwAreas, maxRow)
+	e.unitOf = grow(e.unitOf, n)
+	e.unitMark = grow(e.unitMark, n)
+	e.unitIndeg0 = grow(e.unitIndeg0, n)
+	e.wres.chosen = grow(e.wres.chosen, n)
+	e.wres.orderPos = grow(e.wres.orderPos, n)
+	e.wres.groupOf = grow(e.wres.groupOf, n)
+	e.wres.depthNS = grow(e.wres.depthNS, n)
+	e.indeg = grow(e.indeg, n)
+	e.doneCycle = grow(e.doneCycle, n)
+	e.issueCycle = grow(e.issueCycle, n)
+	e.issued = grow(e.issued, n)
+	e.cFinalOf = grow(e.cFinalOf, n)
+	e.cOrder = grow(e.cOrder, n)
+	e.cDown = grow(e.cDown, n)
+	e.cUp = grow(e.cUp, n)
+	e.asap = grow(e.asap, n)
+	e.tail = grow(e.tail, n)
+	e.soloIn = grow(e.soloIn, n)
+	e.soloOut = grow(e.soloOut, n)
+	e.depthI = grow(e.depthI, n)
+	e.meter.presize(n, maxRow)
 	e.vsDone.Reset(n)
-	e.compMembers = growInts(e.compMembers, n)[:0]
+	e.compMembers = grow(e.compMembers, n)[:0]
 	if e.tab.Reserve(n, totalOpts, maxRow) {
 		obsExploreArenaGrows.Inc()
 	}

@@ -186,8 +186,8 @@ func (e *explorer) criticalNodesReference(res *walkResult) (critical graph.NodeS
 	return critical, issueOrderTopo
 }
 
-// vsMetricsReference is vsMetrics as one sweep over all of vs's members,
-// which must be in topological order.
+// vsMetricsReference is VSMeter's per-option measure as one sweep over all
+// of vs's members, which must be in topological order.
 func (e *explorer) vsMetricsReference(res *walkResult, vs graph.NodeSet, members []int, x, hwIdx int) (delayNS, areaUM2 float64, cycles int) {
 	d := e.d
 	depth := make([]float64, d.Len())
@@ -272,7 +272,8 @@ func (e *explorer) hwMeritReference(res *walkResult, x int) {
 	if violated {
 		return
 	}
-	members := e.membersInTopoOrder(vs)
+	members := vs.AppendValues(nil)
+	d.SortTopo(members)
 	swDepth := e.swDepth(vs, members)
 	cyclesOf := make([]int, len(hw))
 	areaOf := make([]float64, len(hw))
@@ -472,50 +473,57 @@ func sameWalk(a, b *walkResult) string {
 // TestIterationMatchesReference drives the optimized ant iteration (the
 // incremental Ready-Matrix walk and the per-component merit sweep) and the
 // references side by side from identical state, over the seven kernels' O3
-// hot blocks and random blocks, with and without accepted ISEs and with
-// Greedy selection: every walk must return the identical walkResult after
-// the identical number of random draws, and every merit update must leave
+// hot blocks and random blocks on every paper machine (tight and wide
+// register ports), with and without accepted ISEs and with Greedy
+// selection: every walk must return the identical walkResult after the
+// identical number of random draws, and every merit update must leave
 // bit-identical tables.
 func TestIterationMatchesReference(t *testing.T) {
-	cfg := machine.New(2, 4, 2)
-	for i, d := range differentialDFGs(t) {
-		fixed := differentialFixed(t, d, cfg)
-		for _, variant := range []string{"free", "fixed", "greedy"} {
-			p := FastParams()
-			p.Seed = int64(100 + i)
-			var f []*ISE
-			switch variant {
-			case "fixed":
-				f = fixed
-			case "greedy":
-				p.Greedy = true
+	dfgs := differentialDFGs(t)
+	for _, cfg := range machine.Configs() {
+		for i, d := range dfgs {
+			checkIteration(t, d, cfg, i)
+		}
+	}
+}
+
+func checkIteration(t *testing.T, d *dfg.DFG, cfg machine.Config, i int) {
+	fixed := differentialFixed(t, d, cfg)
+	for _, variant := range []string{"free", "fixed", "greedy"} {
+		p := FastParams()
+		p.Seed = int64(100 + i)
+		var f []*ISE
+		switch variant {
+		case "fixed":
+			f = fixed
+		case "greedy":
+			p.Greedy = true
+		}
+		label := fmt.Sprintf("%d:%s/%s/%s", i, d.Name, cfg.Name, variant)
+		a, b := explorerPair(t, d, cfg, p, f)
+		var prevA, prevB []int
+		tetOld := 1 << 30
+		for it := 0; it < 40; it++ {
+			ra, rb := a.walk(), b.walkReference()
+			if diff := sameWalk(ra, rb); diff != "" {
+				t.Fatalf("%s iter %d: walk differs from reference: %s", label, it, diff)
 			}
-			label := fmt.Sprintf("%d:%s/%s", i, d.Name, variant)
-			a, b := explorerPair(t, d, cfg, p, f)
-			var prevA, prevB []int
-			tetOld := 1 << 30
-			for it := 0; it < 40; it++ {
-				ra, rb := a.walk(), b.walkReference()
-				if diff := sameWalk(ra, rb); diff != "" {
-					t.Fatalf("%s iter %d: walk differs from reference: %s", label, it, diff)
-				}
-				if a.rngSrc.Draws() != b.rngSrc.Draws() {
-					t.Fatalf("%s iter %d: draws %d vs reference %d", label, it, a.rngSrc.Draws(), b.rngSrc.Draws())
-				}
-				improved := ra.tet <= tetOld
-				if improved {
-					tetOld = ra.tet
-				}
-				a.trailUpdate(ra, improved, prevA)
-				b.trailUpdate(rb, improved, prevB)
-				a.meritUpdate(ra)
-				b.meritUpdateReference(rb)
-				if !sameBits(a.tab.Merit, b.tab.Merit) || !sameBits(a.tab.Trail, b.tab.Trail) {
-					t.Fatalf("%s iter %d: tables differ from reference after meritUpdate", label, it)
-				}
-				prevA = append(prevA[:0], ra.orderPos...)
-				prevB = append(prevB[:0], rb.orderPos...)
+			if a.rngSrc.Draws() != b.rngSrc.Draws() {
+				t.Fatalf("%s iter %d: draws %d vs reference %d", label, it, a.rngSrc.Draws(), b.rngSrc.Draws())
 			}
+			improved := ra.tet <= tetOld
+			if improved {
+				tetOld = ra.tet
+			}
+			a.trailUpdate(ra, improved, prevA)
+			b.trailUpdate(rb, improved, prevB)
+			a.meritUpdate(ra)
+			b.meritUpdateReference(rb)
+			if !sameBits(a.tab.Merit, b.tab.Merit) || !sameBits(a.tab.Trail, b.tab.Trail) {
+				t.Fatalf("%s iter %d: tables differ from reference after meritUpdate", label, it)
+			}
+			prevA = append(prevA[:0], ra.orderPos...)
+			prevB = append(prevB[:0], rb.orderPos...)
 		}
 	}
 }

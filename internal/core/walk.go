@@ -60,12 +60,9 @@ type explorer struct {
 	soloIn  []int // arena: rebuilt by reset
 	soloOut []int // arena: rebuilt by reset
 
-	// depthF and depthI are scratch longest-path arrays for the
-	// subgraph-metric hot paths (vsBase and vsMetrics, swDepth). Entries are
-	// written before they are read in topological order, so no reset is
-	// needed between calls. Each restart owns its explorer, keeping them
-	// race-free.
-	depthF []float64
+	// depthI is swDepth's scratch longest-path array, sized by initDFG.
+	// Entries are written before they are read in topological order, so no
+	// reset is needed between calls.
 	depthI []int
 
 	// Unit contraction of the accepted ISEs, rebuilt whenever the fixed set
@@ -110,17 +107,12 @@ type explorer struct {
 	members []int         // arena: group member extraction buffer
 
 	// Merit-sweep scratch. arena: reused for every node's hardware shaping.
+	meter       VSMeter       // measures each vSx and applies its merit cases
 	vsSet       graph.NodeSet // arena: virtualSubgraph's result set
 	vsStack     []int         // arena: virtualSubgraph's DFS stack
-	vsMembers   []int         // arena: membersInTopoOrder's result
 	vsDone      graph.NodeSet // arena: nodes whose component meritUpdate swept
 	compMembers []int         // arena: the swept component's members
 	mobMembers  []int         // arena: mobility's member extraction buffer
-	vsBaseDepth []float64     // arena: vsBase's depth per node
-	vsPreDelay  []float64     // arena: vsBase's running delay per position
-	vsPreArea   []float64     // arena: vsBase's running area per position
-	hwCycles    []int         // arena: per-option subgraph cycles
-	hwAreas     []float64     // arena: per-option subgraph areas
 	cands       []*ISE        // arena: bestCandidate's candidate list
 }
 
@@ -135,11 +127,11 @@ func (e *explorer) reset(d *dfg.DFG, cfg machine.Config, p Params, rng *rand.Ran
 	e.tr, e.tid = tr, tid
 	e.fixed = e.fixed[:0]
 	n := d.Len()
-	e.fixedGroupOf = growInts(e.fixedGroupOf, n)
+	e.fixedGroupOf = grow(e.fixedGroupOf, n)
 	for i := range e.fixedGroupOf {
 		e.fixedGroupOf[i] = -1
 	}
-	e.sp = growFloats(e.sp, n)
+	e.sp = grow(e.sp, n)
 	e.unitFixedN = -1
 	e.initPriority()
 	e.initDFG()
@@ -151,8 +143,8 @@ func (e *explorer) reset(d *dfg.DFG, cfg machine.Config, p Params, rng *rand.Ran
 func (e *explorer) initDFG() {
 	d := e.d
 	n := d.Len()
-	e.asap = growInts(e.asap, n)
-	e.tail = growInts(e.tail, n)
+	e.asap = grow(e.asap, n)
+	e.tail = grow(e.tail, n)
 	order := d.Topo()
 	for _, v := range order {
 		in := 0
@@ -173,26 +165,15 @@ func (e *explorer) initDFG() {
 		}
 		e.tail[v] = out + 1
 	}
-	e.soloIn = growInts(e.soloIn, n)
-	e.soloOut = growInts(e.soloOut, n)
+	e.soloIn = grow(e.soloIn, n)
+	e.soloOut = grow(e.soloOut, n)
+	e.depthI = grow(e.depthI, n)
 	e.vsSet.Reset(n)
 	for v := 0; v < n; v++ {
 		e.vsSet.Add(v)
 		e.soloIn[v], e.soloOut[v] = d.InScratch(e.vsSet, &e.io), d.OutScratch(e.vsSet, &e.io)
 		e.vsSet.Remove(v)
 	}
-}
-
-// membersInTopoOrder returns the members of vs sorted by topological
-// position, so subgraph longest-path sweeps touch |vs| nodes instead of
-// rescanning the whole DFG. The result aliases the explorer's arena and is
-// valid until the next call.
-func (e *explorer) membersInTopoOrder(vs graph.NodeSet) []int {
-	members := vs.AppendValues(e.vsMembers[:0])
-	e.d.SortTopo(members)
-	e.vsMembers = members
-	//lint:ignore arenaescape callers consume the member list before the next membersInTopoOrder call
-	return members
 }
 
 // walkGroup is an ISE instruction formed during one iteration's ant walk.
@@ -240,7 +221,7 @@ func (e *explorer) ensureUnits() {
 		return
 	}
 	e.unitFixedN = len(e.fixed)
-	e.unitOf = growInts(e.unitOf, n)
+	e.unitOf = grow(e.unitOf, n)
 	for i := range e.unitOf {
 		e.unitOf[i] = -1
 	}
@@ -271,8 +252,8 @@ func (e *explorer) ensureUnits() {
 	// consuming this list once per retired unit reproduces the edge-set
 	// bookkeeping the per-walk map used to do, with identical ready-list
 	// growth order — the order the deterministic random stream depends on.
-	e.unitMark = growInts(e.unitMark, nu)
-	e.unitIndeg0 = growInts(e.unitIndeg0, nu)
+	e.unitMark = grow(e.unitMark, nu)
+	e.unitIndeg0 = grow(e.unitIndeg0, nu)
 	for u := 0; u < nu; u++ {
 		e.unitIndeg0[u] = 0
 	}
@@ -372,10 +353,10 @@ func (e *explorer) beginWalk() *walkResult {
 
 	res := &e.wres
 	res.tet = 0
-	res.chosen = growInts(res.chosen, n)
-	res.orderPos = growInts(res.orderPos, n)
-	res.groupOf = growInts(res.groupOf, n)
-	res.depthNS = growFloats(res.depthNS, n)
+	res.chosen = grow(res.chosen, n)
+	res.orderPos = grow(res.orderPos, n)
+	res.groupOf = grow(res.groupOf, n)
+	res.depthNS = grow(res.depthNS, n)
 	for i := 0; i < n; i++ {
 		res.chosen[i] = -1
 		res.orderPos[i] = 0
@@ -389,14 +370,14 @@ func (e *explorer) beginWalk() *walkResult {
 	} else {
 		e.table.Reuse(e.cfg)
 	}
-	e.indeg = growInts(e.indeg, nu)
+	e.indeg = grow(e.indeg, nu)
 	copy(e.indeg, e.unitIndeg0)
-	e.doneCycle = growInts(e.doneCycle, n) // completion cycle, 0 = unscheduled
-	e.issueCycle = growInts(e.issueCycle, n)
+	e.doneCycle = grow(e.doneCycle, n) // completion cycle, 0 = unscheduled
+	e.issueCycle = grow(e.issueCycle, n)
 	for i := 0; i < n; i++ {
 		e.doneCycle[i], e.issueCycle[i] = 0, 0
 	}
-	e.issued = growBools(e.issued, nu)
+	e.issued = grow(e.issued, nu)
 	for u := 0; u < nu; u++ {
 		e.issued[u] = false
 	}
@@ -650,7 +631,7 @@ func (e *explorer) criticalNodes(res *walkResult) {
 	n := d.Len()
 	// Final contraction: the iteration groups, then the fixed ISEs, then
 	// every other node on its own.
-	e.cFinalOf = growInts(e.cFinalOf, n)
+	e.cFinalOf = grow(e.cFinalOf, n)
 	finalOf := e.cFinalOf
 	lats := e.cLats[:0]
 	for gi := range res.groups {
@@ -682,7 +663,7 @@ func (e *explorer) criticalNodes(res *walkResult) {
 	var buf [256]int
 	start := buf[:]
 	if need := res.tet + 2; need > len(buf) {
-		e.cCycleStart = growInts(e.cCycleStart, need)
+		e.cCycleStart = grow(e.cCycleStart, need)
 		start = e.cCycleStart
 		for c := range start {
 			start[c] = 0
@@ -696,15 +677,15 @@ func (e *explorer) criticalNodes(res *walkResult) {
 	for c := 1; c < len(start); c++ {
 		start[c] += start[c-1]
 	}
-	e.cOrder = growInts(e.cOrder, n)
+	e.cOrder = grow(e.cOrder, n)
 	order := e.cOrder
 	for v, c := range e.issueCycle {
 		order[start[c]] = v
 		start[c]++
 	}
 
-	e.cDown = growInts(e.cDown, nu)
-	e.cUp = growInts(e.cUp, nu)
+	e.cDown = grow(e.cDown, nu)
+	e.cUp = grow(e.cUp, nu)
 	down, up := e.cDown, e.cUp
 	copy(down, lats)
 	copy(up, lats)

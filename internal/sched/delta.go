@@ -1,6 +1,9 @@
 package sched
 
-import "repro/internal/dfg"
+import (
+	"repro/internal/arena"
+	"repro/internal/dfg"
+)
 
 // Delta-scheduling extends the kernel's contraction-prologue reuse into the
 // scheduling loop itself. The exploration evaluates long runs of assignments
@@ -53,8 +56,8 @@ func (s *Scheduler) deltaFrom(reuse bool) int {
 	// scheduling metrics make a macro interchangeable between the runs.
 	// minNode is unique within each call (macros partition the nodes), so
 	// the matching is injective both ways.
-	s.matchOld = growInts(s.matchOld, nm)
-	s.newOfOld = growInts(s.newOfOld, prevNM)
+	s.matchOld = arena.Grow(s.matchOld, nm)
+	s.newOfOld = arena.Grow(s.newOfOld, prevNM)
 	for o := 0; o < prevNM; o++ {
 		s.newOfOld[o] = -1
 	}
@@ -89,7 +92,7 @@ func (s *Scheduler) deltaFrom(reuse bool) int {
 	// Affected: unmatched macros and, in both contracted graphs, their
 	// neighbors. The new-graph pass catches edges that appeared; the
 	// old-graph pass catches edges that disappeared with a removed macro.
-	s.affected = growBools(s.affected, nm)
+	s.affected = arena.Grow(s.affected, nm)
 	aff := s.affected
 	for m := 0; m < nm; m++ {
 		aff[m] = s.matchOld[m] < 0
@@ -120,7 +123,7 @@ func (s *Scheduler) deltaFrom(reuse bool) int {
 
 	// asap: dependence-only issue lower bound over the new contracted graph,
 	// swept in the topological order listSchedule's earliest values respect.
-	s.asap = growInts(s.asap, nm)
+	s.asap = arena.Grow(s.asap, nm)
 	for _, m := range s.order {
 		lb := 1
 		for _, p := range s.preds[m] {
@@ -156,15 +159,15 @@ func (s *Scheduler) deltaFrom(reuse bool) int {
 func (s *Scheduler) snapshotMacros(d *dfg.DFG) {
 	nm := len(s.macros)
 	n := d.Len()
-	s.prevMacStart = growInts(s.prevMacStart, nm+1)
-	s.prevMacNodes = growInts(s.prevMacNodes, n)
-	s.prevMacLat = growInts(s.prevMacLat, nm)
-	s.prevMacReads = growInts(s.prevMacReads, nm)
-	s.prevMacWrites = growInts(s.prevMacWrites, nm)
-	s.prevMacClass = growInts(s.prevMacClass, nm)
-	s.prevMacISE = growBools(s.prevMacISE, nm)
-	s.prevMacIssue = growInts(s.prevMacIssue, nm)
-	s.prevMacAtMin = growInts(s.prevMacAtMin, n)
+	s.prevMacStart = arena.Grow(s.prevMacStart, nm+1)
+	s.prevMacNodes = arena.Grow(s.prevMacNodes, n)
+	s.prevMacLat = arena.Grow(s.prevMacLat, nm)
+	s.prevMacReads = arena.Grow(s.prevMacReads, nm)
+	s.prevMacWrites = arena.Grow(s.prevMacWrites, nm)
+	s.prevMacClass = arena.Grow(s.prevMacClass, nm)
+	s.prevMacISE = arena.Grow(s.prevMacISE, nm)
+	s.prevMacIssue = arena.Grow(s.prevMacIssue, nm)
+	s.prevMacAtMin = arena.Grow(s.prevMacAtMin, n)
 	for i := 0; i < n; i++ {
 		s.prevMacAtMin[i] = -1
 	}
@@ -188,8 +191,8 @@ func (s *Scheduler) snapshotMacros(d *dfg.DFG) {
 	for m := 0; m < nm; m++ {
 		total += len(s.succs[m])
 	}
-	s.prevMacSuccStart = growInts(s.prevMacSuccStart, nm+1)
-	s.prevMacSuccs = growInts(s.prevMacSuccs, total)
+	s.prevMacSuccStart = arena.Grow(s.prevMacSuccStart, nm+1)
+	s.prevMacSuccs = arena.Grow(s.prevMacSuccs, total)
 	pos = 0
 	for m := 0; m < nm; m++ {
 		s.prevMacSuccStart[m] = pos

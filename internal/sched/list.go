@@ -39,19 +39,20 @@ type macro struct {
 	minNode int
 }
 
-// schedulerPool recycles kernels for the compatibility wrapper so that even
-// callers that have not been migrated to a per-worker Scheduler amortize the
-// arena allocations. Pooled kernels produce identical results regardless of
-// which goroutine last used them, so determinism is unaffected.
+// schedulerPool recycles kernels for ListSchedule and ListScheduleLength, so
+// callers without a Scheduler of their own amortize the arena allocations.
+// Pooled kernels produce identical results regardless of which goroutine
+// last used them, so determinism is unaffected.
 var schedulerPool = sync.Pool{New: func() any { return NewScheduler() }}
 
 // ListSchedule schedules d under assignment a on machine cfg and returns the
 // schedule. It fails if the assignment is invalid or demands more ports than
 // the machine has.
 //
-// It is a thin compatibility wrapper over Scheduler: hot paths (exploration
-// workers, flow pricing) hold a Scheduler directly and skip the result copy
-// this wrapper makes to detach the schedule from the kernel's arena.
+// It is the detaching API over Scheduler: the returned schedule is a copy
+// the caller owns, which is what one-off callers (replacement, reports, the
+// examples) need. Hot paths (exploration workers, flow pricing) hold a
+// Scheduler directly and skip the copy.
 func ListSchedule(d *dfg.DFG, a Assignment, cfg machine.Config) (*Schedule, error) {
 	kern := schedulerPool.Get().(*Scheduler)
 	s, err := kern.Schedule(d, a, cfg)

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 
+	"repro/internal/arena"
 	"repro/internal/dfg"
 	"repro/internal/graph"
 	"repro/internal/isa"
@@ -152,41 +153,6 @@ func (s *Schedule) Clone() *Schedule {
 	}
 }
 
-// growInts returns buf resized to n, reusing its backing array when large
-// enough. Contents are unspecified; callers overwrite every element they read.
-//
-//alloc:amortized grow-on-demand arena helper; allocates only while the scheduler arena warms up to the DFG size
-func growInts(buf []int, n int) []int {
-	if cap(buf) < n {
-		return make([]int, n)
-	}
-	return buf[:n]
-}
-
-//alloc:amortized grow-on-demand arena helper; allocates only while the scheduler arena warms up to the DFG size
-func growFloats(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
-}
-
-//alloc:amortized grow-on-demand arena helper; allocates only while the scheduler arena warms up to the DFG size
-func growMarks(buf []uint32, n int) []uint32 {
-	if cap(buf) < n {
-		return make([]uint32, n)
-	}
-	return buf[:n]
-}
-
-//alloc:amortized grow-on-demand arena helper; allocates only while the scheduler arena warms up to the DFG size
-func growBools(buf []bool, n int) []bool {
-	if cap(buf) < n {
-		return make([]bool, n)
-	}
-	return buf[:n]
-}
-
 // Schedule list-schedules d under assignment a on machine cfg. It is
 // equivalent to ListSchedule in results and errors; the returned Schedule
 // aliases the receiver's arena and is valid until the next call.
@@ -263,7 +229,7 @@ func (s *Scheduler) validateNodes(d *dfg.DFG, a Assignment) error {
 func (s *Scheduler) buildGroups(d *dfg.DFG, a Assignment) {
 	n := d.Len()
 	s.gids = s.gids[:0]
-	s.nodeGroup = growInts(s.nodeGroup, n)
+	s.nodeGroup = arena.Grow(s.nodeGroup, n)
 	hw := 0
 	for i := 0; i < n; i++ {
 		s.nodeGroup[i] = -1
@@ -289,11 +255,11 @@ func (s *Scheduler) buildGroups(d *dfg.DFG, a Assignment) {
 		}
 	}
 	ng := len(s.gids)
-	s.gStart = growInts(s.gStart, ng+1)
-	s.gMembers = growInts(s.gMembers, hw)
-	s.gLat = growInts(s.gLat, ng)
-	s.gReads = growInts(s.gReads, ng)
-	s.gWrites = growInts(s.gWrites, ng)
+	s.gStart = arena.Grow(s.gStart, ng+1)
+	s.gMembers = arena.Grow(s.gMembers, hw)
+	s.gLat = arena.Grow(s.gLat, ng)
+	s.gReads = arena.Grow(s.gReads, ng)
+	s.gWrites = arena.Grow(s.gWrites, ng)
 	for gi := range s.gStart {
 		s.gStart[gi] = 0
 	}
@@ -313,7 +279,7 @@ func (s *Scheduler) buildGroups(d *dfg.DFG, a Assignment) {
 		s.gStart[gi+1] += s.gStart[gi]
 	}
 	fill := s.cands // borrow an idle arena buffer as the per-group fill cursor
-	fill = growInts(fill, ng)
+	fill = arena.Grow(fill, ng)
 	copy(fill, s.gStart[:ng])
 	for i := 0; i < n; i++ {
 		if gi := s.nodeGroup[i]; gi >= 0 {
@@ -376,20 +342,20 @@ func (s *Scheduler) matchedPrefix(a Assignment) int {
 // matching. Called only after a fully successful schedule.
 func (s *Scheduler) snapshotGroups(a Assignment) {
 	ng := len(s.gids)
-	s.prevStart = growInts(s.prevStart, ng+1)
+	s.prevStart = arena.Grow(s.prevStart, ng+1)
 	copy(s.prevStart, s.gStart[:ng+1])
 	nm := s.gStart[ng]
-	s.prevMembers = growInts(s.prevMembers, nm)
+	s.prevMembers = arena.Grow(s.prevMembers, nm)
 	copy(s.prevMembers, s.gMembers[:nm])
-	s.prevOpt = growInts(s.prevOpt, nm)
+	s.prevOpt = arena.Grow(s.prevOpt, nm)
 	for i, v := range s.gMembers[:nm] {
 		s.prevOpt[i] = a[v].Opt
 	}
-	s.prevLat = growInts(s.prevLat, ng)
+	s.prevLat = arena.Grow(s.prevLat, ng)
 	copy(s.prevLat, s.gLat[:ng])
-	s.prevReads = growInts(s.prevReads, ng)
+	s.prevReads = arena.Grow(s.prevReads, ng)
 	copy(s.prevReads, s.gReads[:ng])
-	s.prevWrites = growInts(s.prevWrites, ng)
+	s.prevWrites = arena.Grow(s.prevWrites, ng)
 	copy(s.prevWrites, s.gWrites[:ng])
 }
 
@@ -446,9 +412,9 @@ func (s *Scheduler) measureGroups(d *dfg.DFG, a Assignment, prefix int) {
 	if prefix >= ng {
 		return
 	}
-	s.depth = growFloats(s.depth, n)
-	s.prodMark = growMarks(s.prodMark, n)
-	s.regMark = growMarks(s.regMark, 64)
+	s.depth = arena.Grow(s.depth, n)
+	s.prodMark = arena.Grow(s.prodMark, n)
+	s.regMark = arena.Grow(s.regMark, 64)
 	for gi := prefix; gi < ng; gi++ {
 		members := s.gMembers[s.gStart[gi]:s.gStart[gi+1]]
 		s.gLat[gi] = CyclesForDelay(s.groupDelay(d, a, gi))
@@ -558,13 +524,13 @@ func (s *Scheduler) groupOut(d *dfg.DFG, gi int, members []int) int {
 func (s *Scheduler) buildMacroArena(d *dfg.DFG, a Assignment, cfg machine.Config) error {
 	n := d.Len()
 	ng := len(s.gids)
-	s.macroOf = growInts(s.macroOf, n)
+	s.macroOf = arena.Grow(s.macroOf, n)
 	for i := range s.macroOf {
 		s.macroOf[i] = -1
 	}
 	// macroNodes is pre-grown to n so the per-macro subslices taken below
 	// never move under a later append.
-	s.macroNodes = growInts(s.macroNodes, n)[:0]
+	s.macroNodes = arena.Grow(s.macroNodes, n)[:0]
 	if cap(s.macros) < ng+n {
 		//lint:ignore allocfree cap-guarded arena growth; reused once warmed to the DFG size
 		s.macros = make([]macro, 0, ng+n)
@@ -665,9 +631,9 @@ func (s *Scheduler) macroEdgesArena(d *dfg.DFG) {
 // topoMacrosArena is topoMacros over the arena; s.order holds the result.
 func (s *Scheduler) topoMacrosArena() int {
 	nm := len(s.macros)
-	s.indeg = growInts(s.indeg, nm)
-	s.order = growInts(s.order, nm)[:0]
-	s.ready = growInts(s.ready, nm)[:0]
+	s.indeg = arena.Grow(s.indeg, nm)
+	s.order = arena.Grow(s.order, nm)[:0]
+	s.ready = arena.Grow(s.ready, nm)[:0]
 	for m := 0; m < nm; m++ {
 		s.indeg[m] = len(s.preds[m])
 	}
@@ -699,10 +665,10 @@ func (s *Scheduler) topoMacrosArena() int {
 // and re-enters the cycle loop at from.
 func (s *Scheduler) listSchedule(d *dfg.DFG, cfg machine.Config, from int) error {
 	nm := len(s.macros)
-	s.sp = growInts(s.sp, nm)
-	s.earliest = growInts(s.earliest, nm)
-	s.issue = growInts(s.issue, nm)
-	s.indeg = growInts(s.indeg, nm)
+	s.sp = arena.Grow(s.sp, nm)
+	s.earliest = arena.Grow(s.earliest, nm)
+	s.issue = arena.Grow(s.issue, nm)
+	s.indeg = arena.Grow(s.indeg, nm)
 	for m := 0; m < nm; m++ {
 		s.sp[m] = len(s.succs[m])
 		s.indeg[m] = len(s.preds[m])
@@ -821,8 +787,8 @@ func (s *Scheduler) listSchedule(d *dfg.DFG, cfg machine.Config, from int) error
 
 	n := d.Len()
 	s.out.Length = 0
-	s.out.NodeCycle = growInts(s.out.NodeCycle, n)
-	s.out.NodeDone = growInts(s.out.NodeDone, n)
+	s.out.NodeCycle = arena.Grow(s.out.NodeCycle, n)
+	s.out.NodeDone = arena.Grow(s.out.NodeDone, n)
 	for m := range s.macros {
 		mc := &s.macros[m]
 		for _, v := range mc.nodes {
@@ -848,8 +814,8 @@ func (s *Scheduler) candLess(a, b int) bool {
 // unchanged, and topoMacros is deterministic, so the orders coincide).
 func (s *Scheduler) criticalArena(d *dfg.DFG) {
 	nm := len(s.macros)
-	s.down = growInts(s.down, nm)
-	s.up = growInts(s.up, nm)
+	s.down = arena.Grow(s.down, nm)
+	s.up = arena.Grow(s.up, nm)
 	best := 0
 	for _, m := range s.order {
 		in := 0

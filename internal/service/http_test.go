@@ -150,7 +150,7 @@ func TestHTTPHealthAndMetrics(t *testing.T) {
 	if err := obs.ValidateExposition(bytes.NewReader(raw)); err != nil {
 		t.Fatalf("invalid Prometheus exposition: %v\n%s", err, raw)
 	}
-	for _, fam := range []string{"jobs_submitted_total", "queue_depth", "jobs_state_queued", "job_latency_seconds_bucket"} {
+	for _, fam := range []string{"jobs_submitted_total", "queue_depth", "jobs_running", "job_latency_seconds_bucket"} {
 		if !strings.Contains(string(raw), fam) {
 			t.Fatalf("exposition missing family %s:\n%s", fam, raw)
 		}

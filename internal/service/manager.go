@@ -144,10 +144,10 @@ func New(cfg Config) (*Manager, error) {
 	return m, nil
 }
 
-// registerGauges publishes the manager's live state — queue depth, running
-// jobs, per-state job counts — as sampled-at-exposition gauges on its own
-// registry. The callbacks take m.mu; obs snapshots series before calling
-// them, so no registry lock is held across the manager lock.
+// registerGauges publishes the manager's live state — queue depth and
+// running jobs — as sampled-at-exposition gauges on its own registry. The
+// callbacks take m.mu; obs snapshots series before calling them, so no
+// registry lock is held across the manager lock.
 func (m *Manager) registerGauges() {
 	m.met.reg.GaugeFunc("queue_depth", "Jobs waiting in the FIFO queue.", func() float64 {
 		m.mu.Lock()
@@ -159,20 +159,6 @@ func (m *Manager) registerGauges() {
 		defer m.mu.Unlock()
 		return float64(m.running)
 	})
-	for _, s := range []State{StateQueued, StateRunning, StateDone, StateFailed, StateCanceled} {
-		state := s
-		m.met.reg.GaugeFunc("jobs_state_"+string(state), "Jobs currently in the "+string(state)+" state.", func() float64 {
-			m.mu.Lock()
-			defer m.mu.Unlock()
-			n := 0
-			for _, j := range m.jobs {
-				if j.state == state {
-					n++
-				}
-			}
-			return float64(n)
-		})
-	}
 }
 
 // reload re-queues one persisted checkpoint as a resumable job, restoring

@@ -313,6 +313,11 @@ func TestCancelRunningJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, m, st.ID, StateRunning)
+	// The runner marks the job running and counts it in one critical
+	// section, and finish uncounts it in the one that ends it.
+	if s, _ := dumpSeries(m.MetricsDump(), "jobs_running"); s.Value != 1 {
+		t.Fatalf("jobs_running = %v while the job runs, want 1", s.Value)
+	}
 	if _, err := m.Cancel(st.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -322,6 +327,9 @@ func TestCancelRunningJob(t *testing.T) {
 	}
 	if s, _ := dumpSeries(m.MetricsDump(), "jobs_canceled_total"); s.Value != 1 {
 		t.Fatalf("jobs_canceled_total = %v, want 1", s.Value)
+	}
+	if s, _ := dumpSeries(m.MetricsDump(), "jobs_running"); s.Value != 0 {
+		t.Fatalf("jobs_running = %v after the cancel, want 0", s.Value)
 	}
 }
 
@@ -340,6 +348,9 @@ func TestJobDeadlineFails(t *testing.T) {
 	if final.Error == "" {
 		t.Fatal("deadline failure has no error message")
 	}
+	if s, _ := dumpSeries(m.MetricsDump(), "jobs_failed_total"); s.Value != 1 {
+		t.Fatalf("jobs_failed_total = %v, want 1", s.Value)
+	}
 }
 
 func TestMetricsShape(t *testing.T) {
@@ -352,7 +363,6 @@ func TestMetricsShape(t *testing.T) {
 	met := m.MetricsDump()
 	for _, key := range []string{
 		"jobs_submitted_total", "jobs_done_total", "queue_depth",
-		"eval_cache_hits_total", "eval_cache_misses_total",
 	} {
 		if _, ok := dumpSeries(met, key); !ok {
 			t.Errorf("metrics missing %s", key)
@@ -364,6 +374,16 @@ func TestMetricsShape(t *testing.T) {
 	}
 	if s, _ := dumpSeries(met, "jobs_done_total"); s.Value != 1 {
 		t.Fatalf("jobs_done_total = %v", s.Value)
+	}
+	// Exploring the job's block schedules candidates, and repeats some.
+	for _, key := range []string{"eval_cache_hits_total", "eval_cache_misses_total"} {
+		if s, _ := dumpSeries(met, key); s.Value == 0 {
+			t.Errorf("%s = 0 after a finished job", key)
+		}
+	}
+	// One runner claimed the one job once.
+	if s, _ := dumpSeries(met, "job_queue_wait_seconds"); s.Hist == nil || s.Hist.Count != 1 {
+		t.Errorf("job_queue_wait_seconds has %+v, want one sample", s.Hist)
 	}
 }
 

@@ -103,6 +103,9 @@ func TestResumeAfterDrainDeterminism(t *testing.T) {
 		if mid.State != StateQueued {
 			t.Fatalf("workers=%d: job state after drain = %s, want queued", workers, mid.State)
 		}
+		if s, _ := dumpSeries(m1.MetricsDump(), "checkpoints_total"); s.Value != 1 {
+			t.Fatalf("workers=%d: checkpoints_total = %v after the drain, want 1", workers, s.Value)
+		}
 		if _, serr := os.Stat(filepath.Join(dir, "job-"+st.ID+".json")); serr != nil {
 			t.Fatalf("workers=%d: no checkpoint on disk: %v", workers, serr)
 		}
@@ -115,6 +118,9 @@ func TestResumeAfterDrainDeterminism(t *testing.T) {
 		}
 		if !resumed.Resumed {
 			t.Fatalf("workers=%d: reloaded job not marked resumed", workers)
+		}
+		if s, _ := dumpSeries(m2.MetricsDump(), "jobs_resumed_total"); s.Value != 1 {
+			t.Fatalf("workers=%d: jobs_resumed_total = %v after the reload, want 1", workers, s.Value)
 		}
 		got := waitState(t, m2, st.ID, StateDone)
 		blocksEqual(t, "resumed vs uninterrupted", want, got.Blocks)
