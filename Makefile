@@ -32,7 +32,9 @@ race: lint
 # of both explorers' merit sweeps, 0 allocs/op), ExploreMI / ExploreSI plus
 # the engine-ablation pair (exploration), ExploreRestartMI / ExploreRestartSI
 # (one restart on one worker on jpeg/O3's hottest block: the per-iteration
-# cost without the restart fan-out), BuildPool and Headline (the flow), and
+# cost without the restart fan-out), BuildPool, BuildMultiPool (a crc32/O3 +
+# adpcm/O3 suite pool, whose re-pricing fans out its occurrence searches)
+# and Headline (the flow), and
 # internal/core's instrumented round-loop pair
 # ExploreIter{Trace,Flight}{Off,On}, whose nil-path variants must stay at
 # 0 allocs/op (DESIGN.md §16), internal/baseline's BaselineIter (one
@@ -44,7 +46,7 @@ race: lint
 # `--trace 1` attributes time per layer. `make benchall` runs every root
 # benchmark.
 bench:
-	go test -bench 'Explore|Headline|BuildPool|MatchFind|Merge|Evaluate|Convex|VMProfile|SchedSteadyState|BaselineIter|FleetJob' -benchmem -count 5 -run '^$$' . ./internal/core ./internal/baseline ./internal/cluster
+	go test -bench 'Explore|Headline|BuildPool|BuildMultiPool|MatchFind|Merge|Evaluate|Convex|VMProfile|SchedSteadyState|BaselineIter|FleetJob' -benchmem -count 5 -run '^$$' . ./internal/core ./internal/baseline ./internal/cluster
 
 benchall:
 	go test -bench=. -benchmem

@@ -568,6 +568,28 @@ func BenchmarkBuildPool(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildMultiPool measures one suite-wide pool build over crc32/O3
+// and adpcm/O3: both explorations and merges, then the re-pricing of every
+// candidate in every block of both applications, whose occurrence searches
+// fan out before the sequential pricing.
+func BenchmarkBuildMultiPool(b *testing.B) {
+	var benches []*bench.Benchmark
+	for _, name := range []string{"crc32", "adpcm"} {
+		bm, err := bench.Get(name, "O3")
+		if err != nil {
+			b.Fatal(err)
+		}
+		benches = append(benches, bm)
+	}
+	opts := flow.Options{Machine: machine.New(2, 4, 2), Params: core.FastParams(), Algorithm: flow.MI}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := flow.BuildMultiPool(benches, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAblationTwoASFUs explores with a second ASFU available —
 // measuring whether ISE-level parallelism buys anything on this workload.
 func BenchmarkAblationTwoASFUs(b *testing.B) {

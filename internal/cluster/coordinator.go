@@ -496,19 +496,26 @@ func (c *Coordinator) Heartbeat(jobID string, shard int, req heartbeatRequest) e
 	if req.Snapshot != nil {
 		s.snap = req.Snapshot
 	}
-	// Fold the delta between the worker's cumulative local-cache report and
-	// the last one seen into the shard's labeled hit counter and the job
-	// totals. A re-dispatched shard's counters restart from zero; a backwards
-	// report resets the baseline so the retried work is re-counted (which is
-	// what actually happened).
-	if req.CacheHits < s.hits || req.CacheMisses < s.misses {
-		s.hits, s.misses = 0, 0
-	}
-	s.hitC.Add(float64(req.CacheHits - s.hits))
-	j.cacheHits += req.CacheHits - s.hits
-	j.cacheMisses += req.CacheMisses - s.misses
+	// Fold the worker's cumulative local-cache report into the shard's
+	// labeled hit counter and the job totals.
+	dh, dm := cacheDelta(s.hits, s.misses, req.CacheHits, req.CacheMisses)
+	s.hitC.Add(float64(dh))
+	j.cacheHits += dh
+	j.cacheMisses += dm
 	s.hits, s.misses = req.CacheHits, req.CacheMisses
 	return nil
+}
+
+// cacheDelta returns how far a worker's cumulative local-cache report
+// (hits, misses) moved past the last one seen (lastHits, lastMisses). A
+// re-dispatched shard's counters restart from zero: a backwards report
+// resets the baseline, so the retried work is re-counted (which is what
+// actually happened).
+func cacheDelta(lastHits, lastMisses, hits, misses uint64) (dHits, dMisses uint64) {
+	if hits < lastHits || misses < lastMisses {
+		return hits, misses
+	}
+	return hits - lastHits, misses - lastMisses
 }
 
 // Result records a shard's outcome. A worker error consumes one retry and
@@ -573,12 +580,10 @@ func (c *Coordinator) Result(jobID string, shard int, req resultRequest, tc obs.
 		// the spans just belong to another trace. Surface it, keep going.
 		c.opts.Logf("cluster: job %s shard %d: worker %s echoed trace id %q", jobID, shard, req.Worker, tc.TraceID)
 	}
-	if req.CacheHits < s.hits || req.CacheMisses < s.misses {
-		s.hits, s.misses = 0, 0
-	}
-	s.hitC.Add(float64(req.CacheHits - s.hits))
-	j.cacheHits += req.CacheHits - s.hits
-	j.cacheMisses += req.CacheMisses - s.misses
+	dh, dm := cacheDelta(s.hits, s.misses, req.CacheHits, req.CacheMisses)
+	s.hitC.Add(float64(dh))
+	j.cacheHits += dh
+	j.cacheMisses += dm
 	s.hits, s.misses = req.CacheHits, req.CacheMisses
 	s.result = req.Result
 	s.state = shardDone

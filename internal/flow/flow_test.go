@@ -3,6 +3,7 @@ package flow
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/selection"
 )
 
@@ -439,5 +441,145 @@ func TestBuildPoolCrossBlockReuseDeterminism(t *testing.T) {
 				poolsEqual(t, want, got)
 			}
 		}
+	}
+}
+
+// reportsEqual compares the constraint-dependent outcome of two reports
+// from separately built pools: cycles, area, and the selected candidates by
+// source block, nodes and gain.
+func reportsEqual(t *testing.T, what string, a, b *Report) {
+	t.Helper()
+	if a.BaseCycles != b.BaseCycles || a.FinalCycles != b.FinalCycles || a.AreaUM2 != b.AreaUM2 {
+		t.Fatalf("%s: cycles/area %v/%v/%v vs %v/%v/%v", what,
+			a.BaseCycles, a.FinalCycles, a.AreaUM2, b.BaseCycles, b.FinalCycles, b.AreaUM2)
+	}
+	if len(a.Selected) != len(b.Selected) {
+		t.Fatalf("%s: %d vs %d selected", what, len(a.Selected), len(b.Selected))
+	}
+	for i, ca := range a.Selected {
+		cb := b.Selected[i]
+		if ca.DFG.BlockIndex != cb.DFG.BlockIndex || !ca.ISE.Nodes.Equal(cb.ISE.Nodes) || ca.Gain != cb.Gain {
+			t.Fatalf("%s: selected candidate %d differs", what, i)
+		}
+	}
+}
+
+// workerCounts are the Params.Workers values the invariance tests compare:
+// sequential, one per CPU, and more workers than CPUs.
+func workerCounts() []int { return []int{1, 0, runtime.GOMAXPROCS(0) + 1} }
+
+var evalPoints = []selection.Constraints{{}, {MaxISEs: 1}, {MaxAreaUM2: 20000}}
+
+// TestEvaluateWorkerCountInvariance: replacement's occurrence searches fan
+// out over Params.Workers goroutines before the sequential deploy, and the
+// reports must not depend on it. rijndael/O3 SI at seed 3 has a block whose
+// first deploy does not schedule, so Apply's second deploy pass reads the
+// prefetched memo too.
+func TestEvaluateWorkerCountInvariance(t *testing.T) {
+	for _, tc := range []struct {
+		bench string
+		algo  Algorithm
+		seed  int64
+	}{{"crc32", MI, 1}, {"crc32", SI, 1}, {"rijndael", SI, 3}} {
+		bm, err := bench.Get(tc.bench, "O3")
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{Machine: machine.New(2, 4, 2), Params: core.FastParams(), Algorithm: tc.algo, HotBlocks: 3}
+		opts.Params.Seed = tc.seed
+		var want []*Report
+		for _, w := range workerCounts() {
+			opts.Params.Workers = w
+			pool, err := BuildPool(bm, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k, c := range evalPoints {
+				rep, err := pool.Evaluate(c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if w == 1 {
+					want = append(want, rep)
+					continue
+				}
+				reportsEqual(t, fmt.Sprintf("%s %s workers=%d point %d", tc.bench, tc.algo, w, k), want[k], rep)
+			}
+		}
+	}
+}
+
+// TestMultiPoolEvaluateWorkerCountInvariance is the suite-wide form: the
+// build's re-pricing and every Evaluate fan out their searches, and the
+// suite and per-application reports must not depend on the worker count.
+func TestMultiPoolEvaluateWorkerCountInvariance(t *testing.T) {
+	var benches []*bench.Benchmark
+	for _, name := range []string{"crc32", "adpcm"} {
+		bm, err := bench.Get(name, "O3")
+		if err != nil {
+			t.Fatal(err)
+		}
+		benches = append(benches, bm)
+	}
+	suite := func(r *MultiReport) *Report {
+		return &Report{BaseCycles: r.BaseCycles, FinalCycles: r.FinalCycles, AreaUM2: r.AreaUM2, Selected: r.Selected}
+	}
+	for _, algo := range []Algorithm{MI, SI} {
+		opts := Options{Machine: machine.New(2, 4, 2), Params: core.FastParams(), Algorithm: algo, HotBlocks: 3}
+		var want []*MultiReport
+		for _, w := range workerCounts() {
+			opts.Params.Workers = w
+			mp, err := BuildMultiPool(benches, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k, c := range evalPoints {
+				rep, err := mp.Evaluate(c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if w == 1 {
+					want = append(want, rep)
+					continue
+				}
+				what := fmt.Sprintf("%s workers=%d point %d", algo, w, k)
+				reportsEqual(t, what, suite(want[k]), suite(rep))
+				if len(rep.PerApp) != len(want[k].PerApp) {
+					t.Fatalf("%s: %d vs %d apps", what, len(rep.PerApp), len(want[k].PerApp))
+				}
+				for i, app := range rep.PerApp {
+					reportsEqual(t, fmt.Sprintf("%s app %d", what, i), want[k].PerApp[i], app)
+				}
+			}
+		}
+	}
+}
+
+// TestEvaluatePrefetchesOnlyColdPairs pins the memo skip: a pool's first
+// Evaluate runs one pool item per (selected candidate, block) pair, since
+// BuildPool searches no occurrences, and evaluating the same point again
+// runs none. Not parallel: ise_parallel_items_total is process-wide.
+func TestEvaluatePrefetchesOnlyColdPairs(t *testing.T) {
+	items := obs.Default.Counter("ise_parallel_items_total", "")
+	pool := testPool(t, "crc32", "O3", MI)
+	before := items.Value()
+	rep, err := pool.Evaluate(selection.Constraints{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := len(rep.Selected) * len(pool.DFGs)
+	if pairs == 0 {
+		t.Fatal("nothing selected")
+	}
+	if got := items.Value() - before; got != float64(pairs) {
+		t.Fatalf("cold Evaluate ran %v pool items, want %d (selected %d × blocks %d)",
+			got, pairs, len(rep.Selected), len(pool.DFGs))
+	}
+	before = items.Value()
+	if _, err := pool.Evaluate(selection.Constraints{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := items.Value() - before; got != 0 {
+		t.Fatalf("warm Evaluate ran %v pool items, want 0", got)
 	}
 }

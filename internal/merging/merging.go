@@ -36,7 +36,7 @@ type Candidate struct {
 	mu sync.Mutex
 	// matchCache memoizes pattern occurrences per target and match cap;
 	// guarded by mu.
-	matchCache map[matchKey][]match.Mapping
+	matchCache map[matchKey]*matchEntry
 }
 
 // matchKey identifies one Matches query.
@@ -45,23 +45,47 @@ type matchKey struct {
 	maxMatches int
 }
 
+// matchEntry is one key's memo slot. The first caller runs the search under
+// once, outside Candidate.mu, so searches of different keys run
+// concurrently and callers of the same key wait for the one search.
+type matchEntry struct {
+	once sync.Once
+	ms   []match.Mapping
+}
+
 // Matches returns (and memoizes) the pattern occurrences of this candidate
 // in target DFG d, capped at maxMatches as match.Find caps them. Selection
 // sweeps evaluate the same candidates under many constraints; the
-// occurrences never change.
+// occurrences never change. Safe for concurrent use: each (d, maxMatches)
+// is searched at most once, and every caller gets the same slice.
 func (c *Candidate) Matches(d *dfg.DFG, maxMatches int) []match.Mapping {
+	e := c.entry(matchKey{d, maxMatches})
+	e.once.Do(func() { e.ms = match.Find(c.DFG, c.ISE.Nodes, d, maxMatches) })
+	return e.ms
+}
+
+// Matched reports whether Matches(d, maxMatches) has already been called:
+// its search is done or under way, so a new call starts no search.
+func (c *Candidate) Matched(d *dfg.DFG, maxMatches int) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	k := matchKey{d, maxMatches}
-	if ms, ok := c.matchCache[k]; ok {
-		return ms
+	_, ok := c.matchCache[matchKey{d, maxMatches}]
+	return ok
+}
+
+// entry returns k's memo slot, creating it on first use.
+func (c *Candidate) entry(k matchKey) *matchEntry {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.matchCache[k]
+	if !ok {
+		if c.matchCache == nil {
+			c.matchCache = map[matchKey]*matchEntry{}
+		}
+		e = &matchEntry{}
+		c.matchCache[k] = e
 	}
-	ms := match.Find(c.DFG, c.ISE.Nodes, d, maxMatches)
-	if c.matchCache == nil {
-		c.matchCache = map[matchKey][]match.Mapping{}
-	}
-	c.matchCache[k] = ms
-	return ms
+	return e
 }
 
 // Group is a set of candidates sharing one ASFU. AreaUM2 is the hardware

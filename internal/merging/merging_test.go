@@ -1,12 +1,15 @@
 package merging
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dfg"
 	"repro/internal/graph"
 	"repro/internal/isa"
+	"repro/internal/match"
 	"repro/internal/prog"
 )
 
@@ -168,5 +171,61 @@ func TestMatchesMemoKeyedByCap(t *testing.T) {
 	}
 	if got := len(c.Matches(d, 1)); got != 1 {
 		t.Fatalf("Matches(d, 1) after Matches(d, 8) = %d mappings, want 1", got)
+	}
+}
+
+// TestMatchesConcurrent drives one candidate's memo from many goroutines at
+// once, on one key and on several (run it under -race). Every answer must
+// equal match.Find's, and the callers of one key must share the one
+// search's slice.
+func TestMatchesConcurrent(t *testing.T) {
+	mk := func(n int) *dfg.DFG {
+		return blockDFG(t, func(b *prog.Builder) {
+			for i := 0; i < n; i++ {
+				b.R(isa.OpAND, prog.T0, prog.A0, prog.A1)
+				b.R(isa.OpXOR, prog.T1, prog.T0, prog.A0)
+				b.R(isa.OpOR, prog.A1, prog.T1, prog.A1)
+			}
+		})
+	}
+	src := mk(1)
+	c := candOf(src, 1, 0, 1)
+	type key struct {
+		d   *dfg.DFG
+		cap int
+	}
+	var keys []key
+	for _, d := range []*dfg.DFG{src, mk(3), mk(6)} {
+		for _, cap := range []int{1, 2, 64} {
+			keys = append(keys, key{d, cap})
+		}
+	}
+	const perKey = 8
+	got := make([][]match.Mapping, len(keys)*perKey)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			k := keys[i%len(keys)]
+			got[i] = c.Matches(k.d, k.cap)
+		}(i)
+	}
+	wg.Wait()
+	for i, ms := range got {
+		k := keys[i%len(keys)]
+		want := match.Find(c.DFG, c.ISE.Nodes, k.d, k.cap)
+		if !reflect.DeepEqual(ms, want) {
+			t.Fatalf("key %d: Matches = %v, match.Find = %v", i%len(keys), ms, want)
+		}
+		if len(ms) == 0 {
+			t.Fatalf("key %d: no matches", i%len(keys))
+		}
+		if first := got[i%len(keys)]; &ms[0] != &first[0] {
+			t.Fatalf("key %d: callers got different backing arrays", i%len(keys))
+		}
+		if !c.Matched(k.d, k.cap) {
+			t.Fatalf("key %d: Matched = false after Matches", i%len(keys))
+		}
 	}
 }
