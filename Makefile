@@ -32,7 +32,9 @@ race: lint
 # of both explorers' merit sweeps, 0 allocs/op), ExploreMI / ExploreSI plus
 # the engine-ablation pair (exploration), ExploreRestartMI / ExploreRestartSI
 # (one restart on one worker on jpeg/O3's hottest block: the per-iteration
-# cost without the restart fan-out), BuildPool, BuildMultiPool (a crc32/O3 +
+# cost without the restart fan-out), ExploreRestartMIAdpcm (the same MI
+# restart on adpcm/O3's hottest block, the block of every perfbench
+# fleet-jobs job), BuildPool, BuildMultiPool (a crc32/O3 +
 # adpcm/O3 suite pool, whose re-pricing fans out its occurrence searches)
 # and Headline (the flow), and
 # internal/core's instrumented round-loop pair

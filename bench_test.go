@@ -607,20 +607,30 @@ func BenchmarkAblationTwoASFUs(b *testing.B) {
 	reportAvg(b, last.Reduction())
 }
 
+// hottestBlock returns a function that builds the hottest O3 block of
+// benchmark name on its first call and returns it on every call.
+func hottestBlock(name string) func() *dfg.DFG {
+	return sync.OnceValue(func() *dfg.DFG {
+		bm, err := bench.Get(name, "O3")
+		if err != nil {
+			panic(err)
+		}
+		prof, err := bm.Run()
+		if err != nil {
+			panic(err)
+		}
+		return dfg.BuildAll(bm.Prog, prof.HotBlocks(bm.Prog, 1), prof.BlockCounts)[0]
+	})
+}
+
 // restartDFG is the block the per-restart benchmarks explore: the hottest
 // block of jpeg/O3 (row_loop, 183 nodes), the block of every perfbench
 // flow-explore design point.
-var restartDFG = sync.OnceValue(func() *dfg.DFG {
-	bm, err := bench.Get("jpeg", "O3")
-	if err != nil {
-		panic(err)
-	}
-	prof, err := bm.Run()
-	if err != nil {
-		panic(err)
-	}
-	return dfg.BuildAll(bm.Prog, prof.HotBlocks(bm.Prog, 1), prof.BlockCounts)[0]
-})
+var restartDFG = hottestBlock("jpeg")
+
+// adpcmRestartDFG is the hottest block of adpcm/O3 (sample_loop, 111
+// nodes), the block every perfbench fleet-jobs job explores.
+var adpcmRestartDFG = hottestBlock("adpcm")
 
 // restartParams are the paper's exploration parameters cut to one restart on
 // one worker, so a benchmark op is one restart's iterations and nothing
@@ -637,6 +647,20 @@ func restartParams() core.Params {
 // its iteration count, free of the restart fan-out's scheduling.
 func BenchmarkExploreRestartMI(b *testing.B) {
 	d := restartDFG()
+	cfg := machine.New(2, 4, 2)
+	p := restartParams()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Explore(b.Context(), d, cfg, p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkExploreRestartMIAdpcm is BenchmarkExploreRestartMI on
+// adpcmRestartDFG: the exploration half of a fleet-jobs op.
+func BenchmarkExploreRestartMIAdpcm(b *testing.B) {
+	d := adpcmRestartDFG()
 	cfg := machine.New(2, 4, 2)
 	p := restartParams()
 	b.ReportAllocs()

@@ -86,8 +86,7 @@ func TestMidShardKillResumesFromSnapshot(t *testing.T) {
 					})
 				},
 			})
-			<-beat
-			<-doneA
+			awaitBeat(t, beat, resCh, killA, doneA)
 
 			// The lease lapses; worker B's next claim must re-dispatch the
 			// shard together with A's uploaded snapshot.

@@ -67,10 +67,20 @@ func startCoordinator(t *testing.T, opts Options) (*Coordinator, string) {
 	return c, srv.URL
 }
 
+// rpcClient issues the test workers' RPCs. Workers default to
+// http.DefaultClient, which never times out; every coordinator RPC answers
+// at once (a claim does not wait for work), so a bounded exchange turns a
+// stuck RPC into a failed call within seconds instead of a test binary that
+// runs to its timeout.
+var rpcClient = &http.Client{Timeout: 10 * time.Second}
+
 // startWorker runs a worker until ctx cancels; the returned channel closes
 // when its loop exits. Tests must drain it before returning (the worker logs
-// through t.Logf).
+// through t.Logf). A worker without a client gets rpcClient.
 func startWorker(ctx context.Context, opts WorkerOptions) <-chan struct{} {
+	if opts.Client == nil {
+		opts.Client = rpcClient
+	}
 	done := make(chan struct{})
 	w := NewWorker(opts)
 	go func() {
@@ -78,6 +88,24 @@ func startWorker(ctx context.Context, opts WorkerOptions) <-chan struct{} {
 		_ = w.Run(ctx)
 	}()
 	return done
+}
+
+// awaitBeat waits until worker A, which kills itself from its first
+// checkpoint heartbeat, has done so and exited. A time slice ends only when
+// its timer fires; if the timer fires late enough for A to finish the whole
+// job inside its first slice, A never checkpoints and there is no snapshot
+// to resume from. The test then fails at once instead of waiting for a
+// heartbeat that cannot come.
+func awaitBeat(t *testing.T, beat <-chan struct{}, jobDone <-chan *core.Result, killA context.CancelFunc, doneA <-chan struct{}) {
+	t.Helper()
+	select {
+	case <-beat:
+		<-doneA
+	case <-jobDone:
+		killA()
+		<-doneA
+		t.Fatal("worker A finished the job inside its first time slice and never checkpointed; nothing was killed mid-shard")
+	}
 }
 
 // startFleet mounts a fresh coordinator on a loopback server, its mux

@@ -294,8 +294,7 @@ func TestFlightSeriesSurvivesKillResume(t *testing.T) {
 			}
 		},
 	})
-	<-beat
-	<-doneA
+	awaitBeat(t, beat, resCh, killA, doneA)
 
 	clk.Advance(2 * time.Minute)
 	bctx, stopB := context.WithCancel(context.Background())

@@ -15,59 +15,87 @@ func (e *explorer) trailUpdate(res *walkResult, improved bool, prevOrder []int) 
 	}
 }
 
-// virtualSubgraph returns vSx: operation x grouped with every reachable
-// operation that chose a hardware implementation option in this iteration
-// (Hardware-Grouping, §4.3). Reachability walks dependence edges in both
-// directions but only through hardware-chosen nodes. The returned set is the
-// explorer's arena and is valid until the next call.
-func (e *explorer) virtualSubgraph(res *walkResult, x int) graph.NodeSet {
+// labelComponents labels the connected components of the free nodes that
+// chose a hardware option this iteration, over dependence edges in both
+// directions: compOf maps each such node to its component, every other node
+// to -1, and comps[c] holds component c's members. A component is the vSx
+// of each of its members (Hardware-Grouping, §4.3): vSx is x grouped with
+// every operation reachable from it through hardware-chosen operations.
+func (e *explorer) labelComponents(res *walkResult) {
+	d := e.d
+	n := d.Len()
+	e.compOf = grow(e.compOf, n)
+	for i := range e.compOf {
+		e.compOf[i] = -1
+	}
+	e.reserveComps(n)
+	e.comps = e.comps[:0]
+	stack := e.compStack[:0]
+	for x := 0; x < n; x++ {
+		if e.compOf[x] >= 0 || !e.choseHW(res, x) {
+			continue
+		}
+		c := len(e.comps)
+		e.comps = e.comps[:c+1]
+		set := &e.comps[c]
+		set.Reset(n)
+		set.Add(x)
+		e.compOf[x] = c
+		stack = append(stack, x)
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for dir := 0; dir < 2; dir++ {
+				nbs := d.G.Succs(v)
+				if dir == 1 {
+					nbs = d.G.Preds(v)
+				}
+				for _, nb := range nbs {
+					if e.compOf[nb] >= 0 || !e.choseHW(res, nb) {
+						continue
+					}
+					e.compOf[nb] = c
+					set.Add(nb)
+					stack = append(stack, nb)
+				}
+			}
+		}
+	}
+	e.compStack = stack
+}
+
+// reserveComps makes room for n component sets, keeping the warmed ones.
+//
+//alloc:amortized grows the component pool only while it warms up to the DFG size; later calls reuse it
+func (e *explorer) reserveComps(n int) {
+	if cap(e.comps) < n {
+		e.comps = append(e.comps[:cap(e.comps)], make([]graph.NodeSet, n-cap(e.comps))...)
+		obsExploreArenaGrows.Inc()
+	}
+}
+
+// softwareVS returns vSx for a free node x that chose software: x with every
+// hardware component adjacent to it, read from labelComponents' labels. The
+// returned set is the explorer's arena and is valid until the next call.
+func (e *explorer) softwareVS(x int) graph.NodeSet {
 	d := e.d
 	e.vsSet.Reset(d.Len())
 	vs := &e.vsSet
 	vs.Add(x)
-	stack := append(e.vsStack[:0], x)
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for dir := 0; dir < 2; dir++ {
-			nbs := d.G.Succs(v)
-			if dir == 1 {
-				nbs = d.G.Preds(v)
-			}
-			for _, nb := range nbs {
-				if vs.Contains(nb) || e.fixedGroupOf[nb] >= 0 || !e.choseHW(res, nb) {
-					continue
-				}
-				vs.Add(nb)
-				stack = append(stack, nb)
+	for dir := 0; dir < 2; dir++ {
+		nbs := d.G.Succs(x)
+		if dir == 1 {
+			nbs = d.G.Preds(x)
+		}
+		for _, nb := range nbs {
+			// A member of vs belongs to a component already added.
+			if c := e.compOf[nb]; c >= 0 && !vs.Contains(nb) {
+				vs.UnionWith(e.comps[c])
 			}
 		}
 	}
-	e.vsStack = stack
-	//lint:ignore arenaescape callers consume the subgraph before the next virtualSubgraph call
+	//lint:ignore arenaescape callers consume the subgraph before the next softwareVS call
 	return e.vsSet
-}
-
-// swDepth returns the longest dependence chain within vs at unit software
-// latency — the serial cycle count the subgraph costs when not packed.
-// members must hold vs's members in topological order.
-func (e *explorer) swDepth(vs graph.NodeSet, members []int) int {
-	d := e.d
-	depth := e.depthI
-	best := 0
-	for _, v := range members {
-		in := 0
-		for _, p := range d.G.Preds(v) {
-			if vs.Contains(p) && depth[p] > in {
-				in = depth[p]
-			}
-		}
-		depth[v] = in + 1
-		if depth[v] > best {
-			best = depth[v]
-		}
-	}
-	return best
 }
 
 // mobility returns the ASAP/ALAP slack window (in cycles, ≥1) of the first
@@ -100,33 +128,31 @@ func (e *explorer) mobility(res *walkResult, vs graph.NodeSet) int {
 //
 // Every free node that chose hardware this iteration has the same vSx as
 // the rest of its hardware-chosen component: the component itself. Each
-// operation's update writes only its own merit row, so the sweep visits
-// such nodes one component at a time and measures the component once for
-// all its members; only the per-option metrics of each member stay per
-// operation. Software-chosen nodes build their own vSx.
+// operation's update writes only its own merit row, so the sweep labels the
+// components once, measures each component once for all its members, and
+// keeps only the per-option metrics of each member per operation.
+// Software-chosen nodes build their own vSx from the labels.
 //
 //alloc:free
 func (e *explorer) meritUpdate(res *walkResult) {
 	d := e.d
-	e.vsDone.Reset(d.Len())
-	for x := 0; x < d.Len(); x++ {
-		if e.fixedGroupOf[x] >= 0 || e.vsDone.Contains(x) {
-			continue
-		}
-		if !e.choseHW(res, x) {
-			if len(d.Nodes[x].HW) > 0 {
-				e.measureVS(res, e.virtualSubgraph(res, x))
-			}
-			e.nodeMerit(res, x)
-			continue
-		}
-		vs := e.virtualSubgraph(res, x)
+	e.labelComponents(res)
+	for c := range e.comps {
+		vs := e.comps[c]
 		e.measureVS(res, vs)
 		e.compMembers = vs.AppendValues(e.compMembers[:0])
 		for _, v := range e.compMembers {
-			e.vsDone.Add(v)
 			e.nodeMerit(res, v)
 		}
+	}
+	for x := 0; x < d.Len(); x++ {
+		if e.fixedGroupOf[x] >= 0 || e.compOf[x] >= 0 {
+			continue
+		}
+		if len(d.Nodes[x].HW) > 0 {
+			e.measureVS(res, e.softwareVS(x))
+		}
+		e.nodeMerit(res, x)
 	}
 }
 
@@ -150,14 +176,14 @@ func (e *explorer) nodeMerit(res *walkResult, x int) {
 }
 
 // measureVS measures vs in the meter and, when it reaches case 4, supplies
-// the location-aware inputs: the software depth, whether vs touches the
+// the location-aware inputs: the software depth (the unit-latency chain), whether vs touches the
 // critical path, and its Max_AEC when it does not.
 func (e *explorer) measureVS(res *walkResult, vs graph.NodeSet) {
 	m := &e.meter
 	if !m.Measure(e.d, &e.cfg, vs, nil, res.chosen, e.tab.NumSW, &e.io) {
 		return
 	}
-	m.SWCost = e.swDepth(vs, m.Members())
+	m.SWCost = m.unitDepth()
 	m.OnCritical = e.p.NoMaxAEC
 	if !m.OnCritical && !e.p.NoCriticalPath {
 		for _, v := range m.Members() {

@@ -102,7 +102,7 @@ func TestMeritCase3PortViolationDamped(t *testing.T) {
 	})
 	e := newExplorer(t, d, machine.New(2, 4, 2))
 	res := fakeWalk(e, []bool{true, true, true, true, true}, graph.NewNodeSet(d.Len()), 3)
-	vs := e.virtualSubgraph(res, 4)
+	vs := e.virtualSubgraphReference(res, 4)
 	if vs.Len() != 5 {
 		t.Fatalf("virtual subgraph size %d, want 5", vs.Len())
 	}
@@ -143,14 +143,21 @@ func TestVirtualSubgraphFollowsHWChoices(t *testing.T) {
 	})
 	e := newExplorer(t, d, machine.New(2, 4, 2))
 	res := fakeWalk(e, []bool{true, false, true}, graph.NewNodeSet(d.Len()), 3)
-	vs := e.virtualSubgraph(res, 0)
-	if vs.Len() != 1 || !vs.Contains(0) {
-		t.Errorf("vS(0) = %v, want {0} (chain broken by software n1)", vs)
+	e.labelComponents(res)
+	for _, vs := range []graph.NodeSet{e.labelledVS(0), e.virtualSubgraphReference(res, 0)} {
+		if vs.Len() != 1 || !vs.Contains(0) {
+			t.Errorf("vS(0) = %v, want {0} (chain broken by software n1)", vs)
+		}
+	}
+	if vs := e.labelledVS(1); vs.Len() != 3 {
+		t.Errorf("vS(1) = %v, want n1 with both hardware neighbours", vs)
 	}
 	res2 := fakeWalk(e, []bool{true, true, true}, graph.NewNodeSet(d.Len()), 3)
-	vs2 := e.virtualSubgraph(res2, 0)
-	if vs2.Len() != 3 {
-		t.Errorf("vS(0) = %v, want all three", vs2)
+	e.labelComponents(res2)
+	for _, vs := range []graph.NodeSet{e.labelledVS(0), e.virtualSubgraphReference(res2, 0)} {
+		if vs.Len() != 3 {
+			t.Errorf("vS(0) = %v, want all three", vs)
+		}
 	}
 }
 
@@ -266,7 +273,7 @@ func TestVSMeterRebindsAfterPresize(t *testing.T) {
 	}
 	var m VSMeter
 	want := m.Delay(d, vs, members, chosen, numSW)
-	m.presize(1, 1)
+	m.presize(1, 0, 1)
 	if got := m.Delay(d, vs, members, chosen, numSW); got != want {
 		t.Fatalf("delay after presize = %v, want %v", got, want)
 	}

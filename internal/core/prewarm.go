@@ -11,20 +11,30 @@ import "repro/internal/dfg"
 // a worker pays warmup once for the whole run regardless of the order blocks
 // reach it.
 
-// arenaBounds derives the presize bounds one DFG imposes on an explorer:
-// node count, total option-table entries, the widest per-node option row,
-// and the IN-counting mark space (dfg.InKeys).
-func arenaBounds(d *dfg.DFG) (n, totalOpts, maxRow, ioNeed int) {
-	n = d.Len()
-	for i := 0; i < n; i++ {
-		node := d.Nodes[i]
+// arenaBounds are the presize bounds DFGs impose on an explorer: node count,
+// dependence edges, total option-table entries, the widest per-node option
+// row, and the IN-counting mark space (dfg.InKeys).
+type arenaBounds struct {
+	nodes, edges, opts, row, ioNeed int
+}
+
+// boundsOf returns the bounds one DFG imposes.
+func boundsOf(d *dfg.DFG) arenaBounds {
+	b := arenaBounds{nodes: d.Len(), edges: d.G.NumEdges(), ioNeed: d.InKeys()}
+	for _, node := range d.Nodes {
 		opts := len(node.SW) + len(node.HW)
-		totalOpts += opts
-		if opts > maxRow {
-			maxRow = opts
-		}
+		b.opts += opts
+		b.row = max(b.row, opts)
 	}
-	return n, totalOpts, maxRow, d.InKeys()
+	return b
+}
+
+// union returns bounds covering both b and o.
+func (b arenaBounds) union(o arenaBounds) arenaBounds {
+	return arenaBounds{
+		nodes: max(b.nodes, o.nodes), edges: max(b.edges, o.edges),
+		opts: max(b.opts, o.opts), row: max(b.row, o.row), ioNeed: max(b.ioNeed, o.ioNeed),
+	}
 }
 
 // presize grows every counter-tracked arena of the explorer to the given
@@ -37,10 +47,11 @@ func arenaBounds(d *dfg.DFG) (n, totalOpts, maxRow, ioNeed int) {
 // reslicing once the arrays are warm.
 //
 //alloc:amortized prewarm pass; allocates only while arenas grow to the run's largest block
-func (e *explorer) presize(n, totalOpts, maxRow, ioNeed int) {
+func (e *explorer) presize(b arenaBounds) {
+	n := b.nodes
 	e.fixedGroupOf = grow(e.fixedGroupOf, n)
 	e.sp = grow(e.sp, n)
-	if e.io.Reserve(ioNeed) {
+	if e.io.Reserve(b.ioNeed) {
 		obsExploreArenaGrows.Inc()
 	}
 	e.unitOf = grow(e.unitOf, n)
@@ -54,19 +65,27 @@ func (e *explorer) presize(n, totalOpts, maxRow, ioNeed int) {
 	e.doneCycle = grow(e.doneCycle, n)
 	e.issueCycle = grow(e.issueCycle, n)
 	e.issued = grow(e.issued, n)
+	e.groupNext = grow(e.groupNext, n)
 	e.cFinalOf = grow(e.cFinalOf, n)
 	e.cOrder = grow(e.cOrder, n)
 	e.cDown = grow(e.cDown, n)
 	e.cUp = grow(e.cUp, n)
 	e.asap = grow(e.asap, n)
 	e.tail = grow(e.tail, n)
-	e.soloIn = grow(e.soloIn, n)
-	e.soloOut = grow(e.soloOut, n)
-	e.depthI = grow(e.depthI, n)
-	e.meter.presize(n, maxRow)
-	e.vsDone.Reset(n)
+	e.solo = grow(e.solo, n)
+	e.meter.presize(n, b.edges, b.row)
+	// At most n components, each a set over n nodes.
+	e.reserveComps(n)
+	comps := e.comps[:n]
+	for i := range comps {
+		comps[i].Reset(n)
+	}
+	e.comps = comps[:0]
+	e.compOf = grow(e.compOf, n)
+	e.compStack = grow(e.compStack, n)[:0]
+	e.vsSet.Reset(n)
 	e.compMembers = grow(e.compMembers, n)[:0]
-	if e.tab.Reserve(n, totalOpts, maxRow) {
+	if e.tab.Reserve(n, b.opts, b.row) {
 		obsExploreArenaGrows.Inc()
 	}
 }

@@ -47,17 +47,16 @@ func TestPrewarmBoundsMonotonic(t *testing.T) {
 	scr := NewScratch()
 	scr.Prewarm(big)
 	scr.mu.Lock()
-	n0 := scr.nodes
+	n0 := scr.bounds.nodes
 	scr.mu.Unlock()
 	scr.Prewarm(small)
 	scr.mu.Lock()
-	n1 := scr.nodes
+	n1 := scr.bounds.nodes
 	scr.mu.Unlock()
 	if n1 < n0 {
 		t.Fatalf("Prewarm shrank node bound: %d -> %d", n0, n1)
 	}
-	bn, _, _, _ := arenaBounds(big)
-	if n0 != bn {
+	if bn := boundsOf(big).nodes; n0 != bn {
 		t.Fatalf("Prewarm bound %d != arenaBounds %d", n0, bn)
 	}
 }

@@ -18,12 +18,14 @@ import (
 
 // Reference implementations of the explorer's optimized paths, kept as
 // test-only code for the differential tests below: the per-step
-// Ready-Matrix rebuild over an explicit ready list, the critical path over
-// an explicit contracted graph in Kahn order, and the per-node hardware
-// merit that builds and measures vSx for every operation with full sweeps.
+// Ready-Matrix rebuild over an explicit ready list, hardware packing that
+// recounts the grown group's IN and OUT and reads its members from the
+// bitmap, the critical path over an explicit contracted graph in Kahn
+// order, and the per-node hardware merit that builds vSx by a DFS and
+// measures it for every operation with full sweeps.
 
 // walkReference is walk with the Ready-Matrix rebuilt at every step from the
-// ready list.
+// ready list and hardware options scheduled by scheduleHWReference.
 func (e *explorer) walkReference() *walkResult {
 	res := e.beginWalk()
 	nu := len(e.unitStart) - 1
@@ -60,8 +62,20 @@ func (e *explorer) walkReference() *walkResult {
 		} else {
 			pickIdx = aco.SelectWeighted(e.rng, weights)
 		}
-		u := entU[pickIdx]
-		e.issueUnit(res, u, entO[pickIdx], pos)
+		u, o := entU[pickIdx], entO[pickIdx]
+		if x := e.unitMembers[e.unitStart[u]]; o >= 0 && e.isHWOption(x, o) {
+			// A free node is a unit on its own: LTS over all its operands.
+			lts, lp := 0, -1
+			for _, p := range e.d.G.Preds(x) {
+				if e.doneCycle[p] >= lts {
+					lts, lp = e.doneCycle[p], p
+				}
+			}
+			e.scheduleHWReference(res, x, o, lts, lp)
+			res.orderPos[x] = pos
+		} else {
+			e.issueUnit(res, u, o, pos)
+		}
 		e.issued[u] = true
 		for i, v := range ready {
 			if v == u {
@@ -81,6 +95,112 @@ func (e *explorer) walkReference() *walkResult {
 	}
 	e.finishWalk(res)
 	return res
+}
+
+// scheduleHWReference is scheduleHW with the group IN and OUT of
+// dfg.InScratch and dfg.OutScratch over the grown member set.
+func (e *explorer) scheduleHWReference(res *walkResult, x, opt, lts, lp int) {
+	delay := e.hwDelay(x, opt)
+	if lp >= 0 && res.groupOf[lp] >= 0 && e.tryPackReference(res, &res.groups[res.groupOf[lp]], x, delay) {
+		res.chosen[x] = opt
+		return
+	}
+	lat := sched.CyclesForDelay(delay)
+	g := e.appendGroup(res)
+	g.nodes.Add(x)
+	reads, writes := e.d.InScratch(g.nodes, &e.io), e.d.OutScratch(g.nodes, &e.io)
+	cts := lts + 1
+	for !e.table.FitsNewISE(cts, lat, reads, writes) {
+		cts++
+	}
+	e.table.ReserveNewISE(cts, lat, reads, writes)
+	g.cycle, g.lat, g.reads, g.writes, g.delayNS = cts, lat, reads, writes, delay
+	res.groupOf[x] = g.index
+	res.chosen[x] = opt
+	res.depthNS[x] = delay
+	e.issueCycle[x] = cts
+	e.doneCycle[x] = cts + lat - 1
+}
+
+// tryPackReference is tryPack growing the member set in place, recounting
+// its IN and OUT, and rolling the set back on failure.
+func (e *explorer) tryPackReference(res *walkResult, g *walkGroup, x int, delay float64) bool {
+	d := e.d
+	c := g.cycle
+	for _, p := range d.G.Preds(x) {
+		if !g.nodes.Contains(p) && e.doneCycle[p] >= c {
+			return false
+		}
+	}
+	depth := 0.0
+	for _, p := range d.G.Preds(x) {
+		if g.nodes.Contains(p) && res.depthNS[p] > depth {
+			depth = res.depthNS[p]
+		}
+	}
+	depth += delay
+	newDelay := g.delayNS
+	if depth > newDelay {
+		newDelay = depth
+	}
+	newLat := sched.CyclesForDelay(newDelay)
+	if e.p.MaxISECycles > 0 && newLat > e.p.MaxISECycles {
+		return false
+	}
+	g.nodes.Add(x)
+	newReads, newWrites := d.InScratch(g.nodes, &e.io), d.OutScratch(g.nodes, &e.io)
+	if !e.table.FitsISEUpdate(c, g.lat, newLat, g.reads, newReads, g.writes, newWrites) {
+		g.nodes.Remove(x)
+		return false
+	}
+	if newLat > g.lat {
+		for _, m := range g.nodes.Values() {
+			for _, y := range d.Nodes[m].DataSuccs {
+				if !g.nodes.Contains(y) && e.doneCycle[y] != 0 && e.issueCycle[y] < c+newLat {
+					g.nodes.Remove(x)
+					return false
+				}
+			}
+		}
+	}
+	e.table.UpdateISE(c, g.lat, newLat, g.reads, newReads, g.writes, newWrites)
+	g.lat, g.reads, g.writes, g.delayNS = newLat, newReads, newWrites, newDelay
+	res.groupOf[x] = g.index
+	res.depthNS[x] = depth
+	e.issueCycle[x] = c
+	for _, m := range g.nodes.Values() {
+		e.doneCycle[m] = c + newLat - 1
+	}
+	return true
+}
+
+// virtualSubgraphReference returns vSx by a DFS from x along dependence
+// edges in both directions through the free nodes that chose hardware.
+func (e *explorer) virtualSubgraphReference(res *walkResult, x int) graph.NodeSet {
+	d := e.d
+	vs := graph.NodeSetOf(d.Len(), x)
+	stack := []int{x}
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, nb := range append(append([]int(nil), d.G.Succs(v)...), d.G.Preds(v)...) {
+			if vs.Contains(nb) || e.fixedGroupOf[nb] >= 0 || !e.choseHW(res, nb) {
+				continue
+			}
+			vs.Add(nb)
+			stack = append(stack, nb)
+		}
+	}
+	return vs
+}
+
+// labelledVS returns vSx as meritUpdate reads it from labelComponents'
+// labels, which must be current for res.
+func (e *explorer) labelledVS(x int) graph.NodeSet {
+	if c := e.compOf[x]; c >= 0 {
+		return e.comps[c]
+	}
+	return e.softwareVS(x)
 }
 
 // criticalNodesReference is criticalNodes over an explicit contracted graph:
@@ -249,7 +369,7 @@ func (e *explorer) hwMeritReference(res *walkResult, x int) {
 			e.tab.Merit[x][base+j] /= p.BetaCP
 		}
 	}
-	vs := e.virtualSubgraph(res, x)
+	vs := e.virtualSubgraphReference(res, x)
 	if vs.Len() == 1 {
 		for j := range hw {
 			e.tab.Merit[x][base+j] *= p.BetaSize
@@ -274,7 +394,7 @@ func (e *explorer) hwMeritReference(res *walkResult, x int) {
 	}
 	members := vs.AppendValues(nil)
 	d.SortTopo(members)
-	swDepth := e.swDepth(vs, members)
+	swDepth := swDepthReference(d, vs, members)
 	cyclesOf := make([]int, len(hw))
 	areaOf := make([]float64, len(hw))
 	minCycles, maxArea := 1<<30, 0.0
@@ -336,6 +456,26 @@ func (e *explorer) hwMeritReference(res *walkResult, x int) {
 			}
 		}
 	}
+}
+
+// swDepthReference returns the longest dependence chain within vs at unit
+// software latency; members must hold vs's members in topological order.
+func swDepthReference(d *dfg.DFG, vs graph.NodeSet, members []int) int {
+	depth := make([]int, d.Len())
+	best := 0
+	for _, v := range members {
+		in := 0
+		for _, p := range d.G.Preds(v) {
+			if vs.Contains(p) && depth[p] > in {
+				in = depth[p]
+			}
+		}
+		depth[v] = in + 1
+		if depth[v] > best {
+			best = depth[v]
+		}
+	}
+	return best
 }
 
 // newISEReference is NewISE measured through a whole-block assignment and
@@ -471,13 +611,14 @@ func sameWalk(a, b *walkResult) string {
 }
 
 // TestIterationMatchesReference drives the optimized ant iteration (the
-// incremental Ready-Matrix walk and the per-component merit sweep) and the
-// references side by side from identical state, over the seven kernels' O3
+// incremental Ready-Matrix walk, incremental pack IN/OUT, chained group
+// members, labelled components and compact vSx sweeps) and the references
+// side by side from identical state, over the seven kernels' O3
 // hot blocks and random blocks on every paper machine (tight and wide
 // register ports), with and without accepted ISEs and with Greedy
 // selection: every walk must return the identical walkResult after the
-// identical number of random draws, and every merit update must leave
-// bit-identical tables.
+// identical number of random draws, every labelled vSx must equal the DFS
+// one, and every merit update must leave bit-identical tables.
 func TestIterationMatchesReference(t *testing.T) {
 	dfgs := differentialDFGs(t)
 	for _, cfg := range machine.Configs() {
@@ -517,6 +658,12 @@ func checkIteration(t *testing.T, d *dfg.DFG, cfg machine.Config, i int) {
 			}
 			a.trailUpdate(ra, improved, prevA)
 			b.trailUpdate(rb, improved, prevB)
+			a.labelComponents(ra)
+			for x := 0; x < d.Len(); x++ {
+				if a.fixedGroupOf[x] < 0 && !a.labelledVS(x).Equal(b.virtualSubgraphReference(rb, x)) {
+					t.Fatalf("%s iter %d: vS(%d) = %v, reference %v", label, it, x, a.labelledVS(x), b.virtualSubgraphReference(rb, x))
+				}
+			}
 			a.meritUpdate(ra)
 			b.meritUpdateReference(rb)
 			if !sameBits(a.tab.Merit, b.tab.Merit) || !sameBits(a.tab.Trail, b.tab.Trail) {
@@ -614,4 +761,101 @@ func TestCriticalNodesMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPackIOMatchesRecount grows walk groups node by node in a legal pack
+// order over 200 random blocks and the kernels' O3 hot blocks on every paper
+// machine: nodes arrive in topological order, so no member consumes a newer
+// node, and each eligible node tries the group of one of its producers, as
+// scheduleHW tries the latest parent's, or opens a fresh group. Every
+// incremental IN and OUT must equal the map-based dfg.In and dfg.Out of the
+// grown set and leave the group untouched. An attempt over the machine's
+// ports, or one in five at random, is rolled back; the rest commit. At the
+// end every group's member chain must list exactly its member set.
+func TestPackIOMatchesRecount(t *testing.T) {
+	r := rand.New(rand.NewSource(26))
+	var dfgs []*dfg.DFG
+	for i := 0; i < 200; i++ {
+		dfgs = append(dfgs, randprog.DFG(r, randprog.Config{
+			Ops:      2 + r.Intn(60),
+			MemFrac:  r.Float64() * 0.3,
+			MultFrac: r.Float64() * 0.15,
+		}))
+	}
+	for _, name := range bench.Names() {
+		dfgs = append(dfgs, hotBenchDFG(t, name, "O3"))
+	}
+	packs, rollbacks := 0, 0
+	for _, cfg := range machine.Configs() {
+		for i, d := range dfgs {
+			p, b := checkPackIO(t, fmt.Sprintf("%d:%s/%s", i, d.Name, cfg.Name), d, cfg, r)
+			packs, rollbacks = packs+p, rollbacks+b
+		}
+	}
+	t.Logf("%d packs committed, %d rolled back", packs, rollbacks)
+	if packs < 1000 || rollbacks < 1000 {
+		t.Fatalf("%d packs committed and %d rolled back; the sweep no longer exercises both", packs, rollbacks)
+	}
+}
+
+// checkPackIO grows d's groups on cfg and returns how many packs into an
+// existing group it committed and rolled back.
+func checkPackIO(t *testing.T, label string, d *dfg.DFG, cfg machine.Config, r *rand.Rand) (packs, rollbacks int) {
+	e := newExplorer(t, d, cfg)
+	res := e.beginWalk()
+	for _, x := range d.Topo() {
+		if !d.Nodes[x].ISEEligible() {
+			continue
+		}
+		var g *walkGroup
+		var parents []int
+		for _, p := range d.G.Preds(x) {
+			if res.groupOf[p] >= 0 {
+				parents = append(parents, p)
+			}
+		}
+		if len(parents) > 0 && r.Intn(4) != 0 {
+			g = &res.groups[res.groupOf[parents[r.Intn(len(parents))]]]
+		} else {
+			g = e.appendGroup(res)
+		}
+		before := *g
+		beforeNodes := g.nodes.Clone()
+		ports := e.packIO(g, x)
+		grown := g.nodes.Clone()
+		grown.Add(x)
+		if in, out := d.In(grown), d.Out(grown); ports.reads != in || ports.writes != out {
+			t.Fatalf("%s: adding %d to %v: packIO IN/OUT %d/%d, recount %d/%d", label, x, g.nodes, ports.reads, ports.writes, in, out)
+		}
+		if !g.nodes.Equal(beforeNodes) || g.portUse != before.portUse || g.first != before.first {
+			t.Fatalf("%s: packIO of %d changed its group", label, x)
+		}
+		fresh := g.nodes.Empty()
+		if fresh && ports != e.solo[x] {
+			t.Fatalf("%s: fresh group of %d uses %+v, solo %+v", label, x, ports, e.solo[x])
+		}
+		if !fresh && (ports.reads > cfg.ReadPorts || ports.writes > cfg.WritePorts || r.Intn(5) == 0) {
+			rollbacks++
+			continue
+		}
+		if !fresh {
+			packs++
+		}
+		e.addMember(g, x, ports)
+		res.groupOf[x] = g.index
+	}
+	for gi := range res.groups {
+		g := &res.groups[gi]
+		chain := graph.NewNodeSet(d.Len())
+		for m := g.first; m >= 0; m = e.groupNext[m] {
+			if chain.Contains(m) {
+				t.Fatalf("%s: group %d's member chain revisits %d", label, gi, m)
+			}
+			chain.Add(m)
+		}
+		if !chain.Equal(g.nodes) {
+			t.Fatalf("%s: group %d's member chain %v, members %v", label, gi, chain, g.nodes)
+		}
+	}
+	return packs, rollbacks
 }

@@ -37,10 +37,7 @@ type Scratch struct {
 	// acquire presizes every handed-out explorer to them, so arenas warmed
 	// for a run's biggest block never regrow on any block (see prewarm.go).
 	mu     sync.Mutex
-	nodes  int // guarded by mu
-	opts   int // guarded by mu
-	row    int // guarded by mu
-	ioNeed int // guarded by mu
+	bounds arenaBounds // guarded by mu
 }
 
 // Prewarm announces the DFGs an upcoming run will explore, so every
@@ -49,38 +46,14 @@ type Scratch struct {
 // cost. Bounds only ever grow (several callers may announce different runs);
 // the call itself allocates nothing beyond the pool items' own growth.
 func (s *Scratch) Prewarm(dfgs ...*dfg.DFG) {
-	var n, opts, row, ioNeed int
+	var b arenaBounds
 	for _, d := range dfgs {
-		if d == nil {
-			continue
-		}
-		bn, bo, br, bi := arenaBounds(d)
-		if bn > n {
-			n = bn
-		}
-		if bo > opts {
-			opts = bo
-		}
-		if br > row {
-			row = br
-		}
-		if bi > ioNeed {
-			ioNeed = bi
+		if d != nil {
+			b = b.union(boundsOf(d))
 		}
 	}
 	s.mu.Lock()
-	if n > s.nodes {
-		s.nodes = n
-	}
-	if opts > s.opts {
-		s.opts = opts
-	}
-	if row > s.row {
-		s.row = row
-	}
-	if ioNeed > s.ioNeed {
-		s.ioNeed = ioNeed
-	}
+	s.bounds = s.bounds.union(b)
 	s.mu.Unlock()
 }
 
@@ -99,10 +72,10 @@ func NewScratch() *Scratch {
 func (s *Scratch) acquire() *workerScratch {
 	ws := s.pool.Get().(*workerScratch)
 	s.mu.Lock()
-	n, opts, row, ioNeed := s.nodes, s.opts, s.row, s.ioNeed
+	b := s.bounds
 	s.mu.Unlock()
-	if n > 0 {
-		ws.exp.presize(n, opts, row, ioNeed)
+	if b.nodes > 0 {
+		ws.exp.presize(b)
 	}
 	return ws
 }

@@ -4,7 +4,6 @@ import (
 	"repro/internal/aco"
 	"repro/internal/dfg"
 	"repro/internal/graph"
-	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/sched"
 )
@@ -27,32 +26,44 @@ type VSMeter struct {
 	MaxAEC     int
 
 	d         *dfg.DFG
-	vs        graph.NodeSet
-	chosen    []int // option per node; hardware index chosen - numSW
-	numSW     []int
 	size      int
 	overPorts bool  // IN or OUT exceeds the machine's register ports
 	nonConvex bool  // case 3 decides the update when either is set
-	members   []int // arena: vs's members in topological order (case 4)
-	// based counts the leading members whose depth entry still holds the
+	members   []int // vs's members in topological order (case 4)
+	// based counts the leading positions whose depth entry still holds the
 	// base sweep's depth.
-	based int
+	based  int
+	sorted []int // arena: Measure's member sort
 
-	sorted    []int     // arena: Measure's member sort
-	depth     []float64 // arena: longest-path depth per node
-	baseDepth []float64 // arena: the base sweep's depth per node
+	// Delay's compact form of the vSx, indexed by position in members: the
+	// chosen option's delay and area, and each position's in-vSx
+	// predecessor positions as a CSR in G.Preds order. The per-option
+	// sweeps read only these.
+	pos       []int     // arena: node -> position in members (members only)
+	delay     []float64 // arena: chosen option's delay per position
+	area      []float64 // arena: chosen option's area per position
+	predStart []int     // arena: CSR offsets into predPos, one per position plus one
+	predPos   []int     // arena: in-vSx predecessor positions
+	depth     []float64 // arena: longest-path depth per position
+	baseDepth []float64 // arena: the base sweep's depth per position
+	steps     []int     // arena: unitDepth's chain length per position
 	preDelay  []float64 // arena: the base sweep's running delay per position
 	preArea   []float64 // arena: the base sweep's running area per position
 	cycles    []int     // arena: per-option subgraph cycles
 	areas     []float64 // arena: per-option subgraph areas
 }
 
-// presize sizes the meter's arenas for n nodes and maxRow options per node
-// and unbinds the meter, so the next sweep sizes them for its DFG again.
-func (m *VSMeter) presize(n, maxRow int) {
+// presize sizes the meter's arenas for n nodes, edges dependence edges and
+// maxRow options per node and unbinds the meter, so the next sweep sizes
+// them for its DFG again.
+func (m *VSMeter) presize(n, edges, maxRow int) {
 	m.d = nil
 	m.sorted = grow(m.sorted, n)[:0]
+	m.pos = grow(m.pos, n)
+	m.delay, m.area = grow(m.delay, n), grow(m.area, n)
+	m.predStart, m.predPos = grow(m.predStart, n+1), grow(m.predPos, edges)[:0]
 	m.depth, m.baseDepth = grow(m.depth, n), grow(m.baseDepth, n)
+	m.steps = grow(m.steps, n)
 	m.preDelay, m.preArea = grow(m.preDelay, n), grow(m.preArea, n)
 	m.cycles, m.areas = grow(m.cycles, maxRow), grow(m.areas, maxRow)
 }
@@ -67,7 +78,7 @@ func (m *VSMeter) bind(d *dfg.DFG) {
 	for _, node := range d.Nodes {
 		widest = max(widest, len(node.HW))
 	}
-	m.presize(d.Len(), widest)
+	m.presize(d.Len(), d.G.NumEdges(), widest)
 	m.d = d
 }
 
@@ -75,11 +86,9 @@ func (m *VSMeter) bind(d *dfg.DFG) {
 // OUT exceeds the register ports, and whether it is convex. It reports
 // whether vSx reaches case 4 (at least two members, no violation); only then
 // does it sort the members into topological order, unless members already
-// holds them, sweep them once at their chosen options (chosen[v] minus
-// numSW[v], the first hardware option for a member that chose software) and
-// set the case-4 inputs' location-unaware values. io is the caller's scratch
-// for the port counts. The meter keeps vs, members, chosen and numSW until
-// the next Measure.
+// holds them, sweep them once at their chosen options (Delay) and set the
+// case-4 inputs' location-unaware values. io is the caller's scratch for the
+// port counts. The meter keeps members until the next Measure.
 func (m *VSMeter) Measure(d *dfg.DFG, cfg *machine.Config, vs graph.NodeSet, members, chosen, numSW []int, io *dfg.IOScratch) bool {
 	m.size = vs.Len()
 	m.overPorts, m.nonConvex = false, false
@@ -109,79 +118,100 @@ func (m *VSMeter) Members() []int {
 }
 
 // Delay sweeps members, which must be in topological order, once with every
-// member at its chosen option, and returns the subgraph's combinational
-// delay: a member's depth reads its predecessors in vs. Measure runs the
-// same sweep on a legal vSx; a later per-option sweep for member x shares
-// everything before x with it, so the sweep keeps the depths and, per
-// position, the running delay and area.
+// member at its chosen option (chosen[v] minus numSW[v], the first hardware
+// option for a member that chose software), and returns the subgraph's
+// combinational delay: a member's depth reads its predecessors in vs.
+// Measure runs the same sweep on a legal vSx. The sweep also records the
+// vSx in compact form for the per-option sweeps: each position's chosen
+// delay and area and in-vSx predecessor positions, and per position the
+// depth, running delay and running area a later sweep from there resumes.
 func (m *VSMeter) Delay(d *dfg.DFG, vs graph.NodeSet, members, chosen, numSW []int) float64 {
 	m.bind(d)
-	m.vs, m.members, m.chosen, m.numSW = vs, members, chosen, numSW
-	depth := m.depth
+	m.members = members
+	depth, preds := m.depth, m.predPos[:0]
 	delayNS, areaUM2 := 0.0, 0.0
 	for i, v := range members {
+		m.pos[v] = i
 		m.preDelay[i], m.preArea[i] = delayNS, areaUM2
+		m.predStart[i] = len(preds)
 		in := 0.0
 		for _, p := range d.G.Preds(v) {
-			if vs.Contains(p) && depth[p] > in {
-				in = depth[p]
+			if !vs.Contains(p) {
+				continue
+			}
+			j := m.pos[p] // p precedes v in members
+			preds = append(preds, j)
+			if depth[j] > in {
+				in = depth[j]
 			}
 		}
-		hw := m.chosenHW(v)
-		depth[v] = in + hw.DelayNS
-		m.baseDepth[v] = depth[v]
-		if depth[v] > delayNS {
-			delayNS = depth[v]
+		o := chosen[v] - numSW[v]
+		if o < 0 {
+			o = 0
+		}
+		hw := &d.Nodes[v].HW[o]
+		m.delay[i], m.area[i] = hw.DelayNS, hw.AreaUM2
+		depth[i] = in + hw.DelayNS
+		if depth[i] > delayNS {
+			delayNS = depth[i]
 		}
 		areaUM2 += hw.AreaUM2
 	}
+	m.predStart[len(members)] = len(preds)
+	m.predPos = preds
+	copy(m.baseDepth, depth[:len(members)])
 	m.based = len(members)
 	return delayNS
 }
 
-// chosenHW returns member v's hardware option under its choice: the first
-// one when v chose software.
-func (m *VSMeter) chosenHW(v int) *isa.HWOption {
-	o := m.chosen[v] - m.numSW[v]
-	if o < 0 {
-		o = 0
+// unitDepth returns the longest dependence chain within the vSx the last
+// Delay swept, at one cycle per member: the serial cycle count the subgraph
+// costs when not packed.
+func (m *VSMeter) unitDepth() int {
+	best := 0
+	for i := range m.members {
+		in := 0
+		for _, j := range m.predPos[m.predStart[i]:m.predStart[i+1]] {
+			in = max(in, m.steps[j])
+		}
+		m.steps[i] = in + 1
+		best = max(best, m.steps[i])
 	}
-	return &m.d.Nodes[v].HW[o]
+	return best
 }
 
-// metrics measures vSx assuming its k-th member x uses hardware option hwIdx
-// and every other member keeps its choice. It resumes the base sweep at x's
-// topological position: the same members are visited with the same float
-// operations in the same order as a sweep over all of them, so the results
-// are bit-identical to one (the reference tests of both explorers).
+// metrics measures vSx assuming its k-th member uses hardware option hwIdx
+// and every other member keeps its choice. It resumes the base sweep at
+// position k over the compact vSx: the same members are visited with the
+// same float operations in the same order as a sweep over all of them, so
+// the results are bit-identical to one (the reference tests of both
+// explorers).
 func (m *VSMeter) metrics(k, hwIdx int) (areaUM2 float64, cycles int) {
-	d := m.d
-	members := m.members
-	x := members[k]
-	// An earlier member's sweep overwrote the depths from its own position
-	// on; put back the base depths of the members before x.
+	// An earlier sweep overwrote the depths from its own position on; put
+	// back the base depths of the positions before k.
 	depth := m.depth
-	for i := m.based; i < k; i++ {
-		depth[members[i]] = m.baseDepth[members[i]]
+	if k > m.based {
+		copy(depth[m.based:k], m.baseDepth[m.based:k])
 	}
 	m.based = k
+	hw := &m.d.Nodes[m.members[k]].HW[hwIdx]
 	delayNS, areaUM2 := m.preDelay[k], m.preArea[k]
-	for _, v := range members[k:] {
+	for i := k; i < len(m.members); i++ {
+		dl, ar := m.delay[i], m.area[i]
+		if i == k {
+			dl, ar = hw.DelayNS, hw.AreaUM2
+		}
 		in := 0.0
-		for _, p := range d.G.Preds(v) {
-			if m.vs.Contains(p) && depth[p] > in {
-				in = depth[p]
+		for _, j := range m.predPos[m.predStart[i]:m.predStart[i+1]] {
+			if depth[j] > in {
+				in = depth[j]
 			}
 		}
-		hw := m.chosenHW(v)
-		if v == x {
-			hw = &d.Nodes[v].HW[hwIdx]
+		depth[i] = in + dl
+		if depth[i] > delayNS {
+			delayNS = depth[i]
 		}
-		depth[v] = in + hw.DelayNS
-		if depth[v] > delayNS {
-			delayNS = depth[v]
-		}
-		areaUM2 += hw.AreaUM2
+		areaUM2 += ar
 	}
 	return areaUM2, sched.CyclesForDelay(delayNS)
 }
@@ -230,10 +260,7 @@ func (m *VSMeter) hwMerit(p *Params, merit []float64, x int) {
 	}
 
 	// Case 4: performance and area shaping.
-	k := 0
-	for m.members[k] != x {
-		k++
-	}
+	k := m.pos[x]
 	cyclesOf, areaOf := m.cycles, m.areas
 	minCycles, maxArea := 1<<30, 0.0
 	for j := range merit {

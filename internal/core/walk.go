@@ -8,6 +8,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/machine"
 	"repro/internal/obs"
+	"repro/internal/prog"
 	"repro/internal/sched"
 )
 
@@ -53,17 +54,11 @@ type explorer struct {
 
 	// Per-DFG invariants, computed once per restart by initDFG: the
 	// unit-latency longest paths into (asap) and out of (tail) each node,
-	// which every mobility query reads, and each node's IN/OUT as a
+	// which every mobility query reads, and each node's port use as a
 	// single-operation ISE, which every new walk group starts from.
-	asap    []int // arena: rebuilt by reset
-	tail    []int // arena: rebuilt by reset
-	soloIn  []int // arena: rebuilt by reset
-	soloOut []int // arena: rebuilt by reset
-
-	// depthI is swDepth's scratch longest-path array, sized by initDFG.
-	// Entries are written before they are read in topological order, so no
-	// reset is needed between calls.
-	depthI []int
+	asap []int     // arena: rebuilt by reset
+	tail []int     // arena: rebuilt by reset
+	solo []portUse // arena: rebuilt by reset
 
 	// Unit contraction of the accepted ISEs, rebuilt whenever the fixed set
 	// changes (once per round): unit u's members are
@@ -89,6 +84,7 @@ type explorer struct {
 	doneCycle  []int        // arena: completion cycle per node, 0 = unscheduled
 	issueCycle []int        // arena: issue cycle per node
 	issued     []bool       // arena: per-unit issued flag
+	groupNext  []int        // arena: next member of the node's walk group, -1 after the last
 	entUnit    []int        // arena: Ready-Matrix entry units (the ready list)
 	entOpt     []int        // arena: Ready-Matrix entry options
 	entW       []float64    // arena: Ready-Matrix entry weights
@@ -103,17 +99,17 @@ type explorer struct {
 	cDown       []int // arena: downward longest path
 	cUp         []int // arena: upward longest path
 
-	io      dfg.IOScratch // IN/OUT counting without dfg.In/Out's per-call map
-	members []int         // arena: group member extraction buffer
+	io dfg.IOScratch // IN/OUT counting without dfg.In/Out's per-call map
 
-	// Merit-sweep scratch. arena: reused for every node's hardware shaping.
-	meter       VSMeter       // measures each vSx and applies its merit cases
-	vsSet       graph.NodeSet // arena: virtualSubgraph's result set
-	vsStack     []int         // arena: virtualSubgraph's DFS stack
-	vsDone      graph.NodeSet // arena: nodes whose component meritUpdate swept
-	compMembers []int         // arena: the swept component's members
-	mobMembers  []int         // arena: mobility's member extraction buffer
-	cands       []*ISE        // arena: bestCandidate's candidate list
+	// Merit-sweep scratch. arena: reused every merit update.
+	meter       VSMeter         // measures each vSx and applies its merit cases
+	compOf      []int           // arena: node -> hardware component, -1 for every other node
+	comps       []graph.NodeSet // arena: pooled component member sets, one per component
+	compStack   []int           // arena: labelComponents' DFS stack
+	compMembers []int           // arena: the swept component's members
+	vsSet       graph.NodeSet   // arena: softwareVS's result set
+	mobMembers  []int           // arena: mobility's member extraction buffer
+	cands       []*ISE          // arena: bestCandidate's candidate list
 }
 
 // reset rebinds a pooled explorer to one restart's inputs, keeping every
@@ -138,8 +134,8 @@ func (e *explorer) reset(d *dfg.DFG, cfg machine.Config, p Params, rng *rand.Ran
 }
 
 // initDFG computes the per-DFG invariants the iterations read: the
-// unit-latency ASAP and tail of every node (mobility) and every node's IN and
-// OUT on its own (a fresh single-operation walk group).
+// unit-latency ASAP and tail of every node (mobility) and every node's port
+// use on its own (a fresh single-operation walk group).
 func (e *explorer) initDFG() {
 	d := e.d
 	n := d.Len()
@@ -165,28 +161,33 @@ func (e *explorer) initDFG() {
 		}
 		e.tail[v] = out + 1
 	}
-	e.soloIn = grow(e.soloIn, n)
-	e.soloOut = grow(e.soloOut, n)
-	e.depthI = grow(e.depthI, n)
-	e.vsSet.Reset(n)
+	e.solo = grow(e.solo, n)
+	var empty walkGroup
 	for v := 0; v < n; v++ {
-		e.vsSet.Add(v)
-		e.soloIn[v], e.soloOut[v] = d.InScratch(e.vsSet, &e.io), d.OutScratch(e.vsSet, &e.io)
-		e.vsSet.Remove(v)
+		e.solo[v] = e.packIO(&empty, v)
 	}
 }
 
 // walkGroup is an ISE instruction formed during one iteration's ant walk.
 // Groups live as values in walkResult.groups; their member sets are pooled
 // across iterations (appendGroup resets a truncated slot's bitmap in place).
+// The members are also chained through explorer.groupNext from first, so a
+// sweep over them reads no bitmap.
 type walkGroup struct {
-	index   int // position in walkResult.groups, set at creation
-	nodes   graph.NodeSet
-	cycle   int // issue cycle
-	lat     int
-	reads   int
-	writes  int
+	index int // position in walkResult.groups, set at creation
+	nodes graph.NodeSet
+	first int // latest member added, head of the groupNext chain
+	cycle int // issue cycle
+	lat   int
+	portUse
 	delayNS float64
+}
+
+// portUse is a walk group's register-port use: its IN and OUT, and the
+// live-in registers its members read.
+type portUse struct {
+	reads, writes int
+	liveIn        prog.RegSet
 }
 
 // walkResult captures one iteration's constructed schedule. It is the
@@ -291,8 +292,17 @@ func (e *explorer) appendGroup(res *walkResult) *walkGroup {
 	g := &res.groups[gi]
 	g.index = gi
 	g.nodes.Reset(e.d.Len())
-	g.cycle, g.lat, g.reads, g.writes, g.delayNS = 0, 0, 0, 0, 0
+	g.first = -1
+	g.cycle, g.lat, g.portUse, g.delayNS = 0, 0, portUse{}, 0
 	return g
+}
+
+// addMember makes x a member of g, whose port use grows to ports.
+func (e *explorer) addMember(g *walkGroup, x int, ports portUse) {
+	g.nodes.Add(x)
+	g.portUse = ports
+	e.groupNext[x] = g.first
+	g.first = x
 }
 
 // walk runs one iteration: it constructs a complete schedule by repeatedly
@@ -381,6 +391,7 @@ func (e *explorer) beginWalk() *walkResult {
 	for u := 0; u < nu; u++ {
 		e.issued[u] = false
 	}
+	e.groupNext = grow(e.groupNext, n) // written by addMember before any read
 	return res
 }
 
@@ -502,7 +513,7 @@ func (e *explorer) issueUnit(res *walkResult, u, pickOpt, pos int) {
 		// Hardware Operation-Scheduling (Fig. 4.3.4): try to pack with
 		// the latest parent's iteration ISE, else open a new one.
 		x := um[0]
-		e.scheduleHW(res, table, x, pickOpt, lts, lp, doneCycle, issueCycle)
+		e.scheduleHW(res, x, pickOpt, lts, lp)
 		res.orderPos[x] = pos
 	}
 }
@@ -511,41 +522,37 @@ func (e *explorer) issueUnit(res *walkResult, u, pickOpt, pos int) {
 // hardware group formed this iteration, try to pack x into that group at the
 // group's issue cycle; otherwise issue a fresh single-operation ISE after
 // lts.
-func (e *explorer) scheduleHW(res *walkResult, table *sched.Table, x, opt, lts, lp int, doneCycle, issueCycle []int) {
+func (e *explorer) scheduleHW(res *walkResult, x, opt, lts, lp int) {
 	delay := e.hwDelay(x, opt)
-	if lp >= 0 && res.groupOf[lp] >= 0 {
-		g := &res.groups[res.groupOf[lp]]
-		c := g.cycle
-		if e.tryPack(res, table, g, x, opt, delay, c, doneCycle, issueCycle) {
-			res.chosen[x] = opt
-			return
-		}
+	if lp >= 0 && res.groupOf[lp] >= 0 && e.tryPack(res, &res.groups[res.groupOf[lp]], x, delay) {
+		res.chosen[x] = opt
+		return
 	}
 	// New single-op ISE.
 	lat := sched.CyclesForDelay(delay)
 	g := e.appendGroup(res)
-	g.nodes.Add(x)
-	reads, writes := e.soloIn[x], e.soloOut[x]
+	ports := e.solo[x]
 	cts := lts + 1
-	for !table.FitsNewISE(cts, lat, reads, writes) {
+	for !e.table.FitsNewISE(cts, lat, ports.reads, ports.writes) {
 		cts++
 	}
-	table.ReserveNewISE(cts, lat, reads, writes)
-	g.cycle, g.lat, g.reads, g.writes, g.delayNS = cts, lat, reads, writes, delay
+	e.table.ReserveNewISE(cts, lat, ports.reads, ports.writes)
+	g.cycle, g.lat, g.delayNS = cts, lat, delay
+	e.addMember(g, x, ports)
 	res.groupOf[x] = g.index
 	res.chosen[x] = opt
 	res.depthNS[x] = delay
-	issueCycle[x] = cts
-	doneCycle[x] = cts + lat - 1
+	e.issueCycle[x] = cts
+	e.doneCycle[x] = cts + lat - 1
 }
 
-// tryPack attempts to grow group g with node x at the group's issue cycle c.
-// The member set is grown in place and rolled back on failure; x cannot have
-// scheduled consumers (its own unit is only being issued now), so the grown
-// set is interchangeable with the pre-grown one for every membership test
-// below.
-func (e *explorer) tryPack(res *walkResult, table *sched.Table, g *walkGroup, x, opt int, delay float64, c int, doneCycle, issueCycle []int) bool {
+// tryPack attempts to grow group g with node x, whose hardware option has
+// the given delay, at the group's issue cycle. g is touched only when x
+// fits. x cannot have scheduled consumers (its own unit is only being
+// issued now), so no member of g consumes x.
+func (e *explorer) tryPack(res *walkResult, g *walkGroup, x int, delay float64) bool {
 	d := e.d
+	c, doneCycle := g.cycle, e.doneCycle
 	// Every external operand of x must be available before c.
 	for _, p := range d.G.Preds(x) {
 		if g.nodes.Contains(p) {
@@ -571,43 +578,108 @@ func (e *explorer) tryPack(res *walkResult, table *sched.Table, g *walkGroup, x,
 	if e.p.MaxISECycles > 0 && newLat > e.p.MaxISECycles {
 		return false
 	}
-	g.nodes.Add(x)
-	newReads, newWrites := e.d.InScratch(g.nodes, &e.io), e.d.OutScratch(g.nodes, &e.io)
-	if !table.FitsISEUpdate(c, g.lat, newLat, g.reads, newReads, g.writes, newWrites) {
-		g.nodes.Remove(x)
+	grown := e.packIO(g, x)
+	if !e.table.FitsISEUpdate(c, g.lat, newLat, g.reads, grown.reads, g.writes, grown.writes) {
 		return false
 	}
 	// Extending the latency must not invalidate already scheduled consumers
-	// of the group's results.
+	// of the group's results. x's consumers are all unscheduled.
 	if newLat > g.lat {
-		members := g.nodes.AppendValues(e.members[:0])
-		e.members = members
-		for _, m := range members {
+		for m := g.first; m >= 0; m = e.groupNext[m] {
 			for _, y := range d.Nodes[m].DataSuccs {
 				if g.nodes.Contains(y) || doneCycle[y] == 0 {
 					continue
 				}
-				if issueCycle[y] < c+newLat {
-					g.nodes.Remove(x)
+				if e.issueCycle[y] < c+newLat {
 					return false
 				}
 			}
 		}
 	}
-	table.UpdateISE(c, g.lat, newLat, g.reads, newReads, g.writes, newWrites)
+	e.table.UpdateISE(c, g.lat, newLat, g.reads, grown.reads, g.writes, grown.writes)
 	g.lat = newLat
-	g.reads, g.writes = newReads, newWrites
 	g.delayNS = newDelay
+	e.addMember(g, x, grown)
 	res.groupOf[x] = g.index
 	res.depthNS[x] = depth
-	issueCycle[x] = c
+	e.issueCycle[x] = c
 	done := c + newLat - 1
-	members := g.nodes.AppendValues(e.members[:0])
-	e.members = members
-	for _, m := range members {
+	for m := g.first; m >= 0; m = e.groupNext[m] {
 		doneCycle[m] = done
 	}
 	return true
+}
+
+// packIO returns the port use of group g grown by node x, from g's port use
+// and x's operands alone; g is left untouched. No member of g consumes x, so
+// x's result is none of g's reads, and growing g by x changes the counts
+// only through x:
+//   - IN gains each distinct operand of x from outside g that no member
+//     reads already: a producer none of whose consumers is in g, or a
+//     live-in register outside g's live-in set.
+//   - OUT gains x's own result when it is live out or consumed at all, and
+//     loses each distinct member feeding x that is not live out and whose
+//     only consumer outside g was x.
+//
+// The counts equal dfg.InScratch and dfg.OutScratch of the grown set; for a
+// group with no members they are x's own IN and OUT (initDFG's solo).
+func (e *explorer) packIO(g *walkGroup, x int) portUse {
+	nodes := e.d.Nodes
+	node := nodes[x]
+	u := g.portUse
+	for i, src := range node.Inputs {
+		p := src.Producer
+		switch {
+		case p < 0:
+			if !u.liveIn.Contains(src.Reg) {
+				u.liveIn = u.liveIn.Add(src.Reg)
+				u.reads++
+			}
+		case readsProducer(node.Inputs[:i], p):
+			// A repeated operand counts once.
+		case g.nodes.Contains(p):
+			if !nodes[p].LiveOut && !consumedOutside(nodes[p].DataSuccs, g.nodes, x) {
+				u.writes--
+			}
+		case !consumedIn(nodes[p].DataSuccs, g.nodes):
+			u.reads++
+		}
+	}
+	if node.LiveOut || len(node.DataSuccs) > 0 {
+		u.writes++
+	}
+	return u
+}
+
+// readsProducer reports whether one of the operands ins is produced by p.
+func readsProducer(ins []dfg.ValueSource, p int) bool {
+	for _, src := range ins {
+		if src.Producer == p {
+			return true
+		}
+	}
+	return false
+}
+
+// consumedIn reports whether one of the consumers succs is in s.
+func consumedIn(succs []int, s graph.NodeSet) bool {
+	for _, y := range succs {
+		if s.Contains(y) {
+			return true
+		}
+	}
+	return false
+}
+
+// consumedOutside reports whether one of the consumers succs other than x is
+// outside s.
+func consumedOutside(succs []int, s graph.NodeSet, x int) bool {
+	for _, y := range succs {
+		if y != x && !s.Contains(y) {
+			return true
+		}
+	}
+	return false
 }
 
 // criticalNodes computes the latency-weighted critical path of the

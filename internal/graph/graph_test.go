@@ -380,6 +380,25 @@ func TestNodeSetQuickUnionCommutative(t *testing.T) {
 	}
 }
 
+// TestNodeSetQuickUnionWith: the in-place OR has Union's members and count.
+func TestNodeSetQuickUnionWith(t *testing.T) {
+	f := func(xs, ys []uint8) bool {
+		a, b := NewNodeSet(256), NewNodeSet(256)
+		for _, x := range xs {
+			a.Add(int(x))
+		}
+		for _, y := range ys {
+			b.Add(int(y))
+		}
+		want := a.Union(b)
+		a.UnionWith(b)
+		return a.Equal(want) && a.Len() == len(want.Values())
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestNodeSetQuickSubtractDisjoint(t *testing.T) {
 	f := func(xs, ys []uint8) bool {
 		a, b := NewNodeSet(256), NewNodeSet(256)

@@ -138,6 +138,15 @@ func (s NodeSet) Union(t NodeSet) NodeSet {
 	return c
 }
 
+// UnionWith adds every member of t to s in place, a word-wise OR. t must
+// not be larger than s's capacity.
+func (s *NodeSet) UnionWith(t NodeSet) {
+	for w, word := range t.bits {
+		s.bits[w] |= word
+	}
+	s.recount()
+}
+
 // Intersect returns a new set containing members of both sets.
 func (s NodeSet) Intersect(t NodeSet) NodeSet {
 	c := s.Clone()
