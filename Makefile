@@ -39,7 +39,7 @@ race: lint
 # and Headline (the flow), and
 # internal/core's instrumented round-loop pair
 # ExploreIter{Trace,Flight}{Off,On}, whose nil-path variants must stay at
-# 0 allocs/op (DESIGN.md §16), internal/baseline's BaselineIter (one
+# 0 allocs/op (DESIGN.md §16), internal/core's BaselineIter (one
 # steady-state SI iteration, 0 allocs/op), and internal/cluster's
 # FleetJob/{Untraced,Traced} (one two-shard adpcm/O3 job on two loopback
 # workers; the untraced job ships no spans, so it allocates several times

@@ -63,19 +63,22 @@ func TestMidShardKillResumesFromSnapshot(t *testing.T) {
 				errCh <- err
 			}()
 
-			// Worker A: 1ms slices so it checkpoints almost immediately; its
-			// context is canceled from inside the first successful heartbeat —
-			// the tightest possible mid-shard kill with a snapshot on record.
+			// Worker A: 1ms slices that also end at its first finished
+			// restart, so it checkpoints while restarts are still unstarted;
+			// its context is canceled from inside the first successful
+			// heartbeat — the tightest possible mid-shard kill with a
+			// snapshot on record.
 			actx, killA := context.WithCancel(context.Background())
 			defer killA()
 			beat := make(chan struct{})
 			var beatOnce sync.Once
 			doneA := startWorker(actx, WorkerOptions{
-				Coordinator:     url,
-				Name:            "A",
-				Poll:            time.Millisecond,
-				CheckpointEvery: time.Millisecond,
-				Logf:            t.Logf,
+				Coordinator:       url,
+				Name:              "A",
+				Poll:              time.Millisecond,
+				CheckpointEvery:   time.Millisecond,
+				Logf:              t.Logf,
+				endSliceOnRestart: true,
 				onBeat: func(s *core.Snapshot) {
 					beatOnce.Do(func() {
 						if s == nil {

@@ -91,11 +91,12 @@ func startWorker(ctx context.Context, opts WorkerOptions) <-chan struct{} {
 }
 
 // awaitBeat waits until worker A, which kills itself from its first
-// checkpoint heartbeat, has done so and exited. A time slice ends only when
-// its timer fires; if the timer fires late enough for A to finish the whole
-// job inside its first slice, A never checkpoints and there is no snapshot
-// to resume from. The test then fails at once instead of waiting for a
-// heartbeat that cannot come.
+// checkpoint heartbeat, has done so and exited. A's slices end at its first
+// finished restart (endSliceOnRestart), so with more restarts than workers
+// A always checkpoints before the shard is done. Should A still finish the
+// whole job inside its first slice, there is no snapshot to resume from,
+// and the test fails at once instead of waiting for a heartbeat that cannot
+// come.
 func awaitBeat(t *testing.T, beat <-chan struct{}, jobDone <-chan *core.Result, killA context.CancelFunc, doneA <-chan struct{}) {
 	t.Helper()
 	select {

@@ -281,11 +281,12 @@ func TestFlightSeriesSurvivesKillResume(t *testing.T) {
 	beat := make(chan struct{})
 	var beatOnce bool
 	doneA := startWorker(actx, WorkerOptions{
-		Coordinator:     url,
-		Name:            "A",
-		Poll:            time.Millisecond,
-		CheckpointEvery: time.Millisecond,
-		Logf:            t.Logf,
+		Coordinator:       url,
+		Name:              "A",
+		Poll:              time.Millisecond,
+		CheckpointEvery:   time.Millisecond,
+		Logf:              t.Logf,
+		endSliceOnRestart: true,
 		onBeat: func(s *core.Snapshot) {
 			if !beatOnce {
 				beatOnce = true

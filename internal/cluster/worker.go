@@ -47,6 +47,10 @@ type WorkerOptions struct {
 	// simulate mid-shard death.
 	onClaim func(*ShardEnvelope)
 	onBeat  func(*core.Snapshot)
+	// endSliceOnRestart is a test seam: a slice also ends as soon as one of
+	// its restarts finishes, so a shard with more restarts than workers
+	// checkpoints before it finishes however late the slice timer fires.
+	endSliceOnRestart bool
 
 	// now supplies the wall clock the clock-offset estimator samples
 	// (default time.Now; injectable so skew tests fake a worker clock).
@@ -194,6 +198,9 @@ func (w *Worker) runShard(ctx context.Context, env *ShardEnvelope, tc obs.TraceC
 	snap := env.Snapshot
 	for {
 		sliceCtx, cancelSlice := context.WithTimeout(ctx, w.opts.CheckpointEvery)
+		if w.opts.endSliceOnRestart {
+			ropts.OnRestartDone = func(core.RestartEvent) { cancelSlice() }
+		}
 		var (
 			res  *core.Result
 			next *core.Snapshot

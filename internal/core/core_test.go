@@ -259,16 +259,9 @@ func TestTrimPortsReducesDemand(t *testing.T) {
 func TestWalkProducesCompleteValidSchedule(t *testing.T) {
 	d := blockDFG(t, func(b *prog.Builder) { logicChain(b, 6) })
 	cfg := machine.New(2, 4, 2)
-	e := &explorer{
-		d: d, cfg: cfg, p: FastParams(),
-		rng:          aco.NewRand(7),
-		fixedGroupOf: make([]int, d.Len()),
-		sp:           make([]float64, d.Len()),
-	}
-	for i := range e.fixedGroupOf {
-		e.fixedGroupOf[i] = -1
-	}
-	e.initDFG()
+	e := &explorer{}
+	e.reset(d, cfg, FastParams(), aco.NewRand(7), nil, nil, nil, nil, 0)
+	e.bind()
 	e.tab.Seed(e.d, e.p.Coefs())
 	for trial := 0; trial < 20; trial++ {
 		res := e.walk()

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"sync/atomic"
 
 	"repro/internal/aco"
@@ -76,7 +77,7 @@ func (r *Result) Reduction() float64 {
 // want to resume later use ExploreResumable/ResumeFrom instead, which
 // additionally return a checkpoint.
 func Explore(ctx context.Context, d *dfg.DFG, cfg machine.Config, p Params) (*Result, error) {
-	res, _, err := exploreResumable(ctx, d, cfg, p, nil, ResumeOptions{})
+	res, _, err := exploreResumable(ctx, d, cfg, p, nil, ResumeOptions{}, miKind)
 	return res, err
 }
 
@@ -149,7 +150,7 @@ type RestartEvent struct {
 // counters may differ (see DESIGN.md §11). On normal completion the
 // snapshot is nil.
 func ExploreResumable(ctx context.Context, d *dfg.DFG, cfg machine.Config, p Params, opts ResumeOptions) (*Result, *Snapshot, error) {
-	return exploreResumable(ctx, d, cfg, p, nil, opts)
+	return exploreResumable(ctx, d, cfg, p, nil, opts, miKind)
 }
 
 // ResumeFrom continues an exploration from a snapshot captured by
@@ -164,10 +165,31 @@ func ResumeFrom(ctx context.Context, d *dfg.DFG, cfg machine.Config, snap *Snaps
 	if err := snap.validate(d, cfg); err != nil {
 		return nil, nil, err
 	}
-	return exploreResumable(ctx, d, cfg, snap.Params, snap, opts)
+	return exploreResumable(ctx, d, cfg, snap.Params, snap, opts, miKind)
 }
 
-func exploreResumable(ctx context.Context, d *dfg.DFG, cfg machine.Config, p Params, snap *Snapshot, opts ResumeOptions) (*Result, *Snapshot, error) {
+// kind is what the restart driver needs of one explorer beyond its step:
+// how to get the step from a worker's scratch, the restart seed stride, and
+// the objective the best-of-restarts reduction minimizes before area.
+type kind struct {
+	step   func(*workerScratch) step
+	stride int64
+	key    func(d *dfg.DFG, r *Result) int
+}
+
+// miKind is the multiple-issue explorer of Chapter 4: restart r's seed is
+// p.Seed + r*7919, and the best restart has the shortest final schedule.
+var miKind = kind{
+	step:   func(ws *workerScratch) step { return &ws.exp },
+	stride: 7919,
+	key:    func(_ *dfg.DFG, r *Result) int { return r.FinalCycles },
+}
+
+// exploreResumable is the restart driver both explorers run through (Explore
+// with miKind, ExploreSI with siKind): it validates the inputs, schedules
+// the base, fans the restarts out over the scratch pool's workers, resumes
+// or checkpoints them, and reduces them to the best.
+func exploreResumable(ctx context.Context, d *dfg.DFG, cfg machine.Config, p Params, snap *Snapshot, opts ResumeOptions, k kind) (*Result, *Snapshot, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -247,7 +269,7 @@ func exploreResumable(ctx context.Context, d *dfg.DFG, cfg machine.Config, p Par
 	}()
 	cancelErr := parallel.ForEachWorkerCtx(ctx, len(todo), p.Workers, func(w, ti int) {
 		r := todo[ti]
-		res, part, err := runOnce(ctx, d, cfg, p, p.Seed+int64(r)*7919, baseCycles, cache, ws[w].kern, ws[w].exp, partials[r], opts.Trace, opts.Flight, r)
+		res, part, err := runOnce(ctx, d, cfg, p, k, r, baseCycles, cache, ws[w], partials[r], opts.Trace, opts.Flight)
 		switch {
 		case err != nil:
 			errs[r] = err
@@ -296,7 +318,7 @@ func exploreResumable(ctx context.Context, d *dfg.DFG, cfg machine.Config, p Par
 			Restarts:   make([]RestartState, restarts),
 		}
 		for r := 0; r < restarts; r++ {
-			st := RestartState{Seed: p.Seed + int64(r)*7919}
+			st := RestartState{Seed: p.Seed + int64(r)*k.stride}
 			if results[r] != nil {
 				st.Done = resultState(results[r])
 			} else {
@@ -307,7 +329,7 @@ func exploreResumable(ctx context.Context, d *dfg.DFG, cfg machine.Config, p Par
 		out.Flight = opts.Flight.Series()
 		return nil, out, cancelErr
 	}
-	best := BestResult(results)
+	best := bestBy(results, d, k.key)
 	best.CacheHits, best.CacheMisses = cache.Stats()
 	return best, nil, nil
 }
@@ -325,72 +347,149 @@ func exploreResumable(ctx context.Context, d *dfg.DFG, cfg machine.Config, p Par
 // reduces it with this same function (via exploreResumable on the worker),
 // and the coordinator folds the shard winners in shard order, so node count
 // never changes the answer.
-func BestResult(results []*Result) *Result {
+func BestResult(results []*Result) *Result { return bestBy(results, nil, miKind.key) }
+
+// bestBy is BestResult with key(d, result) in place of FinalCycles.
+func bestBy(results []*Result, d *dfg.DFG, key func(*dfg.DFG, *Result) int) *Result {
 	var best *Result
 	for _, res := range results {
 		if res == nil {
 			continue
 		}
-		if best == nil ||
-			res.FinalCycles < best.FinalCycles ||
-			(res.FinalCycles == best.FinalCycles && res.AreaUM2() < best.AreaUM2()) {
+		if best == nil || key(d, res) < key(d, best) ||
+			(key(d, res) == key(d, best) && res.AreaUM2() < best.AreaUM2()) {
 			best = res
 		}
 	}
 	return best
 }
 
+// runState is the restart state the driver owns and every explorer's step
+// reads: the inputs, the counted RNG, the kernel and cache, the trail and
+// merit tables it seeds each round, and the accepted ISEs with their
+// membership. Each explorer embeds one and reuses it across restarts.
+type runState struct {
+	d   *dfg.DFG
+	cfg machine.Config
+	p   Params
+	rng *rand.Rand
+	// rngSrc counts rng's draws so a checkpoint can record the stream
+	// position and a resumed restart can skip back to it (see
+	// aco.CountingSource).
+	rngSrc *aco.CountingSource
+	// cache memoizes schedule evaluations; may be nil (NoEvalCache).
+	cache *EvalCache
+	// kern is this worker's reusable scheduling kernel; restarts sharing a
+	// worker share one. Pure scratch — never affects results.
+	kern *sched.Scheduler
+	// tr records observation-only spans on track tid; nil when tracing is
+	// off (the common case — a nil tracer's methods are free).
+	tr  *obs.Tracer
+	tid int
+
+	// fixed are ISEs accepted in earlier rounds; their members no longer
+	// make choices.
+	fixed        []*ISE
+	fixedGroupOf []int // node -> index into fixed, or -1
+
+	// tab holds the trail and merit option tables of the free nodes,
+	// software options first; runOnce re-seeds them each round.
+	tab aco.Tables
+	cs  convergeState // the current round's convergence loop, reset each round
+
+	io         dfg.IOScratch    // IN/OUT counting without dfg.In/Out's per-call map
+	cands      []*ISE           // arena: bestCandidate's candidate list
+	evalAssign sched.Assignment // arena: a candidate's assignment, valid until the next build
+}
+
+// reset rebinds the state to one restart's inputs, keeping warmed arenas.
+func (s *runState) reset(d *dfg.DFG, cfg machine.Config, p Params, rng *rand.Rand, rngSrc *aco.CountingSource, cache *EvalCache, kern *sched.Scheduler, tr *obs.Tracer, tid int) {
+	s.d, s.cfg, s.p = d, cfg, p
+	s.rng, s.rngSrc = rng, rngSrc
+	s.cache, s.kern = cache, kern
+	s.tr, s.tid = tr, tid
+	s.fixed = s.fixed[:0]
+	s.fixedGroupOf = grow(s.fixedGroupOf, d.Len())
+	for i := range s.fixedGroupOf {
+		s.fixedGroupOf[i] = -1
+	}
+}
+
+// fix accepts ise: its members stop making choices.
+func (s *runState) fix(ise *ISE) {
+	for _, v := range ise.Nodes.Values() {
+		s.fixedGroupOf[v] = len(s.fixed)
+	}
+	s.fixed = append(s.fixed, ise)
+}
+
+// isHWOption reports whether option index o of node x selects hardware.
+func (s *runState) isHWOption(x, o int) bool { return o >= s.tab.NumSW[x] }
+
+// step is one explorer's part of an ACO restart. The driver (runOnce,
+// converge, iterate) owns rounds, iterations, the improved gate, the stop
+// test and the accepted ISEs; a step constructs and scores solutions.
+type step interface {
+	// state returns the explorer's embedded restart state.
+	state() *runState
+	// bind initializes the explorer's own restart-scoped state after the
+	// driver's reset.
+	bind()
+	// construct builds one solution from the tables and returns its
+	// execution time (tet).
+	construct() int
+	// update applies the trail and merit updates for the last solution.
+	update(improved bool)
+	// bestCandidate returns the ISE to accept this round under the
+	// explorer's objective cur, or nil when none qualifies.
+	bestCandidate(cur int) *candidate
+}
+
 // runOnce performs one full exploration: rounds of ACO iterations, each
 // producing at most one accepted ISE, until no further ISE improves the
-// schedule. When ctx cancels the run between convergence iterations, it
-// returns a RestartPartial checkpoint instead of a Result; when resume is
-// non-nil, the restart first restores that checkpoint (accepted ISEs,
-// trail/merit tables, RNG position) and continues as if it had never
-// stopped.
-func runOnce(ctx context.Context, d *dfg.DFG, cfg machine.Config, p Params, seed int64, baseCycles int, cache *EvalCache, kern *sched.Scheduler, exp *explorer, resume *RestartPartial, tr *obs.Tracer, fl *obs.Flight, restart int) (*Result, *RestartPartial, error) {
-	if kern == nil {
-		kern = sched.NewScheduler()
-	}
-	if exp == nil {
-		exp = &explorer{}
-	}
+// explorer's objective. When ctx cancels the run between convergence
+// iterations, it returns a RestartPartial checkpoint instead of a Result;
+// when resume is non-nil, the restart first restores that checkpoint
+// (accepted ISEs, trail/merit tables, RNG position) and continues as if it
+// had never stopped.
+func runOnce(ctx context.Context, d *dfg.DFG, cfg machine.Config, p Params, k kind, restart, baseCycles int, cache *EvalCache, ws *workerScratch, resume *RestartPartial, tr *obs.Tracer, fl *obs.Flight) (*Result, *RestartPartial, error) {
 	tid := restart + 1
 	if tr.Enabled() {
 		tr.NameTrack(tid, fmt.Sprintf("restart %d", restart))
 	}
-	kern.SetTrace(tr, tid)
+	ws.kern.SetTrace(tr, tid)
 	restartSpan := tr.Begin("restart", tid).Arg("restart", int64(restart))
 	defer restartSpan.End()
-	rng, rngSrc := aco.NewCountedRand(seed)
-	e := exp
-	e.reset(d, cfg, p, rng, rngSrc, cache, kern, tr, tid)
+	rng, rngSrc := aco.NewCountedRand(p.Seed + int64(restart)*k.stride)
+	st := k.step(ws)
+	e := st.state()
+	e.reset(d, cfg, p, rng, rngSrc, cache, ws.kern, tr, tid)
+	st.bind()
 
 	res := &Result{BaseCycles: baseCycles, FinalCycles: baseCycles}
-	curLen := baseCycles
+	cur := k.key(d, res)
 	startRound := 0
 	if resume != nil {
 		fixed, err := isesFromStates(d, resume.Fixed)
 		if err != nil {
 			return nil, nil, err
 		}
-		e.fixed = fixed
-		for g, f := range e.fixed {
-			for _, v := range f.Nodes.Values() {
-				e.fixedGroupOf[v] = g
-			}
+		for _, f := range fixed {
+			e.fix(f)
 		}
 		e.rngSrc.Skip(resume.RNGDraws)
 		res.Rounds = resume.Rounds
 		res.Iterations = resume.Iterations
-		curLen = resume.CurLen
+		cur = resume.CurLen
 		startRound = resume.Round
 	}
 	for round := startRound; round < p.MaxRounds; round++ {
-		roundSpan := e.tr.Begin("round", e.tid).Arg("round", int64(round))
-		if e.tab.Seed(e.d, e.p.Coefs()) {
+		roundSpan := tr.Begin("round", tid).Arg("round", int64(round))
+		if e.tab.Seed(d, p.Coefs()) {
 			obsExploreArenaGrows.Inc()
 		}
-		cs := &convergeState{tetOld: 1 << 30}
+		e.cs = convergeState{tetOld: 1 << 30}
+		cs := &e.cs
 		if resume != nil && round == startRound && resume.Iter > 0 {
 			// Mid-round checkpoint: overwrite the fresh tables with the
 			// snapshotted ones and rejoin the convergence loop where it
@@ -408,30 +507,25 @@ func runOnce(ctx context.Context, d *dfg.DFG, cfg machine.Config, p Params, seed
 			cs.prevOrder = append([]int(nil), resume.PrevOrder...)
 		}
 		before := cs.iter
-		converged := e.converge(ctx, cs)
+		converged := converge(ctx, st)
 		res.Iterations += cs.iter - before
-		obsIterations.Add(float64(cs.iter - before))
 		if !converged {
 			roundSpan.End()
-			return nil, e.capture(round, cs, res, curLen), nil
+			return nil, e.capture(round, res, cur), nil
 		}
 		res.Rounds++
-		obsRounds.Inc()
 
-		cand := e.bestCandidate(curLen)
+		cand := st.bestCandidate(cur)
 		roundSpan.Arg("iters", int64(cs.iter)).End()
 		if cand != nil {
-			cand.ise.SavingCycles = curLen - cand.cycles
-			e.fixed = append(e.fixed, cand.ise)
-			for _, v := range cand.ise.Nodes.Values() {
-				e.fixedGroupOf[v] = len(e.fixed) - 1
-			}
-			curLen = cand.cycles
+			cand.ise.SavingCycles = cur - cand.cycles
+			e.fix(cand.ise)
+			cur = cand.cycles
 		}
-		// Convergence sample: best schedule length after this round and the
+		// Convergence sample: the objective after this round and the
 		// accepted-ISE count. Pure function of the exploration inputs, so a
 		// resumed run re-records identical samples for replayed rounds.
-		fl.Record(obs.FlightRound, restart, round, float64(curLen), float64(len(e.fixed)))
+		fl.Record(obs.FlightRound, restart, round, float64(cur), float64(len(e.fixed)))
 		if cand == nil {
 			break
 		}
@@ -439,7 +533,7 @@ func runOnce(ctx context.Context, d *dfg.DFG, cfg machine.Config, p Params, seed
 
 	res.ISEs = append(res.ISEs, e.fixed...)
 	res.Assignment = BuildAssignment(d, res.ISEs)
-	final, err := cache.ScheduleWith(e.kern, d, res.Assignment, cfg)
+	final, err := cache.ScheduleWith(ws.kern, d, res.Assignment, cfg)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: final schedule of %s: %w", d.Name, err)
 	}
@@ -450,19 +544,20 @@ func runOnce(ctx context.Context, d *dfg.DFG, cfg machine.Config, p Params, seed
 // capture freezes the restart's state at a convergence-iteration boundary.
 // At a round boundary (no iteration run yet) the trail and merit tables are
 // omitted: the round's Seed rebuilds them deterministically on resume.
-func (e *explorer) capture(round int, cs *convergeState, res *Result, curLen int) *RestartPartial {
+func (s *runState) capture(round int, res *Result, cur int) *RestartPartial {
+	cs := &s.cs
 	p := &RestartPartial{
 		Round:      round,
 		Iter:       cs.iter,
 		Rounds:     res.Rounds,
 		Iterations: res.Iterations,
-		CurLen:     curLen,
-		Fixed:      iseStates(e.fixed),
-		RNGDraws:   e.rngSrc.Draws(),
+		CurLen:     cur,
+		Fixed:      iseStates(s.fixed),
+		RNGDraws:   s.rngSrc.Draws(),
 	}
 	if cs.iter > 0 {
-		p.Trail = copyTables(e.tab.Trail)
-		p.Merit = copyTables(e.tab.Merit)
+		p.Trail = copyTables(s.tab.Trail)
+		p.Merit = copyTables(s.tab.Merit)
 		p.TetOld = cs.tetOld
 		p.PrevOrder = append([]int(nil), cs.prevOrder...)
 	}
@@ -517,10 +612,10 @@ func (e *explorer) initPriority() {
 }
 
 // convergeState is the inter-iteration state of one round's convergence
-// loop, held outside converge so an interrupted round checkpoints exactly
+// loop, held in the run state so an interrupted round checkpoints exactly
 // where it stopped: the best execution time seen (tetOld), the previous
-// iteration's scheduling order (the Rho5 moved-earlier signal), and the
-// number of iterations performed so far this round.
+// iteration's scheduling order (MI's Rho5 moved-earlier signal; SI keeps
+// none), and the number of iterations performed so far this round.
 type convergeState struct {
 	tetOld    int
 	prevOrder []int
@@ -530,29 +625,16 @@ type convergeState struct {
 // converge runs ACO iterations until every free operation has one option
 // whose selected probability exceeds P_END, or the iteration cap is hit.
 // The context is checked before each iteration; converge returns false if
-// cancellation interrupted the round (cs then holds everything a resumed
-// run needs) and true once the round has converged or hit the cap.
-func (e *explorer) converge(ctx context.Context, cs *convergeState) bool {
-	for cs.iter < e.p.MaxIterations {
+// cancellation interrupted the round (the run state's cs then holds
+// everything a resumed run needs) and true once the round has converged or
+// hit the cap.
+func converge(ctx context.Context, st step) bool {
+	e := st.state()
+	for e.cs.iter < e.p.MaxIterations {
 		if ctx.Err() != nil {
 			return false
 		}
-		cs.iter++
-		walkSpan := e.tr.Begin("walk", e.tid).Arg("iter", int64(cs.iter))
-		res := e.walk()
-		walkSpan.Arg("tet", int64(res.tet)).End()
-		improved := res.tet <= cs.tetOld
-		trailSpan := e.tr.Begin("trail", e.tid)
-		e.trailUpdate(res, improved, cs.prevOrder)
-		if improved {
-			cs.tetOld = res.tet
-		}
-		e.meritUpdate(res)
-		trailSpan.End()
-		// res.orderPos is walk's arena; copy it into the round-local buffer
-		// (reused across iterations, nil only before the first one — the
-		// trailUpdate moved-earlier gate keys on that).
-		cs.prevOrder = append(cs.prevOrder[:0], res.orderPos...)
+		iterate(st)
 		if e.convergedNow() {
 			return true
 		}
@@ -560,10 +642,33 @@ func (e *explorer) converge(ctx context.Context, cs *convergeState) bool {
 	return true
 }
 
+// iterate runs one ACO iteration of st: construct a solution, then update
+// the trail (improved when the solution is no slower than the round's best
+// so far) and the merit tables.
+//
+//alloc:free
+func iterate(st step) {
+	e := st.state()
+	cs := &e.cs
+	cs.iter++
+	walkSpan := e.tr.Begin("walk", e.tid).Arg("iter", int64(cs.iter))
+	tet := st.construct()
+	walkSpan.Arg("tet", int64(tet)).End()
+	improved := tet <= cs.tetOld
+	trailSpan := e.tr.Begin("trail", e.tid)
+	st.update(improved)
+	if improved {
+		cs.tetOld = tet
+	}
+	trailSpan.End()
+}
+
 // convergedNow checks the P_END condition of Eq. 3/4 over all free nodes.
-func (e *explorer) convergedNow() bool {
-	for x := 0; x < e.d.Len(); x++ {
-		if e.fixedGroupOf[x] < 0 && !e.tab.Converged(x) {
+//
+//alloc:free
+func (s *runState) convergedNow() bool {
+	for x := 0; x < s.d.Len(); x++ {
+		if s.fixedGroupOf[x] < 0 && !s.tab.Converged(x) {
 			return false
 		}
 	}
@@ -575,27 +680,33 @@ type candidate struct {
 	cycles int
 }
 
-// bestCandidate extracts ISE candidates from the converged selection
-// (connected hardware-taken components, made convex and port-feasible),
-// evaluates each by rescheduling the DFG with the already-accepted ISEs plus
-// the candidate, and returns the one with the shortest schedule (area breaks
-// ties). Candidates that would lengthen the schedule are invalid; equal-
-// length candidates remain acceptable so later selection stages can still
-// harvest their cross-block reuse.
-func (e *explorer) bestCandidate(curLen int) *candidate {
-	d := e.d
+// takenCandidates shapes the converged selection — the free eligible nodes
+// whose taken option is hardware — into ISE candidates (connected
+// components, made convex and port-feasible) in the cands arena.
+func (s *runState) takenCandidates() {
+	d := s.d
 	taken := graph.NewNodeSet(d.Len())
 	optOf := map[int]int{}
 	for x := 0; x < d.Len(); x++ {
-		if e.fixedGroupOf[x] >= 0 || !d.Nodes[x].ISEEligible() {
+		if s.fixedGroupOf[x] >= 0 || !d.Nodes[x].ISEEligible() {
 			continue
 		}
-		if o := e.tab.Taken(x); e.isHWOption(x, o) {
+		if o := s.tab.Taken(x); s.isHWOption(x, o) {
 			taken.Add(x)
-			optOf[x] = o - e.tab.NumSW[x]
+			optOf[x] = o - s.tab.NumSW[x]
 		}
 	}
-	e.cands = Candidates(e.cands[:0], d, taken, optOf, e.cfg, e.p.MaxISECycles, &e.io)
+	s.cands = Candidates(s.cands[:0], d, taken, optOf, s.cfg, s.p.MaxISECycles, &s.io)
+}
+
+// bestCandidate evaluates each candidate of the converged selection by
+// rescheduling the DFG with the already-accepted ISEs plus the candidate,
+// and returns the one with the shortest schedule (area breaks ties).
+// Candidates that would lengthen the schedule are invalid; equal-length
+// candidates remain acceptable so later selection stages can still harvest
+// their cross-block reuse.
+func (e *explorer) bestCandidate(curLen int) *candidate {
+	e.takenCandidates()
 	var best *candidate
 	for _, ise := range e.cands {
 		cyc, err := e.evaluate(ise)

@@ -15,17 +15,9 @@ import (
 // of the algorithm's internals.
 func newExplorer(t testing.TB, d *dfg.DFG, cfg machine.Config) *explorer {
 	t.Helper()
-	e := &explorer{
-		d: d, cfg: cfg, p: DefaultParams(),
-		rng:          aco.NewRand(1),
-		fixedGroupOf: make([]int, d.Len()),
-		sp:           make([]float64, d.Len()),
-	}
-	for i := range e.fixedGroupOf {
-		e.fixedGroupOf[i] = -1
-	}
-	e.initPriority()
-	e.initDFG()
+	e := &explorer{}
+	e.reset(d, cfg, DefaultParams(), aco.NewRand(1), nil, nil, nil, nil, 0)
+	e.bind()
 	e.tab.Seed(e.d, e.p.Coefs())
 	return e
 }

@@ -12,12 +12,7 @@ import (
 // back (enforced by iselint's obspurity pass); the per-Result cache counters
 // that feed determinism-excluded Result fields stay on EvalCache's own
 // atomics.
-var (
-	obsCacheHits [evalShards]*obs.Counter
-
-	obsRounds     = obs.Default.Counter("ise_explore_rounds_total", "ACO rounds converged across all restarts.")
-	obsIterations = obs.Default.Counter("ise_explore_iterations_total", "ACO convergence iterations (ant walks) across all restarts.")
-)
+var obsCacheHits [evalShards]*obs.Counter
 
 func init() {
 	for i := range obsCacheHits {

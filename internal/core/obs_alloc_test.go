@@ -8,29 +8,22 @@ import (
 )
 
 // instrumentedIterate returns a closure running one steady-state exploration
-// iteration wrapped in the observability calls the round loop makes in
-// runOnce: the tracer's span chain (Begin/Arg/End) and the flight recorder's
-// convergence sample. Passing nil for tr or fl exercises the disabled form
-// of the corresponding call sites — a plain nil check that must not
-// allocate.
+// iteration — the driver's iterate, with its walk and trail spans — wrapped
+// in the observability calls the round loop makes in runOnce: the round
+// span and the flight recorder's convergence sample. Passing nil for tr or
+// fl exercises the disabled form of the corresponding call sites — a plain
+// nil check that must not allocate.
 func instrumentedIterate(tb testing.TB, tr *obs.Tracer, fl *obs.Flight) func() {
 	d := hotBenchDFG(tb, "crc32", "O3")
 	e := newExplorer(tb, d, machine.New(2, 4, 2))
-	var prevOrder []int
-	tetOld := 1 << 30
+	e.tr, e.tid = tr, 1
+	e.cs.tetOld = 1 << 30
 	round := 0
 	return func() {
 		sp := tr.Begin("round", 1).Arg("round", int64(round))
-		res := e.walk()
-		improved := res.tet <= tetOld
-		e.trailUpdate(res, improved, prevOrder)
-		if improved {
-			tetOld = res.tet
-		}
-		e.meritUpdate(res)
-		prevOrder = append(prevOrder[:0], res.orderPos...)
+		iterate(e)
 		sp.Arg("iters", int64(round)).End()
-		fl.Record(obs.FlightRound, 0, round, float64(res.tet), float64(len(e.fixed)))
+		fl.Record(obs.FlightRound, 0, round, float64(e.wres.tet), float64(len(e.fixed)))
 		round++
 	}
 }

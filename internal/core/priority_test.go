@@ -38,7 +38,7 @@ func TestPriorityVectors(t *testing.T) {
 		b.R(isa.OpADD, prog.T2, prog.T1, prog.A0) // n2: tail
 		b.R(isa.OpADD, prog.T3, prog.A2, prog.A3) // n3: isolated
 	})
-	e := &explorer{d: d, p: FastParams(), sp: make([]float64, d.Len())}
+	e := &explorer{runState: runState{d: d, p: FastParams()}, sp: make([]float64, d.Len())}
 
 	e.p.Priority = PriorityChildren
 	e.initPriority()
@@ -85,7 +85,7 @@ func TestPriorityVariantsOnRandomDFGs(t *testing.T) {
 
 func TestUnknownPriorityPanics(t *testing.T) {
 	d := blockDFG(t, func(b *prog.Builder) { logicChain(b, 3) })
-	e := &explorer{d: d, p: FastParams(), sp: make([]float64, d.Len())}
+	e := &explorer{runState: runState{d: d, p: FastParams()}, sp: make([]float64, d.Len())}
 	e.p.Priority = Priority(99)
 	defer func() {
 		if recover() == nil {

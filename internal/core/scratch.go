@@ -9,14 +9,16 @@ import (
 )
 
 // workerScratch bundles the reusable per-worker state of one exploration
-// worker: the scheduling kernel and the explorer arenas. Both are pure
-// scratch — which worker (or which exploration) previously used them never
-// affects a restart's result, because every consumer resets or overwrites
-// what it reads (explorer.reset rebinds per-DFG state; the kernel versions
-// its own tables per call).
+// worker: the scheduling kernel and the arenas of both explorers' steps
+// (MI's explorer, the SI baseline's siExplorer). All are pure scratch —
+// which worker (or which exploration) previously used them never affects a
+// restart's result, because every consumer resets or overwrites what it
+// reads (the driver's reset and the step's bind rebind per-DFG state; the
+// kernel versions its own tables per call).
 type workerScratch struct {
 	kern *sched.Scheduler
-	exp  *explorer
+	exp  explorer
+	si   siExplorer
 }
 
 // Scratch is a pool of worker scratch shared across the explorations of one
@@ -61,7 +63,7 @@ func (s *Scratch) Prewarm(dfgs ...*dfg.DFG) {
 func NewScratch() *Scratch {
 	s := &Scratch{}
 	s.pool.New = func() any {
-		return &workerScratch{kern: sched.NewScheduler(), exp: &explorer{}}
+		return &workerScratch{kern: sched.NewScheduler()}
 	}
 	return s
 }

@@ -1,64 +1,32 @@
 package core
 
 import (
-	"math/rand"
-
 	"repro/internal/aco"
 	"repro/internal/dfg"
 	"repro/internal/graph"
-	"repro/internal/machine"
-	"repro/internal/obs"
 	"repro/internal/prog"
 	"repro/internal/sched"
 )
 
-// explorer carries the per-DFG exploration state across rounds and
-// iterations. One explorer is owned by one exploration worker and reused
-// across the restarts that worker runs (reset puts it back to a fresh
-// restart's state): all the `arena:` annotated fields below are scratch
-// recycled every iteration, so steady-state ant construction and merit
-// sweeps allocate nothing (DESIGN.md §13, TestExploreSteadyStateAllocs).
-// Reuse is pure scratch — which worker runs which restart never affects the
-// restart's result.
+// explorer is the MI explorer's step (Chapter 4): it carries the per-DFG
+// exploration state across rounds and iterations. One explorer is owned by
+// one exploration worker and reused across the restarts that worker runs
+// (the driver's reset and bind put it back to a fresh restart's state): all
+// the `arena:` annotated fields below are scratch recycled every iteration,
+// so steady-state ant construction and merit sweeps allocate nothing
+// (DESIGN.md §13, TestExploreSteadyStateAllocs). Reuse is pure scratch —
+// which worker runs which restart never affects the restart's result.
 type explorer struct {
-	d   *dfg.DFG
-	cfg machine.Config
-	p   Params
-	rng *rand.Rand
-	// rngSrc counts rng's draws so a checkpoint can record the stream
-	// position and a resumed restart can skip back to it (see
-	// aco.CountingSource).
-	rngSrc *aco.CountingSource
-	// cache memoizes schedule evaluations; may be nil (NoEvalCache).
-	cache *EvalCache
-	// kern is this explorer's reusable scheduling kernel; restarts sharing a
-	// worker share one. Pure scratch — never affects results.
-	kern *sched.Scheduler
-	// tr records observation-only spans on track tid; nil when tracing is
-	// off (the common case — a nil tracer's methods are free).
-	tr  *obs.Tracer
-	tid int
-	// evalAssign is evaluate's reusable assignment buffer. arena: valid
-	// until the next evaluate call.
-	evalAssign sched.Assignment
-
-	// fixed are ISEs accepted in earlier rounds; their members no longer
-	// make choices.
-	fixed        []*ISE
-	fixedGroupOf []int // node -> index into fixed, or -1
-
-	// tab holds the trail and merit option tables of the free nodes,
-	// software options first; runOnce re-seeds them each round.
-	tab aco.Tables
-	sp  []float64 // scheduling priority per node (child count)
+	runState
+	sp []float64 // scheduling priority per node (child count)
 
 	// Per-DFG invariants, computed once per restart by initDFG: the
 	// unit-latency longest paths into (asap) and out of (tail) each node,
 	// which every mobility query reads, and each node's port use as a
 	// single-operation ISE, which every new walk group starts from.
-	asap []int     // arena: rebuilt by reset
-	tail []int     // arena: rebuilt by reset
-	solo []portUse // arena: rebuilt by reset
+	asap []int     // arena: rebuilt by bind
+	tail []int     // arena: rebuilt by bind
+	solo []portUse // arena: rebuilt by bind
 
 	// Unit contraction of the accepted ISEs, rebuilt whenever the fixed set
 	// changes (once per round): unit u's members are
@@ -99,8 +67,6 @@ type explorer struct {
 	cDown       []int // arena: downward longest path
 	cUp         []int // arena: upward longest path
 
-	io dfg.IOScratch // IN/OUT counting without dfg.In/Out's per-call map
-
 	// Merit-sweep scratch. arena: reused every merit update.
 	meter       VSMeter         // measures each vSx and applies its merit cases
 	compOf      []int           // arena: node -> hardware component, -1 for every other node
@@ -109,28 +75,35 @@ type explorer struct {
 	compMembers []int           // arena: the swept component's members
 	vsSet       graph.NodeSet   // arena: softwareVS's result set
 	mobMembers  []int           // arena: mobility's member extraction buffer
-	cands       []*ISE          // arena: bestCandidate's candidate list
 }
 
-// reset rebinds a pooled explorer to one restart's inputs, keeping every
-// warmed arena. Restart-scoped state (accepted ISEs, priorities, unit
-// contraction) is reinitialized; per-iteration scratch needs none — each use
-// fully overwrites it.
-func (e *explorer) reset(d *dfg.DFG, cfg machine.Config, p Params, rng *rand.Rand, rngSrc *aco.CountingSource, cache *EvalCache, kern *sched.Scheduler, tr *obs.Tracer, tid int) {
-	e.d, e.cfg, e.p = d, cfg, p
-	e.rng, e.rngSrc = rng, rngSrc
-	e.cache, e.kern = cache, kern
-	e.tr, e.tid = tr, tid
-	e.fixed = e.fixed[:0]
-	n := d.Len()
-	e.fixedGroupOf = grow(e.fixedGroupOf, n)
-	for i := range e.fixedGroupOf {
-		e.fixedGroupOf[i] = -1
-	}
-	e.sp = grow(e.sp, n)
+func (e *explorer) state() *runState { return &e.runState }
+
+// bind reinitializes the MI restart-scoped state after the driver's reset:
+// priorities, the per-DFG invariants and the unit contraction. Per-iteration
+// scratch needs none — each use fully overwrites it.
+func (e *explorer) bind() {
+	e.sp = grow(e.sp, e.d.Len())
 	e.unitFixedN = -1
 	e.initPriority()
 	e.initDFG()
+}
+
+// construct is MI's step: one ant walk (Figs. 4.3.3/4.3.4).
+//
+//alloc:free
+func (e *explorer) construct() int { return e.walk().tet }
+
+// update applies Fig. 4.3.5 and Fig. 4.3.7 to the last walk and keeps its
+// scheduling order for the next iteration's ρ5 test. The walk's orderPos is
+// its arena, so it is copied into the round-local buffer (nil only before
+// the first iteration — the trailUpdate moved-earlier gate keys on that).
+//
+//alloc:free
+func (e *explorer) update(improved bool) {
+	e.trailUpdate(&e.wres, improved, e.cs.prevOrder)
+	e.meritUpdate(&e.wres)
+	e.cs.prevOrder = append(e.cs.prevOrder[:0], e.wres.orderPos...)
 }
 
 // initDFG computes the per-DFG invariants the iterations read: the
@@ -202,9 +175,6 @@ type walkResult struct {
 	critical graph.NodeSet
 	depthNS  []float64 // combinational depth of each HW node within its group
 }
-
-// isHWOption reports whether option index o of node x selects hardware.
-func (e *explorer) isHWOption(x, o int) bool { return o >= e.tab.NumSW[x] }
 
 // hwDelay returns the delay of hardware option o (global index) of node x.
 func (e *explorer) hwDelay(x, o int) float64 {

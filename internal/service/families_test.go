@@ -21,8 +21,6 @@ var engineFamilies = map[string]bool{
 	"ise_sched_schedule_calls_total":     true, // serve smoke
 	"ise_parallel_items_total":           true, // serve smoke
 	"ise_explore_arena_grows_total":      true, // TestPrewarmedExploreGrowsNoArenas
-	"ise_explore_rounds_total":           true, // the iteration-cap study (ROADMAP item 1)
-	"ise_explore_iterations_total":       true, // the iteration-cap study (ROADMAP item 1)
 	"ise_cluster_shards_total":           true, // perfbench, cluster smoke
 	"ise_cluster_shard_retries_total":    true, // perfbench, fault tests, cluster smoke
 	"ise_cluster_shard_cache_hits_total": true, // cluster smoke
@@ -36,8 +34,6 @@ var initFamilies = []string{
 	"ise_cluster_shards_total",
 	"ise_evalcache_hits_total",
 	"ise_explore_arena_grows_total",
-	"ise_explore_iterations_total",
-	"ise_explore_rounds_total",
 	"ise_parallel_items_total",
 	"ise_sched_schedule_calls_total",
 }
