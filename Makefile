@@ -27,7 +27,9 @@ race: lint
 # Benchmarks: one Go benchmark per layer, 5 repetitions each, printed as
 # plain `go test` output: VMProfile (profiling), SchedSteadyState (the
 # scheduling kernel), MatchFind (subgraph matching), Merge (the merging
-# stage's matching) and Evaluate (a cold Pool.Evaluate, mostly replacement
+# stage's matching, on the crc32/O3 MI pool and, as Merge/SI-seed2, on the
+# crc32/O3 SI pool at seed 2, whose merges SubgraphOf's in-ISE pre-search
+# mostly rules out) and Evaluate (a cold Pool.Evaluate, mostly replacement
 # matching) on the crc32/O3 pool, Convex (the closure-backed convexity test
 # of both explorers' merit sweeps, 0 allocs/op), ExploreMI / ExploreSI plus
 # the engine-ablation pair (exploration), ExploreRestartMI / ExploreRestartSI

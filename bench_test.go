@@ -358,18 +358,28 @@ func BenchmarkConvex(b *testing.B) {
 // matchPool is the pool BenchmarkMerge and BenchmarkEvaluate run on:
 // crc32/O3 under MI on the 2-issue 4/2 machine, the kernel whose design
 // points spend most of their time in subgraph matching.
-var matchPool = sync.OnceValue(func() *flow.Pool {
+var matchPool = sync.OnceValue(func() *flow.Pool { return crc32Pool(flow.MI, 1) })
+
+// mergePoolSI is BenchmarkMerge's SI case: crc32/O3 under SI on the same
+// machine at seed 2, whose merges are mostly ruled out by SubgraphOf's
+// in-ISE pre-search rather than decided by whole-block searches.
+var mergePoolSI = sync.OnceValue(func() *flow.Pool { return crc32Pool(flow.SI, 2) })
+
+// crc32Pool builds the crc32/O3 pool on the 2-issue 4/2 machine under algo
+// with FastParams at seed.
+func crc32Pool(algo flow.Algorithm, seed int64) *flow.Pool {
 	bm, err := bench.Get("crc32", "O3")
 	if err != nil {
 		panic(err)
 	}
-	opts := flow.Options{Machine: machine.New(2, 4, 2), Params: core.FastParams(), Algorithm: flow.MI, HotBlocks: 3}
-	pool, err := flow.BuildPool(bm, opts)
+	p := core.FastParams()
+	p.Seed = seed
+	pool, err := flow.BuildPool(bm, flow.Options{Machine: machine.New(2, 4, 2), Params: p, Algorithm: algo, HotBlocks: 3})
 	if err != nil {
 		panic(err)
 	}
 	return pool
-})
+}
 
 // coldCopy copies a candidate without its memoized matches, so every use of
 // the copy matches afresh.
@@ -378,21 +388,29 @@ func coldCopy(c *merging.Candidate) *merging.Candidate {
 }
 
 // BenchmarkMerge measures the merging stage (canonical hashing plus the
-// subgraph matching of merging.SubgraphOf) over the crc32/O3 pool's
-// candidates.
+// subgraph matching of merging.SubgraphOf) over the candidates of two
+// crc32/O3 pools: MI, whose merges mostly reach the whole-block search, and
+// SI at seed 2, whose merges the in-ISE pre-search mostly rules out.
 func BenchmarkMerge(b *testing.B) {
-	var cands []*merging.Candidate
-	for _, g := range matchPool().Groups {
-		for _, c := range g.Members {
-			cands = append(cands, coldCopy(c))
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if gs := merging.Merge(cands); len(gs) == 0 {
-			b.Fatal("no groups")
-		}
+	for _, c := range []struct {
+		name string
+		pool func() *flow.Pool
+	}{{"MI", matchPool}, {"SI-seed2", mergePoolSI}} {
+		b.Run(c.name, func(b *testing.B) {
+			var cands []*merging.Candidate
+			for _, g := range c.pool().Groups {
+				for _, m := range g.Members {
+					cands = append(cands, coldCopy(m))
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if gs := merging.Merge(cands); len(gs) == 0 {
+					b.Fatal("no groups")
+				}
+			}
+		})
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/aco"
@@ -307,7 +308,9 @@ func exploreResumable(ctx context.Context, d *dfg.DFG, cfg machine.Config, p Par
 			return nil, nil, errs[r]
 		}
 	}
-	if cancelErr != nil {
+	// A cancellation that came after every restart finished cost nothing:
+	// the result is whole, so it is reduced and returned like any other.
+	if cancelErr != nil && slices.Contains(results, nil) {
 		out := &Snapshot{
 			Version:    SnapshotVersion,
 			DFG:        d.Name,

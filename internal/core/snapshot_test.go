@@ -153,6 +153,72 @@ func TestResumeAtRestartBoundary(t *testing.T) {
 	resultsEqual(t, "restart-boundary resume", want, got)
 }
 
+// TestCancelAfterLastRestartKeepsResult cancels the run from the last
+// restart's OnRestartDone: every restart has its result, so the run must
+// return the uncancelled run's result with no snapshot and no error, at one
+// worker and at three.
+func TestCancelAfterLastRestartKeepsResult(t *testing.T) {
+	d := blockDFG(t, func(b *prog.Builder) { logicChain(b, 10) })
+	cfg := machine.New(2, 4, 2)
+	for _, workers := range []int{1, 3} {
+		p := FastParams()
+		p.Restarts = 3
+		p.Workers = workers
+		want, err := Explore(context.Background(), d, cfg, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		res, snap, err := ExploreResumable(ctx, d, cfg, p, ResumeOptions{
+			OnRestartDone: func(ev RestartEvent) {
+				if ev.Completed == ev.Total {
+					cancel()
+				}
+			},
+		})
+		cancel()
+		if res == nil || snap != nil || err != nil {
+			t.Fatalf("workers=%d: cancelled after the last restart: res=%v snap=%v err=%v", workers, res, snap, err)
+		}
+		resultsEqual(t, "cancelled after the last restart", want, res)
+	}
+}
+
+// TestResumeAllDoneUnderCancelledContext resumes a snapshot whose every
+// restart is done under an already-cancelled context: there is nothing left
+// to run, so the resume must return the uncancelled run's result with no
+// snapshot and no error.
+func TestResumeAllDoneUnderCancelledContext(t *testing.T) {
+	d := blockDFG(t, func(b *prog.Builder) { logicChain(b, 10) })
+	cfg := machine.New(2, 4, 2)
+	p := FastParams()
+	p.Restarts = 3
+	want, err := Explore(context.Background(), d, cfg, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := &Snapshot{Version: SnapshotVersion, DFG: d.Name, Nodes: d.Len(), Machine: cfg.Name,
+		Params: p, BaseCycles: want.BaseCycles}
+	for r := 0; r < p.Restarts; r++ {
+		// Restart r on its own: one restart seeded as the run seeds r.
+		one := p
+		one.Restarts = 1
+		one.Seed = p.Seed + int64(r)*miKind.stride
+		res, err := Explore(context.Background(), d, cfg, one)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap.Restarts = append(snap.Restarts, RestartState{Seed: one.Seed, Done: resultState(res)})
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, snap2, err := ResumeFrom(ctx, d, cfg, snap, ResumeOptions{})
+	if res == nil || snap2 != nil || err != nil {
+		t.Fatalf("all-done resume under a cancelled context: res=%v snap=%v err=%v", res, snap2, err)
+	}
+	resultsEqual(t, "all-done resume", want, res)
+}
+
 // TestResumeEventsProgress checks the progress stream: Completed climbs to
 // Total, and a resumed run reports restarts restored from the snapshot in
 // its Completed counts.

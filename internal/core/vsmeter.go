@@ -51,6 +51,10 @@ type VSMeter struct {
 	preArea   []float64 // arena: the base sweep's running area per position
 	cycles    []int     // arena: per-option subgraph cycles
 	areas     []float64 // arena: per-option subgraph areas
+	// The base sweep's result: the subgraph's area and cycles with every
+	// member at its chosen option.
+	baseArea   float64
+	baseCycles int
 }
 
 // presize sizes the meter's arenas for n nodes, edges dependence edges and
@@ -161,6 +165,7 @@ func (m *VSMeter) Delay(d *dfg.DFG, vs graph.NodeSet, members, chosen, numSW []i
 	m.predPos = preds
 	copy(m.baseDepth, depth[:len(members)])
 	m.based = len(members)
+	m.baseArea, m.baseCycles = areaUM2, sched.CyclesForDelay(delayNS)
 	return delayNS
 }
 
@@ -185,8 +190,15 @@ func (m *VSMeter) unitDepth() int {
 // position k over the compact vSx: the same members are visited with the
 // same float operations in the same order as a sweep over all of them, so
 // the results are bit-identical to one (the reference tests of both
-// explorers).
+// explorers). An option with the delay and area the base sweep gave
+// position k (usually the option the member holds) would redo the base
+// sweep's operations on the same values, so it returns the base sweep's
+// result unswept.
 func (m *VSMeter) metrics(k, hwIdx int) (areaUM2 float64, cycles int) {
+	hw := &m.d.Nodes[m.members[k]].HW[hwIdx]
+	if hw.DelayNS == m.delay[k] && hw.AreaUM2 == m.area[k] {
+		return m.baseArea, m.baseCycles
+	}
 	// An earlier sweep overwrote the depths from its own position on; put
 	// back the base depths of the positions before k.
 	depth := m.depth
@@ -194,7 +206,6 @@ func (m *VSMeter) metrics(k, hwIdx int) (areaUM2 float64, cycles int) {
 		copy(depth[m.based:k], m.baseDepth[m.based:k])
 	}
 	m.based = k
-	hw := &m.d.Nodes[m.members[k]].HW[hwIdx]
 	delayNS, areaUM2 := m.preDelay[k], m.preArea[k]
 	for i := k; i < len(m.members); i++ {
 		dl, ar := m.delay[i], m.area[i]

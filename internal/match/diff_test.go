@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -202,7 +204,7 @@ func TestEachStopsLikeFind(t *testing.T) {
 		for _, k := range []int{1, 2, 3, 64} {
 			for _, limit := range diffBudgets {
 				var got []Mapping
-				states := each(pd, pat, td, limit, func(m Mapping) bool {
+				states, _ := each(pd, pat, td, nil, limit, func(m Mapping) bool {
 					got = append(got, m)
 					return len(got) < k
 				})
@@ -269,5 +271,154 @@ func TestFindUnsortedAdjacency(t *testing.T) {
 			t.Errorf("pattern %v: got %v, want %v", c.pat, got, c.want)
 		}
 		checkAgainstReference(t, "unsorted", d, pat, d)
+	}
+}
+
+// mappingKey renders a mapping with its pattern nodes in ascending order,
+// so mapping lists can be compared as sets.
+func mappingKey(m Mapping) string {
+	ps := make([]int, 0, len(m))
+	for p := range m {
+		ps = append(ps, p)
+	}
+	slices.Sort(ps)
+	var b strings.Builder
+	for _, p := range ps {
+		fmt.Fprintf(&b, "%d>%d ", p, m[p])
+	}
+	return b.String()
+}
+
+// checkRestricted runs pat over td restricted to within and checks it
+// against the unrestricted search. When the unrestricted search completes
+// within DefaultLimit, the restricted one must too, and yield exactly its
+// mappings whose targets all lie in within. Under every diffBudgets limit
+// the restricted search must report completeness exactly when the limit
+// covers the states its complete run took, and then yield the same list. It
+// reports whether the case was compared (the unrestricted search completed)
+// and how many mappings the restricted search found.
+func checkRestricted(t *testing.T, name string, pd *dfg.DFG, pat graph.NodeSet, td *dfg.DFG, within graph.NodeSet) (compared bool, found int) {
+	t.Helper()
+	collect := func(w *graph.NodeSet, limit int) ([]Mapping, int, bool) {
+		var ms []Mapping
+		states, complete := each(pd, pat, td, w, limit, func(m Mapping) bool {
+			ms = append(ms, m)
+			return true
+		})
+		return ms, states, complete
+	}
+	whole, _, wholeComplete := collect(nil, DefaultLimit)
+	got, states, complete := collect(&within, DefaultLimit)
+	if !wholeComplete {
+		return false, 0
+	}
+	var want []string
+	for _, m := range whole {
+		if m.Targets(td.Len()).SubsetOf(within) {
+			want = append(want, mappingKey(m))
+		}
+	}
+	var gotKeys []string
+	for _, m := range got {
+		gotKeys = append(gotKeys, mappingKey(m))
+	}
+	slices.Sort(want)
+	slices.Sort(gotKeys)
+	if !complete || !slices.Equal(gotKeys, want) {
+		t.Fatalf("%s pattern %v within %v: restricted search (complete %v) found %v, the filtered whole-block search %v",
+			name, pat, within, complete, gotKeys, want)
+	}
+	for _, limit := range diffBudgets {
+		ms, _, ok := collect(&within, limit)
+		if ok != (limit >= states) {
+			t.Fatalf("%s pattern %v within %v budget %d: complete = %v after a complete run of %d states",
+				name, pat, within, limit, ok, states)
+		}
+		if ok && !reflect.DeepEqual(ms, got) {
+			t.Fatalf("%s pattern %v within %v budget %d: complete run found %v, want %v", name, pat, within, limit, ms, got)
+		}
+	}
+	return true, len(got)
+}
+
+// TestFindEachInMatchesFilteredFind compares the target-restricted search
+// with the unrestricted one filtered to the target set, on patterns sampled
+// from the paper kernels' hot blocks and from internal/randprog DFGs. The
+// target sets are connected samples of the target grown around a random
+// node, as SubgraphOf restricts to a candidate's nodes, and random subsets.
+func TestFindEachInMatchesFilteredFind(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	var ds []*dfg.DFG
+	ds = append(ds, kernelDFGs()...)
+	for i := 0; i < 40; i++ {
+		ds = append(ds, randprog.DFG(r, randprog.Config{Ops: 10 + r.Intn(40), MemFrac: 0.1, MultFrac: 0.05}))
+	}
+	compared, nonEmpty := 0, 0
+	for i, pd := range ds {
+		for k := 0; k < 4; k++ {
+			td := pd
+			if k%2 == 1 {
+				td = ds[(i+1+r.Intn(len(ds)-1))%len(ds)]
+			}
+			pat := sampleConnected(r, pd, 1+r.Intn(6))
+			within := sampleConnected(r, td, 4+r.Intn(12))
+			if k >= 2 {
+				within = randomSubset(r, td, td.Len()/2+1)
+			}
+			ok, found := checkRestricted(t, fmt.Sprintf("%s in %s", pd.Name, td.Name), pd, pat, td, within)
+			if ok {
+				compared++
+			}
+			if found > 0 {
+				nonEmpty++
+			}
+			// A restricted search over the pattern's own nodes in its own
+			// block finds at least the identity mapping.
+			if ok, found = checkRestricted(t, pd.Name+" own nodes", pd, pat, pd, pat); ok && found == 0 && !pat.Empty() {
+				t.Fatalf("%s pattern %v: no mapping onto its own nodes", pd.Name, pat)
+			}
+		}
+	}
+	t.Logf("%d cases compared, %d with in-set mappings", compared, nonEmpty)
+	if compared < 100 || nonEmpty < 20 {
+		t.Fatalf("%d cases compared, %d with in-set mappings; the test no longer covers the restriction", compared, nonEmpty)
+	}
+}
+
+// TestFindEachCompleteness checks the completeness flag of the search, with
+// and without a target set: true after a search that enumerated every
+// mapping, false when yield stopped it early or a budget ran out.
+func TestFindEachCompleteness(t *testing.T) {
+	d := kernelDFGs()[0]
+	pat := graph.NewNodeSet(d.Len())
+	for v := 0; v < d.Len() && pat.Len() < 2; v++ {
+		if d.Nodes[v].ISEEligible() {
+			pat.Add(v)
+		}
+	}
+	all := graph.NewNodeSet(d.Len())
+	for v := range d.Nodes {
+		all.Add(v)
+	}
+	n := 0
+	if !FindEachIn(d, pat, d, all, func(Mapping) bool { n++; return true }) || n < 2 {
+		t.Fatalf("full FindEachIn: complete false or only %d mappings", n)
+	}
+	if FindEachIn(d, pat, d, all, func(Mapping) bool { return false }) {
+		t.Fatal("FindEachIn stopped by yield reports complete")
+	}
+	_, states := find(d, pat, d, 0, DefaultLimit)
+	for _, within := range []*graph.NodeSet{nil, &all} {
+		if _, complete := each(d, pat, d, within, DefaultLimit, func(Mapping) bool { return false }); complete {
+			t.Fatalf("within %v: search stopped by yield reports complete", within)
+		}
+		for limit := 1; limit < states; limit++ {
+			if _, complete := each(d, pat, d, within, limit, func(Mapping) bool { return true }); complete {
+				t.Fatalf("within %v: budget %d of the %d states the search needs reports complete", within, limit, states)
+			}
+		}
+		if _, complete := each(d, pat, d, within, states, func(Mapping) bool { return true }); !complete {
+			t.Fatalf("within %v: budget of exactly %d states reports incomplete", within, states)
+		}
 	}
 }

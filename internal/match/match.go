@@ -11,7 +11,9 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 
+	"repro/internal/arena"
 	"repro/internal/dfg"
 	"repro/internal/graph"
 )
@@ -38,7 +40,7 @@ const DefaultLimit = 200000
 //
 // A call explores at most DefaultLimit search states. A call that exhausts
 // the budget returns the mappings found so far, silently truncated: the
-// result does not say whether the search was complete.
+// result does not say whether the search was complete (FindEachIn's does).
 func Find(pd *dfg.DFG, pNodes graph.NodeSet, td *dfg.DFG, maxMatches int) []Mapping {
 	ms, _ := find(pd, pNodes, td, maxMatches, DefaultLimit)
 	return ms
@@ -49,14 +51,28 @@ func Find(pd *dfg.DFG, pNodes graph.NodeSet, td *dfg.DFG, maxMatches int) []Mapp
 // as yield returns false. A caller that wants only the first mapping with
 // some property gets it without enumerating the rest.
 func FindEach(pd *dfg.DFG, pNodes graph.NodeSet, td *dfg.DFG, yield func(Mapping) bool) {
-	each(pd, pNodes, td, DefaultLimit, yield)
+	each(pd, pNodes, td, nil, DefaultLimit, yield)
+}
+
+// FindEachIn is FindEach with every target restricted to the set within:
+// candidate targets outside it are never bound, so it yields exactly the
+// mappings of the unrestricted search whose targets all lie in within,
+// under its own DefaultLimit budget. It reports whether the search was
+// complete: false when the budget ran out or yield stopped it. The
+// restricted tree is smaller and its pattern order may differ, so neither
+// its order nor where its budget runs out says anything about the
+// unrestricted search; only a complete run is informative, and then it is
+// exact.
+func FindEachIn(pd *dfg.DFG, pNodes graph.NodeSet, td *dfg.DFG, within graph.NodeSet, yield func(Mapping) bool) (complete bool) {
+	_, complete = each(pd, pNodes, td, &within, DefaultLimit, yield)
+	return complete
 }
 
 // find is Find with an explicit search-state budget. It also returns the
 // number of search states it visited; states == limit means the budget was
 // used up, so the result may be truncated.
 func find(pd *dfg.DFG, pNodes graph.NodeSet, td *dfg.DFG, maxMatches, limit int) (ms []Mapping, states int) {
-	states = each(pd, pNodes, td, limit, func(m Mapping) bool {
+	states, _ = each(pd, pNodes, td, nil, limit, func(m Mapping) bool {
 		ms = append(ms, m)
 		return maxMatches <= 0 || len(ms) < maxMatches
 	})
@@ -85,14 +101,19 @@ type level struct {
 
 // each runs the search under an explicit budget, calling yield with every
 // mapping in enumeration order until yield returns false or the budget is
-// used up. It returns the number of search states visited.
-func each(pd *dfg.DFG, pNodes graph.NodeSet, td *dfg.DFG, limit int, yield func(Mapping) bool) (states int) {
+// used up. A non-nil within restricts the targets to that set. It returns
+// the number of search states visited and whether the search was complete
+// (neither the budget nor yield stopped it).
+func each(pd *dfg.DFG, pNodes graph.NodeSet, td *dfg.DFG, within *graph.NodeSet, limit int, yield func(Mapping) bool) (states int, complete bool) {
 	n := pNodes.Len()
 	if n == 0 {
-		return 0
+		return 0, true
 	}
-	lv := make([]level, 0, n)
-	for _, p := range pNodes.Values() {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	sc.pids = pNodes.AppendValues(sc.pids[:0])
+	lv := sc.lv[:0]
+	for _, p := range sc.pids {
 		l := level{p: p, anchor: -1}
 		for _, q := range pd.Data.Succs(p) {
 			if pNodes.Contains(q) {
@@ -106,16 +127,17 @@ func each(pd *dfg.DFG, pNodes graph.NodeSet, td *dfg.DFG, limit int, yield func(
 		}
 		lv = append(lv, l)
 	}
-	// One allocation holds depthOfT and every candidate list, which are
-	// built once per opcode and shared.
+	sc.lv = lv
+	// One buffer holds depthOfT and every candidate list, which are built
+	// once per opcode and shared.
 	total := 0
-	for _, nd := range td.Nodes {
-		if nd.ISEEligible() && slices.ContainsFunc(lv, func(l level) bool { return pd.Nodes[l.p].Instr.Op == nd.Instr.Op }) {
+	for t, nd := range td.Nodes {
+		if nd.ISEEligible() && admits(within, t) && slices.ContainsFunc(lv, func(l level) bool { return pd.Nodes[l.p].Instr.Op == nd.Instr.Op }) {
 			total++
 		}
 	}
-	buf := make([]int, td.Len(), td.Len()+total)
-	depthOfT, pool := buf, buf[td.Len():]
+	sc.buf = arena.Grow(sc.buf, td.Len()+total)
+	depthOfT, pool := sc.buf[:td.Len()], sc.buf[td.Len():td.Len()]
 	for i := range lv {
 		l := &lv[i]
 		op := pd.Nodes[l.p].Instr.Op
@@ -128,14 +150,14 @@ func each(pd *dfg.DFG, pNodes graph.NodeSet, td *dfg.DFG, limit int, yield func(
 		if l.cands == nil {
 			start := len(pool)
 			for t, nd := range td.Nodes {
-				if nd.Instr.Op == op && nd.ISEEligible() {
+				if nd.Instr.Op == op && nd.ISEEligible() && admits(within, t) {
 					pool = append(pool, t)
 				}
 			}
 			l.cands = pool[start:len(pool):len(pool)]
 		}
 		if len(l.cands) == 0 {
-			return 0
+			return 0, true
 		}
 	}
 	// Order pattern nodes most-constrained first: fewest candidates, then
@@ -150,12 +172,15 @@ func each(pd *dfg.DFG, pNodes graph.NodeSet, td *dfg.DFG, limit int, yield func(
 		return a.p - b.p
 	})
 
+	sc.adj = arena.Grow(sc.adj, n*n)
+	clear(sc.adj)
 	s := &searcher{
 		pd:       pd,
 		td:       td,
 		lv:       lv,
-		adj:      make([]uint8, n*n),
+		adj:      sc.adj,
 		depthOfT: depthOfT,
+		within:   within,
 		yield:    yield,
 		budget:   limit,
 	}
@@ -186,9 +211,22 @@ func each(pd *dfg.DFG, pNodes graph.NodeSet, td *dfg.DFG, limit int, yield func(
 	for t := range depthOfT {
 		depthOfT[t] = -1
 	}
-	s.search(0)
-	return limit - s.budget
+	stopped := s.search(0)
+	return limit - s.budget, !stopped
 }
+
+// scratch holds one search's buffers: the pattern IDs, the levels, the
+// buffer shared by depthOfT and the candidate lists, and the adjacency
+// rows. A search takes one from scratchPool and returns it when done, so a
+// steady stream of searches allocates only the mappings it yields.
+type scratch struct {
+	pids []int
+	lv   []level
+	buf  []int
+	adj  []uint8
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // searcher binds level d's pattern node to a target node at depth d. All
 // state is indexed by depth or target ID.
@@ -198,7 +236,8 @@ type searcher struct {
 	// adj[d*len(lv)+e], e < d, holds the edgeOut/edgeIn bits between the
 	// pattern nodes of levels d and e.
 	adj      []uint8
-	depthOfT []int // depth a target is bound at, -1 when unused
+	depthOfT []int          // depth a target is bound at, -1 when unused
+	within   *graph.NodeSet // the allowed targets, nil for all
 	yield    func(Mapping) bool
 	budget   int
 }
@@ -238,7 +277,7 @@ func (s *searcher) search(d int) bool {
 	}
 	op := s.pd.Nodes[l.p].Instr.Op
 	for t := nextAbove(nbrs, -1); t >= 0; t = nextAbove(nbrs, t) {
-		if n := s.td.Nodes[t]; n.Instr.Op == op && n.ISEEligible() && s.bind(d, t) {
+		if n := s.td.Nodes[t]; n.Instr.Op == op && n.ISEEligible() && admits(s.within, t) && s.bind(d, t) {
 			return true
 		}
 	}
@@ -256,6 +295,11 @@ func (s *searcher) bind(d, t int) bool {
 	stop := s.search(d + 1)
 	s.depthOfT[t] = -1
 	return stop
+}
+
+// admits reports whether target t is allowed: within is nil or holds t.
+func admits(within *graph.NodeSet, t int) bool {
+	return within == nil || within.Contains(t)
 }
 
 // nextAbove returns the smallest element of xs greater than x, or -1.

@@ -203,9 +203,11 @@ var sinkMapping Mapping
 
 // TestFindAllocs pins the allocations of BenchmarkMatchFind's search (the
 // first five eligible operations of crc32/O3's hottest block, matched in
-// that block): a call allocates its four slices (pattern IDs, levels, the
-// target buffer, the adjacency rows) and one map per mapping, and nothing
-// per search state.
+// that block): a call takes its buffers (pattern IDs, levels, the target
+// buffer, the adjacency rows) from the scratch pool and allocates one map
+// per mapping, and nothing per search state. (testing.AllocsPerRun rounds
+// its average down, so a pool emptied by a rare GC does not show; the race
+// detector empties it far more often.)
 func TestFindAllocs(t *testing.T) {
 	bm, err := bench.Get("crc32", "O3")
 	if err != nil {
@@ -235,9 +237,13 @@ func TestFindAllocs(t *testing.T) {
 		sinkMapping = m
 	})
 	got := testing.AllocsPerRun(100, func() {
-		each(d, pat, d, DefaultLimit, func(Mapping) bool { return true })
+		each(d, pat, d, nil, DefaultLimit, func(Mapping) bool { return true })
 	})
-	if want := 4 + float64(n)*perMapping; got > want {
+	want := float64(n) * perMapping
+	if raceEnabled {
+		want += 4 // the four buffers, when the pool dropped them
+	}
+	if got > want {
 		t.Errorf("search allocates %v times per call for %d mappings, want at most %v", got, n, want)
 	}
 }

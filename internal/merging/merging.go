@@ -149,12 +149,18 @@ func Merge(cands []*Candidate) []Group {
 }
 
 // SubgraphOf reports whether b's pattern occurs inside a's node set with b's
-// latency at least that of the matched sub-datapath (merge condition 1). The
-// search stops at the first such embedding; the embeddings it passes over
-// are a prefix of match.Find's unlimited enumeration, so the answer is the
-// one a scan of Find's whole list would give.
+// latency at least that of the matched sub-datapath (merge condition 1).
+//
+// A search over a's node set only comes first (ruledOut); its no is exact.
+// Otherwise the whole-block search decides: it stops at the first
+// qualifying embedding, and the embeddings it passes over are a prefix of
+// match.Find's unlimited enumeration, so the answer is the one a scan of
+// Find's whole list would give, budget truncation included.
 func SubgraphOf(b, a *Candidate) bool {
-	var assign sched.Assignment // a's chosen options, built on first use
+	qualifies := condition1(b, a)
+	if ruledOut(b, a, qualifies) {
+		return false
+	}
 	ok := false
 	match.FindEach(b.DFG, b.ISE.Nodes, a.DFG, func(m match.Mapping) bool {
 		for _, t := range m {
@@ -162,13 +168,34 @@ func SubgraphOf(b, a *Candidate) bool {
 				return true
 			}
 		}
-		// Latency of the matched sub-datapath under a's chosen options.
+		ok = qualifies(m)
+		return !ok
+	})
+	return ok
+}
+
+// ruledOut reports whether b's pattern provably has no qualifying embedding
+// inside a's node set: a search restricted to those nodes met every such
+// embedding within its budget, and none qualified. That search yields
+// exactly the whole-block mappings inside a.ISE.Nodes, so when it is
+// complete no prefix of the whole-block enumeration holds a qualifying one
+// either, and SubgraphOf's no is the one the whole-block search would give.
+func ruledOut(b, a *Candidate, qualifies func(match.Mapping) bool) bool {
+	return match.FindEachIn(b.DFG, b.ISE.Nodes, a.DFG, a.ISE.Nodes, func(m match.Mapping) bool {
+		return !qualifies(m)
+	})
+}
+
+// condition1 returns merge condition 1 for embeddings of b into a: b's
+// cycles are at least those of the matched sub-datapath under a's chosen
+// options, which it builds on first use.
+func condition1(b, a *Candidate) func(match.Mapping) bool {
+	var assign sched.Assignment
+	return func(m match.Mapping) bool {
 		if assign == nil {
 			assign = core.BuildAssignment(a.DFG, []*core.ISE{a.ISE})
 		}
 		subDelay := sched.GroupDelayNS(a.DFG, m.Targets(a.DFG.Len()), assign)
-		ok = b.ISE.Cycles >= sched.CyclesForDelay(subDelay)
-		return !ok
-	})
-	return ok
+		return b.ISE.Cycles >= sched.CyclesForDelay(subDelay)
+	}
 }

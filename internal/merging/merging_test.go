@@ -114,6 +114,31 @@ func TestSubgraphOfLatencyCondition(t *testing.T) {
 	}
 }
 
+// TestPreSearchReportsExhaustedBudget embeds 8 unconnected ANDs into 18:
+// far more injective mappings than match.DefaultLimit states, none meeting
+// merge condition 1 once b claims zero cycles. The pre-search must not take
+// that cut-short search for a proof, and SubgraphOf must still say no.
+func TestPreSearchReportsExhaustedBudget(t *testing.T) {
+	d := blockDFG(t, func(b *prog.Builder) {
+		for i := 0; i < 18; i++ {
+			b.R(isa.OpAND, prog.T0+prog.Reg(i), prog.A0, prog.A1)
+		}
+	})
+	all := make([]int, 18)
+	for i := range all {
+		all[i] = i
+	}
+	a := candOf(d, 10, all...)
+	b := candOf(d, 5, all[:8]...)
+	b.ISE.Cycles = 0
+	if ruledOut(b, a, condition1(b, a)) {
+		t.Fatal("a pre-search cut short by its budget ruled the embedding out")
+	}
+	if SubgraphOf(b, a) {
+		t.Fatal("a zero-cycle pattern embeds")
+	}
+}
+
 func TestMergeEmpty(t *testing.T) {
 	if got := Merge(nil); len(got) != 0 {
 		t.Fatalf("Merge(nil) = %v", got)
