@@ -27,18 +27,17 @@ race: lint
 # Benchmarks: one Go benchmark per layer, 5 repetitions each, printed as
 # plain `go test` output: VMProfile (profiling), SchedSteadyState (the
 # scheduling kernel), MatchFind (subgraph matching), Merge (the merging
-# stage's matching, on the crc32/O3 MI pool and, as Merge/SI-seed2, on the
-# crc32/O3 SI pool at seed 2, whose merges SubgraphOf's in-ISE pre-search
-# mostly rules out) and Evaluate (a cold Pool.Evaluate, mostly replacement
-# matching) on the crc32/O3 pool, Convex (the closure-backed convexity test
+# stage's canonical hashing and matching, on the crc32/O3 MI pool and, as
+# Merge/SI-seed2, on the crc32/O3 SI pool at seed 2) and Evaluate (a cold
+# Pool.Evaluate: selection, occurrence searches and scheduling) on the
+# crc32/O3 pool, Convex (the closure-backed convexity test
 # of both explorers' merit sweeps, 0 allocs/op), ExploreMI / ExploreSI plus
 # the engine-ablation pair (exploration), ExploreRestartMI / ExploreRestartSI
 # (one restart on one worker on jpeg/O3's hottest block: the per-iteration
 # cost without the restart fan-out), ExploreRestartMIAdpcm (the same MI
 # restart on adpcm/O3's hottest block, the block of every perfbench
 # fleet-jobs job), BuildPool, BuildMultiPool (a crc32/O3 +
-# adpcm/O3 suite pool, whose re-pricing fans out its occurrence searches)
-# and Headline (the flow), and
+# adpcm/O3 suite pool and its suite-wide re-pricing) and Headline (the flow), and
 # internal/core's instrumented round-loop pair
 # ExploreIter{Trace,Flight}{Off,On}, whose nil-path variants must stay at
 # 0 allocs/op (DESIGN.md §16), internal/core's BaselineIter (one
@@ -97,11 +96,9 @@ cluster-smoke:
 
 # CPU-profile the headline benchmark and print the top-10 hot functions.
 # Artifacts land in /tmp so the repo stays clean. On a 2-core x86-64 VM the
-# run takes about 1.5 s: MI exploration is about 46% of CPU, SI 12%, and
-# subgraph matching 18% (13% replacement's cross-block matches, 5%
-# merging). The full matrix has another mix (exploration about 80%,
-# matching 5.5%); profile it with `go run ./cmd/isebench -all -cpuprofile
-# <file>`.
+# run takes about 1 s, and exploration (MI and SI) is about 87% of CPU;
+# subgraph matching is below 1%. The full matrix is exploration too (about
+# 93%); profile it with `go run ./cmd/isebench -all -cpuprofile <file>`.
 profile:
 	go run ./cmd/isebench -headline -fast -cpuprofile /tmp/ise-cpu.out
 	go tool pprof -top -nodecount=10 /tmp/ise-cpu.out

@@ -388,9 +388,8 @@ func coldCopy(c *merging.Candidate) *merging.Candidate {
 }
 
 // BenchmarkMerge measures the merging stage (canonical hashing plus the
-// subgraph matching of merging.SubgraphOf) over the candidates of two
-// crc32/O3 pools: MI, whose merges mostly reach the whole-block search, and
-// SI at seed 2, whose merges the in-ISE pre-search mostly rules out.
+// in-ISE subgraph searches of merging.SubgraphOf) over the candidates of
+// two crc32/O3 pools: MI, and SI at seed 2.
 func BenchmarkMerge(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -588,8 +587,7 @@ func BenchmarkBuildPool(b *testing.B) {
 
 // BenchmarkBuildMultiPool measures one suite-wide pool build over crc32/O3
 // and adpcm/O3: both explorations and merges, then the re-pricing of every
-// candidate in every block of both applications, whose occurrence searches
-// fan out before the sequential pricing.
+// candidate in every block of both applications.
 func BenchmarkBuildMultiPool(b *testing.B) {
 	var benches []*bench.Benchmark
 	for _, name := range []string{"crc32", "adpcm"} {

@@ -33,7 +33,7 @@ func main() {
 		table     = flag.Bool("table", false, "print Table 5.1.1 (hardware option settings)")
 		figure    = flag.Int("figure", 0, "regenerate one figure: 16, 17 or 18")
 		headline  = flag.Bool("headline", false, "compute the abstract's headline numbers")
-		stats     = flag.Bool("stats", false, "print benchmark characteristics")
+		stats     = flag.Bool("stats", false, "print benchmark characteristics and, last, the count of subgraph searches that ran out of budget")
 		breakdown = flag.Bool("breakdown", false, "per-benchmark reduction breakdown (2-issue 4/2, O3)")
 		csv       = flag.Bool("csv", false, "emit figure data as CSV instead of tables")
 		svgDir    = flag.String("svg", "", "also write figure SVGs into this directory")
@@ -149,6 +149,9 @@ func main() {
 		}
 		h.Render(os.Stdout)
 		fmt.Println()
+	}
+	if *stats {
+		fmt.Printf("subgraph searches out of budget: %d\n\n", suite.Truncated())
 	}
 	fmt.Printf("done in %v\n", time.Since(start).Round(time.Millisecond))
 }

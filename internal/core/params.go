@@ -85,12 +85,9 @@ type Params struct {
 	Priority Priority
 
 	// Workers bounds the worker pool that fans out restarts (core and
-	// baseline exploration), per-block explorations (flow.BuildPool) and
-	// replacement's occurrence searches (the built pool's Evaluate and
-	// flow.BuildMultiPool's re-pricing; see replace.Prefetch).
-	// 0 means one worker per item (every restart or block starts at once),
-	// except for the occurrence searches, which are many and unequal and
-	// get one worker per CPU; 1 forces sequential execution.
+	// baseline exploration) and per-block explorations (flow.BuildPool).
+	// 0 means one worker per item (every restart or block starts at once);
+	// 1 forces sequential execution.
 	// Results are identical for every worker count — only wall-clock time
 	// changes (see DESIGN.md, "Concurrency model").
 	Workers int

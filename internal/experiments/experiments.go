@@ -100,6 +100,18 @@ func (s *Suite) Pool(name, opt string, cfg machine.Config, algo flow.Algorithm) 
 	return p, nil
 }
 
+// Truncated returns how many subgraph searches of the pools built so far ran
+// out of budget (flow.Pool.Truncated), summed over the pools.
+func (s *Suite) Truncated() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for _, p := range s.pools {
+		n += p.Truncated()
+	}
+	return n
+}
+
 // ConfigLabel renders the paper's X-axis label, e.g. "MI(4/2, 2IS, O3)".
 func ConfigLabel(algo flow.Algorithm, cfg machine.Config, opt string) string {
 	return fmt.Sprintf("%s(%d/%d, %dIS, %s)", algo, cfg.ReadPorts, cfg.WritePorts, cfg.IssueWidth, opt)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/flow"
 	"repro/internal/machine"
+	"repro/internal/selection"
 )
 
 // reducedSuite keeps test runtime sensible: two benchmarks, two machines,
@@ -38,6 +39,50 @@ func TestPoolCaching(t *testing.T) {
 	}
 	if _, err := s.Pool("nope", "O0", s.Machines[0], flow.MI); err == nil {
 		t.Fatal("unknown benchmark accepted")
+	}
+}
+
+// TestFlowMatchGridExact builds the pools of perfbench's flow-match grid
+// and more: crc32/O3 and adpcm/O3 on all six machines, MI and SI,
+// FastParams seeds 1 and 2. It evaluates each at the unconstrained point,
+// every area cap of Fig. 5.2.1 and every ISE count of Fig. 5.2.2, and
+// requires that none of the pools' subgraph searches, merging's or
+// replacement's, ran out of budget.
+func TestFlowMatchGridExact(t *testing.T) {
+	points := []selection.Constraints{{}}
+	for _, a := range AreaCaps {
+		points = append(points, selection.Constraints{MaxAreaUM2: a})
+	}
+	for _, n := range ISECounts {
+		points = append(points, selection.Constraints{MaxISEs: n})
+	}
+	for _, seed := range []int64{1, 2} {
+		p := core.FastParams()
+		p.Seed = seed
+		s := NewSuite(p)
+		pools := 0
+		for _, name := range []string{"crc32", "adpcm"} {
+			for _, cfg := range s.Machines {
+				for _, algo := range []flow.Algorithm{flow.MI, flow.SI} {
+					pool, err := s.Pool(name, "O3", cfg, algo)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, c := range points {
+						if _, err := pool.Evaluate(c); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if n := pool.Truncated(); n != 0 {
+						t.Errorf("seed %d %s: %d subgraph searches ran out of budget", seed, ConfigLabel(algo, cfg, "O3")+" "+name, n)
+					}
+					pools++
+				}
+			}
+		}
+		if n := s.Truncated(); n != 0 || pools != 24 {
+			t.Fatalf("seed %d: %d truncated searches over %d pools, want 0 over 24", seed, n, pools)
+		}
 	}
 }
 

@@ -78,9 +78,22 @@ type Pool struct {
 	baseLen map[int]int
 	// kern is the lazy path's scheduling kernel; guarded by mu.
 	kern *sched.Scheduler
-	// workers is the build's Params.Workers, the bound on Evaluate's
-	// match prefetch (see replace.Prefetch).
-	workers int
+}
+
+// Truncated returns how many of the pool's subgraph searches so far ran out
+// of match.DefaultLimit: merging's in BuildPool and replacement's in
+// Evaluate, counted on the candidates whose patterns were searched
+// (merging.Candidate.Truncated). A truncated search may have missed an
+// embedding or an occurrence, so every result of a pool that reports 0 is
+// exact.
+func (p *Pool) Truncated() int {
+	n := 0
+	for _, g := range p.Groups {
+		for _, c := range g.Members {
+			n += c.Truncated()
+		}
+	}
+	return n
 }
 
 // sortedBlocks returns the block indices of m in ascending order. Map
@@ -176,7 +189,6 @@ func BuildPoolCtx(ctx context.Context, bm *bench.Benchmark, opts Options) (*Pool
 		Algorithm: opts.Algorithm,
 		DFGs:      make(map[int]*dfg.DFG, len(dfgs)),
 		Hot:       prof.HotBlocks(bm.Prog, opts.HotBlocks),
-		workers:   opts.Params.Workers,
 	}
 	for _, d := range dfgs {
 		pool.DFGs[d.BlockIndex] = d
@@ -323,10 +335,7 @@ func (p *Pool) Evaluate(c selection.Constraints) (*Report, error) {
 // EvaluateCtx is Evaluate with cooperative cancellation, checked between
 // blocks: a constraint sweep over a large pool re-schedules every block per
 // point, and a cancelled sweep should stop at a block boundary instead of
-// finishing the whole evaluation. Before the sequential deploy, the
-// selected candidates' occurrence searches the memo lacks run concurrently
-// on at most the build's Params.Workers goroutines (one per CPU when 0; see
-// replace.Prefetch); a warm point starts none.
+// finishing the whole evaluation.
 func (p *Pool) EvaluateCtx(ctx context.Context, c selection.Constraints) (*Report, error) {
 	dec := selection.Select(p.Groups, c)
 	rep := &Report{
@@ -338,9 +347,6 @@ func (p *Pool) EvaluateCtx(ctx context.Context, c selection.Constraints) (*Repor
 		AreaUM2:    dec.AreaUM2,
 		NumISEs:    len(dec.Selected),
 		Selected:   dec.Selected,
-	}
-	if err := prefetch(ctx, dec.Selected, p.workers, p); err != nil {
-		return nil, err
 	}
 	// One pooled kernel per Evaluate call: sweeps may run Evaluate
 	// concurrently, so the kernel is call-local, and across calls the pool
@@ -360,22 +366,6 @@ func (p *Pool) EvaluateCtx(ctx context.Context, c selection.Constraints) (*Repor
 		rep.FinalCycles += float64(s.Length) * float64(d.Weight)
 	}
 	return rep, nil
-}
-
-// prefetch runs replace.Prefetch for selected over every block of pools, in
-// the order the deploy loops visit them.
-func prefetch(ctx context.Context, selected []*merging.Candidate, workers int, pools ...*Pool) error {
-	n := 0
-	for _, p := range pools {
-		n += len(p.DFGs)
-	}
-	blocks := make([]*dfg.DFG, 0, n)
-	for _, p := range pools {
-		for _, bi := range sortedBlocks(p.DFGs) {
-			blocks = append(blocks, p.DFGs[bi])
-		}
-	}
-	return replace.Prefetch(ctx, blocks, selected, workers)
 }
 
 // Run executes the whole flow for one benchmark under unlimited selection

@@ -11,7 +11,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/machine"
-	"repro/internal/obs"
 	"repro/internal/selection"
 )
 
@@ -470,11 +469,11 @@ func workerCounts() []int { return []int{1, 0, runtime.GOMAXPROCS(0) + 1} }
 
 var evalPoints = []selection.Constraints{{}, {MaxISEs: 1}, {MaxAreaUM2: 20000}}
 
-// TestEvaluateWorkerCountInvariance: replacement's occurrence searches fan
-// out over Params.Workers goroutines before the sequential deploy, and the
-// reports must not depend on it. rijndael/O3 SI at seed 3 has a block whose
-// first deploy does not schedule, so Apply's second deploy pass reads the
-// prefetched memo too.
+// TestEvaluateWorkerCountInvariance: the pool build fans its explorations
+// out over Params.Workers goroutines, and the reports of its evaluations
+// must not depend on it. rijndael/O3 SI at seed 3 has a block whose first
+// deploy does not schedule, so Apply's second deploy pass reads the
+// occurrence memo too.
 func TestEvaluateWorkerCountInvariance(t *testing.T) {
 	for _, tc := range []struct {
 		bench string
@@ -510,8 +509,8 @@ func TestEvaluateWorkerCountInvariance(t *testing.T) {
 }
 
 // TestMultiPoolEvaluateWorkerCountInvariance is the suite-wide form: the
-// build's re-pricing and every Evaluate fan out their searches, and the
-// suite and per-application reports must not depend on the worker count.
+// suite and per-application reports of a multi-pool, whose pool builds fan
+// out their explorations, must not depend on the worker count.
 func TestMultiPoolEvaluateWorkerCountInvariance(t *testing.T) {
 	var benches []*bench.Benchmark
 	for _, name := range []string{"crc32", "adpcm"} {
@@ -552,34 +551,5 @@ func TestMultiPoolEvaluateWorkerCountInvariance(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestEvaluatePrefetchesOnlyColdPairs pins the memo skip: a pool's first
-// Evaluate runs one pool item per (selected candidate, block) pair, since
-// BuildPool searches no occurrences, and evaluating the same point again
-// runs none. Not parallel: ise_parallel_items_total is process-wide.
-func TestEvaluatePrefetchesOnlyColdPairs(t *testing.T) {
-	items := obs.Default.Counter("ise_parallel_items_total", "")
-	pool := testPool(t, "crc32", "O3", MI)
-	before := items.Value()
-	rep, err := pool.Evaluate(selection.Constraints{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pairs := len(rep.Selected) * len(pool.DFGs)
-	if pairs == 0 {
-		t.Fatal("nothing selected")
-	}
-	if got := items.Value() - before; got != float64(pairs) {
-		t.Fatalf("cold Evaluate ran %v pool items, want %d (selected %d × blocks %d)",
-			got, pairs, len(rep.Selected), len(pool.DFGs))
-	}
-	before = items.Value()
-	if _, err := pool.Evaluate(selection.Constraints{}); err != nil {
-		t.Fatal(err)
-	}
-	if got := items.Value() - before; got != 0 {
-		t.Fatalf("warm Evaluate ran %v pool items, want 0", got)
 	}
 }

@@ -56,10 +56,7 @@ func BuildMultiPool(benches []*bench.Benchmark, opts Options) (*MultiPool, error
 
 // BuildMultiPoolCtx is BuildMultiPool with cooperative cancellation,
 // checked between benchmarks and threaded into each pool build (see
-// BuildPoolCtx). The re-pricing's occurrence searches, every candidate
-// against every block of the suite, run concurrently first on at most
-// opts.Params.Workers goroutines (one per CPU when 0; see
-// replace.Prefetch); the pricing itself then runs sequentially.
+// BuildPoolCtx).
 func BuildMultiPoolCtx(ctx context.Context, benches []*bench.Benchmark, opts Options) (*MultiPool, error) {
 	if len(benches) == 0 {
 		return nil, fmt.Errorf("flow: no benchmarks for multi-pool")
@@ -80,12 +77,8 @@ func BuildMultiPoolCtx(ctx context.Context, benches []*bench.Benchmark, opts Opt
 	// across every application of the suite. This is the expensive half of
 	// the build — |candidates| × |pools| × |blocks| schedule calls — so the
 	// cancellation the doc promises is checked per candidate here, not just
-	// inside the per-benchmark pool builds above. Its occurrence searches
-	// are filled concurrently first; one pooled kernel then serves the
-	// whole sequential sweep, keeping its per-block scratch warm.
-	if err := prefetch(ctx, all, opts.Params.Workers, mp.Pools...); err != nil {
-		return nil, err
-	}
+	// inside the per-benchmark pool builds above. One pooled kernel serves
+	// the whole sweep, keeping its per-block scratch warm.
 	kern := getKern()
 	defer putKern(kern)
 	for _, cand := range all {
@@ -121,10 +114,7 @@ func (mp *MultiPool) Evaluate(c selection.Constraints) (*MultiReport, error) {
 }
 
 // EvaluateCtx is Evaluate with cooperative cancellation, checked per
-// application before its blocks are re-scheduled. As in Pool.EvaluateCtx,
-// the cold occurrence searches over every application's blocks run
-// concurrently before the sequential deploy, bounded by the first pool's
-// Params.Workers.
+// application before its blocks are re-scheduled.
 func (mp *MultiPool) EvaluateCtx(ctx context.Context, c selection.Constraints) (*MultiReport, error) {
 	dec := selection.Select(mp.Groups, c)
 	rep := &MultiReport{
@@ -133,9 +123,6 @@ func (mp *MultiPool) EvaluateCtx(ctx context.Context, c selection.Constraints) (
 		AreaUM2:   dec.AreaUM2,
 		NumISEs:   len(dec.Selected),
 		Selected:  dec.Selected,
-	}
-	if err := prefetch(ctx, dec.Selected, mp.Pools[0].workers, mp.Pools...); err != nil {
-		return nil, err
 	}
 	kern := getKern()
 	defer putKern(kern)

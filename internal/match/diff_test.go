@@ -2,6 +2,7 @@ package match
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -103,14 +104,15 @@ func checkAgainstReference(t *testing.T, name string, pd *dfg.DFG, pat graph.Nod
 }
 
 // compareOne runs both searchers once and fails the test unless they agree
-// on the mappings, their order and the states visited, which it returns.
+// on the mappings, their order, the states visited, which it returns, and
+// whether the budget ran out.
 func compareOne(t *testing.T, name string, pd *dfg.DFG, pat graph.NodeSet, td *dfg.DFG, maxMatches, limit int) int {
 	t.Helper()
-	got, gotStates := find(pd, pat, td, maxMatches, limit)
-	want, wantStates := findReference(pd, pat, td, maxMatches, limit)
-	if !reflect.DeepEqual(got, want) || gotStates != wantStates {
-		t.Fatalf("%s pattern %v max %d budget %d:\n got %d mappings in %d states %v\nwant %d mappings in %d states %v",
-			name, pat, maxMatches, limit, len(got), gotStates, got, len(want), wantStates, want)
+	got, gotStates, gotTrunc := find(pd, pat, td, maxMatches, limit)
+	want, wantStates, wantTrunc := findReference(pd, pat, td, maxMatches, limit)
+	if !reflect.DeepEqual(got, want) || gotStates != wantStates || gotTrunc != wantTrunc {
+		t.Fatalf("%s pattern %v max %d budget %d:\n got %d mappings in %d states (truncated %v) %v\nwant %d mappings in %d states (truncated %v) %v",
+			name, pat, maxMatches, limit, len(got), gotStates, gotTrunc, got, len(want), wantStates, wantTrunc, want)
 	}
 	return gotStates
 }
@@ -163,6 +165,56 @@ func TestFindMatchesReferenceRandom(t *testing.T) {
 	}
 }
 
+// TestFindMatchesMostConstrainedOrder checks the level order against the
+// one it replaced: on connected patterns sampled from the paper kernels'
+// hot blocks and from internal/randprog DFGs, matched in their own block and
+// in another, the most-constrained-first reference searcher with no budget
+// must find the same mappings, as a set, as a Find that is not truncated.
+// Find must be truncated on none of them.
+func TestFindMatchesMostConstrainedOrder(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	ds := append([]*dfg.DFG(nil), kernelDFGs()...)
+	for i := 0; i < 20; i++ {
+		ds = append(ds, randprog.DFG(r, randprog.Config{Ops: 10 + r.Intn(40), MemFrac: 0.1, MultFrac: 0.05}))
+	}
+	keys := func(ms []Mapping) []string {
+		out := make([]string, len(ms))
+		for i, m := range ms {
+			out[i] = mappingKey(m)
+		}
+		slices.Sort(out)
+		return out
+	}
+	states, oldStates, nonEmpty := 0, 0, 0
+	for i, pd := range ds {
+		for k := 0; k < 4; k++ {
+			td := pd
+			if k%2 == 1 {
+				td = ds[(i+1+r.Intn(len(ds)-1))%len(ds)]
+			}
+			pat := sampleConnected(r, pd, 2+r.Intn(10))
+			got, n, truncated := find(pd, pat, td, 0, DefaultLimit)
+			if truncated {
+				t.Fatalf("%s pattern %v in %s: a connected pattern's search ran out of budget", pd.Name, pat, td.Name)
+			}
+			want, m, _ := findMostConstrained(pd, pat, td, 0, math.MaxInt)
+			if !slices.Equal(keys(got), keys(want)) {
+				t.Fatalf("%s pattern %v in %s: find gave %v, the most-constrained order %v",
+					pd.Name, pat, td.Name, keys(got), keys(want))
+			}
+			states += n
+			oldStates += m
+			if len(got) > 0 {
+				nonEmpty++
+			}
+		}
+	}
+	t.Logf("%d cases, %d with mappings: %d search states, %d under the most-constrained order", 4*len(ds), nonEmpty, states, oldStates)
+	if nonEmpty < 40 {
+		t.Fatalf("only %d cases have mappings; the test no longer compares mapping sets", nonEmpty)
+	}
+}
+
 // FuzzFind builds a random DFG (and, when cross is set, a second one as the
 // target) from the fuzz input, draws a pattern from it (a connected sample,
 // or when subset is set an arbitrary, usually disconnected, subset whose
@@ -195,7 +247,7 @@ func FuzzFind(f *testing.F) {
 // TestEachStopsLikeFind checks the streaming search: a yield that stops
 // after k mappings must see exactly the first k mappings of find(..., k,
 // limit) and the reference, after visiting exactly as many states, under
-// every diffBudgets limit. FindEach must do the same under DefaultLimit.
+// every diffBudgets limit. FindChecked must return Find's list.
 func TestEachStopsLikeFind(t *testing.T) {
 	ds := kernelDFGs()
 	r := rand.New(rand.NewSource(3))
@@ -208,20 +260,16 @@ func TestEachStopsLikeFind(t *testing.T) {
 					got = append(got, m)
 					return len(got) < k
 				})
-				want, wantStates := find(pd, pat, td, k, limit)
-				ref, refStates := findReference(pd, pat, td, k, limit)
+				want, wantStates, _ := find(pd, pat, td, k, limit)
+				ref, refStates, _ := findReference(pd, pat, td, k, limit)
 				if !reflect.DeepEqual(got, want) || states != wantStates || !reflect.DeepEqual(got, ref) || states != refStates {
 					t.Fatalf("%s pattern %v stop %d budget %d: each gave %d mappings in %d states, find %d in %d, reference %d in %d",
 						name, pat, k, limit, len(got), states, len(want), wantStates, len(ref), refStates)
 				}
 			}
-			var got []Mapping
-			FindEach(pd, pat, td, func(m Mapping) bool {
-				got = append(got, m)
-				return len(got) < k
-			})
+			got, _ := FindChecked(pd, pat, td, k)
 			if want := Find(pd, pat, td, k); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s pattern %v stop %d: FindEach gave %v, Find %v", name, pat, k, got, want)
+				t.Fatalf("%s pattern %v stop %d: FindChecked gave %v, Find %v", name, pat, k, got, want)
 			}
 		}
 	}
@@ -407,7 +455,7 @@ func TestFindEachCompleteness(t *testing.T) {
 	if FindEachIn(d, pat, d, all, func(Mapping) bool { return false }) {
 		t.Fatal("FindEachIn stopped by yield reports complete")
 	}
-	_, states := find(d, pat, d, 0, DefaultLimit)
+	_, states, _ := find(d, pat, d, 0, DefaultLimit)
 	for _, within := range []*graph.NodeSet{nil, &all} {
 		if _, complete := each(d, pat, d, within, DefaultLimit, func(Mapping) bool { return false }); complete {
 			t.Fatalf("within %v: search stopped by yield reports complete", within)

@@ -7,9 +7,7 @@
 package match
 
 import (
-	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -21,8 +19,8 @@ import (
 // Mapping maps pattern node IDs to target node IDs.
 type Mapping map[int]int
 
-// DefaultLimit bounds the number of search states explored per Find call;
-// pathological patterns give up rather than stall the flow.
+// DefaultLimit bounds the number of search states explored per call, so a
+// pathological pattern gives up rather than stalls the flow.
 const DefaultLimit = 200000
 
 // Find returns up to maxMatches injective mappings of the pattern subset
@@ -34,49 +32,53 @@ const DefaultLimit = 200000
 // implementation: callers that cap maxMatches keep a prefix of it (replace's
 // crossMatches takes the first 64 occurrences and claims them greedily), so
 // a different order yields different instances. Pattern nodes are bound
-// most-constrained first (fewest candidates, then most internal edges, then
-// lowest ID), and each is tried against its candidates in ascending target
-// ID order.
+// connectivity-first. The first is the most constrained (fewest candidates,
+// then most internal edges, then lowest ID). Each next one is adjacent to
+// a bound node: fewest candidates, then most edges to bound nodes, then the
+// first key; a disconnected pattern starts each further component by the
+// first key. Each is tried against its candidates in ascending target ID
+// order.
 //
-// A call explores at most DefaultLimit search states. A call that exhausts
-// the budget returns the mappings found so far, silently truncated: the
-// result does not say whether the search was complete (FindEachIn's does).
+// A call explores at most DefaultLimit search states and returns the
+// mappings found by then; FindChecked also reports whether the budget ran
+// out.
 func Find(pd *dfg.DFG, pNodes graph.NodeSet, td *dfg.DFG, maxMatches int) []Mapping {
-	ms, _ := find(pd, pNodes, td, maxMatches, DefaultLimit)
+	ms, _, _ := find(pd, pNodes, td, maxMatches, DefaultLimit)
 	return ms
 }
 
-// FindEach calls yield with each mapping Find would return, in the same
-// order and under the same DefaultLimit budget, and stops the search as soon
-// as yield returns false. A caller that wants only the first mapping with
-// some property gets it without enumerating the rest.
-func FindEach(pd *dfg.DFG, pNodes graph.NodeSet, td *dfg.DFG, yield func(Mapping) bool) {
-	each(pd, pNodes, td, nil, DefaultLimit, yield)
+// FindChecked is Find that also reports whether the search was truncated:
+// it ran out of its DefaultLimit budget before it enumerated every mapping
+// or reached maxMatches, so mappings may be missing from the list.
+func FindChecked(pd *dfg.DFG, pNodes graph.NodeSet, td *dfg.DFG, maxMatches int) (ms []Mapping, truncated bool) {
+	ms, _, truncated = find(pd, pNodes, td, maxMatches, DefaultLimit)
+	return ms, truncated
 }
 
-// FindEachIn is FindEach with every target restricted to the set within:
-// candidate targets outside it are never bound, so it yields exactly the
-// mappings of the unrestricted search whose targets all lie in within,
-// under its own DefaultLimit budget. It reports whether the search was
-// complete: false when the budget ran out or yield stopped it. The
-// restricted tree is smaller and its pattern order may differ, so neither
-// its order nor where its budget runs out says anything about the
-// unrestricted search; only a complete run is informative, and then it is
-// exact.
+// FindEachIn calls yield with each mapping of pNodes into td whose targets
+// all lie in the set within, and stops the search as soon as yield returns
+// false. Candidate targets outside within are never bound, so it yields
+// exactly the mappings of the unrestricted search that lie in within, under
+// its own DefaultLimit budget. It reports whether the search was complete:
+// false when the budget ran out or yield stopped it. The restricted tree is
+// smaller and its pattern order may differ, so its order says nothing about
+// the unrestricted search's.
 func FindEachIn(pd *dfg.DFG, pNodes graph.NodeSet, td *dfg.DFG, within graph.NodeSet, yield func(Mapping) bool) (complete bool) {
 	_, complete = each(pd, pNodes, td, &within, DefaultLimit, yield)
 	return complete
 }
 
 // find is Find with an explicit search-state budget. It also returns the
-// number of search states it visited; states == limit means the budget was
-// used up, so the result may be truncated.
-func find(pd *dfg.DFG, pNodes graph.NodeSet, td *dfg.DFG, maxMatches, limit int) (ms []Mapping, states int) {
-	states, _ = each(pd, pNodes, td, nil, limit, func(m Mapping) bool {
+// number of search states it visited and whether the budget ran out before
+// the search ended or reached maxMatches.
+func find(pd *dfg.DFG, pNodes graph.NodeSet, td *dfg.DFG, maxMatches, limit int) (ms []Mapping, states int, truncated bool) {
+	capped := false
+	states, complete := each(pd, pNodes, td, nil, limit, func(m Mapping) bool {
 		ms = append(ms, m)
-		return maxMatches <= 0 || len(ms) < maxMatches
+		capped = maxMatches > 0 && len(ms) >= maxMatches
+		return !capped
 	})
-	return ms, states
+	return ms, states, !complete && !capped
 }
 
 // Pattern-adjacency bits of searcher.adj.
@@ -160,17 +162,27 @@ func each(pd *dfg.DFG, pNodes graph.NodeSet, td *dfg.DFG, within *graph.NodeSet,
 			return 0, true
 		}
 	}
-	// Order pattern nodes most-constrained first: fewest candidates, then
-	// most internal adjacency, then lowest ID.
-	slices.SortFunc(lv, func(a, b level) int {
-		if len(a.cands) != len(b.cands) {
-			return len(a.cands) - len(b.cands)
+	// Order pattern nodes connectivity-first (VF2++, RI): each level after
+	// the first of a component is a pattern node adjacent to an earlier
+	// level, so every such level has an anchor. nOut and nIn count a
+	// node's edges to the levels placed so far.
+	for i := range lv {
+		best := i
+		for j := i + 1; j < len(lv); j++ {
+			if before(&lv[j], &lv[best]) {
+				best = j
+			}
 		}
-		if a.deg != b.deg {
-			return b.deg - a.deg
+		lv[i], lv[best] = lv[best], lv[i]
+		for j := i + 1; j < len(lv); j++ {
+			if pd.Data.HasEdge(lv[j].p, lv[i].p) {
+				lv[j].nOut++
+			}
+			if pd.Data.HasEdge(lv[i].p, lv[j].p) {
+				lv[j].nIn++
+			}
 		}
-		return a.p - b.p
-	})
+	}
 
 	sc.adj = arena.Grow(sc.adj, n*n)
 	clear(sc.adj)
@@ -188,11 +200,9 @@ func each(pd *dfg.DFG, pNodes graph.NodeSet, td *dfg.DFG, within *graph.NodeSet,
 		for e := range lv[:d] {
 			if pd.Data.HasEdge(lv[d].p, lv[e].p) {
 				s.adj[d*n+e] |= edgeOut
-				lv[d].nOut++
 			}
 			if pd.Data.HasEdge(lv[e].p, lv[d].p) {
 				s.adj[d*n+e] |= edgeIn
-				lv[d].nIn++
 			}
 		}
 		// Prefer an edgeOut anchor, whose candidates are target
@@ -213,6 +223,28 @@ func each(pd *dfg.DFG, pNodes graph.NodeSet, td *dfg.DFG, within *graph.NodeSet,
 	}
 	stopped := s.search(0)
 	return limit - s.budget, !stopped
+}
+
+// before reports whether level a binds before level b among the levels not
+// yet placed: one adjacent to a placed level comes first, then fewer
+// candidates, then more edges to placed levels, more internal edges and the
+// lower pattern ID. With nothing placed, or only other components, that is
+// the most-constrained-first key.
+func before(a, b *level) bool {
+	ca, cb := a.nOut+a.nIn, b.nOut+b.nIn
+	if (ca > 0) != (cb > 0) {
+		return ca > 0
+	}
+	if len(a.cands) != len(b.cands) {
+		return len(a.cands) < len(b.cands)
+	}
+	if ca != cb {
+		return ca > cb
+	}
+	if a.deg != b.deg {
+		return a.deg > b.deg
+	}
+	return a.p < b.p
 }
 
 // scratch holds one search's buffers: the pattern IDs, the levels, the
@@ -369,36 +401,77 @@ func (m Mapping) Overlaps(s graph.NodeSet) bool {
 // plus iterated neighborhood refinement (Weisfeiler-Leman style, 3 rounds,
 // restricted to internal dataflow edges), sorted. Two ISE datapaths with
 // equal fingerprints are treated as identical hardware for sharing purposes.
+//
+// A node's label in the next round is "label(ins|outs)": its label, then
+// the sorted labels of its in-set predecessors and of its in-set
+// successors, each list joined by commas. The fingerprint is the sorted
+// final labels joined by semicolons. Labels are indexed by the node's
+// position in the set. A round writes every new label into one builder
+// sized up front, so it allocates once, and each label is a substring of
+// the builder's string.
 func Canonical(d *dfg.DFG, nodes graph.NodeSet) string {
 	ids := nodes.Values()
-	label := make(map[int]string, len(ids))
-	for _, v := range ids {
-		label[v] = d.Nodes[v].Instr.Op.String()
+	label := make([]string, len(ids))
+	for i, v := range ids {
+		label[i] = d.Nodes[v].Instr.Op.String()
+	}
+	next := make([]string, len(ids))
+	end := make([]int, len(ids))
+	var nbrs []string
+	// inSet sets nbrs to the labels of the nodes of vs in the set.
+	inSet := func(vs []int) {
+		nbrs = nbrs[:0]
+		for _, u := range vs {
+			if j, ok := slices.BinarySearch(ids, u); ok {
+				nbrs = append(nbrs, label[j])
+			}
+		}
+	}
+	var b strings.Builder
+	// writeSorted writes the sorted labels of the nodes of vs in the set,
+	// comma-separated.
+	writeSorted := func(vs []int) {
+		inSet(vs)
+		slices.Sort(nbrs)
+		for k, l := range nbrs {
+			if k > 0 {
+				b.WriteByte(',')
+			}
+			b.WriteString(l)
+		}
 	}
 	for round := 0; round < 3; round++ {
-		next := make(map[int]string, len(ids))
-		for _, v := range ids {
-			var ins, outs []string
-			for _, p := range d.Data.Preds(v) {
-				if nodes.Contains(p) {
-					ins = append(ins, label[p])
+		size := 0 // an upper bound: one comma per neighbour
+		for i, v := range ids {
+			size += len(label[i]) + len("(|)")
+			for _, vs := range [2][]int{d.Data.Preds(v), d.Data.Succs(v)} {
+				inSet(vs)
+				for _, l := range nbrs {
+					size += len(l) + 1
 				}
 			}
-			for _, q := range d.Data.Succs(v) {
-				if nodes.Contains(q) {
-					outs = append(outs, label[q])
-				}
-			}
-			sort.Strings(ins)
-			sort.Strings(outs)
-			next[v] = fmt.Sprintf("%s(%s|%s)", label[v], strings.Join(ins, ","), strings.Join(outs, ","))
 		}
-		label = next
+		b.Reset()
+		b.Grow(size)
+		for i, v := range ids {
+			b.WriteString(label[i])
+			b.WriteByte('(')
+			writeSorted(d.Data.Preds(v))
+			b.WriteByte('|')
+			writeSorted(d.Data.Succs(v))
+			b.WriteByte(')')
+			end[i] = b.Len()
+		}
+		all := b.String()
+		for i := range next {
+			start := 0
+			if i > 0 {
+				start = end[i-1]
+			}
+			next[i] = all[start:end[i]]
+		}
+		label, next = next, label
 	}
-	all := make([]string, 0, len(ids))
-	for _, v := range ids {
-		all = append(all, label[v])
-	}
-	sort.Strings(all)
-	return strings.Join(all, ";")
+	slices.Sort(label)
+	return strings.Join(label, ";")
 }

@@ -1,6 +1,7 @@
 package match
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/bench"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/isa"
 	"repro/internal/prog"
+	"repro/internal/randprog"
 )
 
 func blockDFG(t *testing.T, emit func(b *prog.Builder)) *dfg.DFG {
@@ -195,6 +197,35 @@ func TestCanonicalDistinguishesStructure(t *testing.T) {
 	}
 	if chain1 == indep {
 		t.Error("chain and independent pair hash identically")
+	}
+}
+
+// TestCanonicalMatchesReference compares Canonical with the Sprintf-based
+// canonicalReference, byte for byte, on connected samples and arbitrary
+// subsets of the paper kernels' hot blocks and of internal/randprog DFGs,
+// and requires the samples to produce many distinct fingerprints.
+func TestCanonicalMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(6))
+	ds := append([]*dfg.DFG(nil), kernelDFGs()...)
+	for i := 0; i < 40; i++ {
+		ds = append(ds, randprog.DFG(r, randprog.Config{Ops: 5 + r.Intn(40), MemFrac: 0.1, MultFrac: 0.05}))
+	}
+	distinct := map[string]bool{}
+	for _, d := range ds {
+		for k := 0; k < 6; k++ {
+			pat := sampleConnected(r, d, 1+r.Intn(12))
+			if k >= 4 {
+				pat = randomSubset(r, d, 1+r.Intn(12))
+			}
+			got, want := Canonical(d, pat), canonicalReference(d, pat)
+			if got != want {
+				t.Fatalf("%s pattern %v:\n got %q\nwant %q", d.Name, pat, got, want)
+			}
+			distinct[got] = true
+		}
+	}
+	if len(distinct) < 100 {
+		t.Fatalf("only %d distinct fingerprints; the samples no longer exercise Canonical", len(distinct))
 	}
 }
 

@@ -17,6 +17,7 @@ package merging
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/dfg"
@@ -37,6 +38,8 @@ type Candidate struct {
 	// matchCache memoizes pattern occurrences per target and match cap;
 	// guarded by mu.
 	matchCache map[matchKey]*matchEntry
+	// truncated counts this pattern's searches that ran out of budget.
+	truncated atomic.Int64
 }
 
 // matchKey identifies one Matches query.
@@ -57,20 +60,25 @@ type matchEntry struct {
 // in target DFG d, capped at maxMatches as match.Find caps them. Selection
 // sweeps evaluate the same candidates under many constraints; the
 // occurrences never change. Safe for concurrent use: each (d, maxMatches)
-// is searched at most once, and every caller gets the same slice.
+// is searched at most once, and every caller gets the same slice. A search
+// that runs out of budget counts in Truncated.
 func (c *Candidate) Matches(d *dfg.DFG, maxMatches int) []match.Mapping {
 	e := c.entry(matchKey{d, maxMatches})
-	e.once.Do(func() { e.ms = match.Find(c.DFG, c.ISE.Nodes, d, maxMatches) })
+	e.once.Do(func() {
+		var truncated bool
+		e.ms, truncated = match.FindChecked(c.DFG, c.ISE.Nodes, d, maxMatches)
+		if truncated {
+			c.truncated.Add(1)
+		}
+	})
 	return e.ms
 }
 
-// Matched reports whether Matches(d, maxMatches) has already been called:
-// its search is done or under way, so a new call starts no search.
-func (c *Candidate) Matched(d *dfg.DFG, maxMatches int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.matchCache[matchKey{d, maxMatches}]
-	return ok
+// Truncated returns how many searches of this candidate's pattern ran out
+// of match.DefaultLimit: memoized Matches searches and SubgraphOf calls with
+// the candidate as b. Their answers may miss occurrences or embeddings.
+func (c *Candidate) Truncated() int {
+	return int(c.truncated.Load())
 }
 
 // entry returns k's memo slot, creating it on first use.
@@ -149,53 +157,23 @@ func Merge(cands []*Candidate) []Group {
 }
 
 // SubgraphOf reports whether b's pattern occurs inside a's node set with b's
-// latency at least that of the matched sub-datapath (merge condition 1).
-//
-// A search over a's node set only comes first (ruledOut); its no is exact.
-// Otherwise the whole-block search decides: it stops at the first
-// qualifying embedding, and the embeddings it passes over are a prefix of
-// match.Find's unlimited enumeration, so the answer is the one a scan of
-// Find's whole list would give, budget truncation included.
+// latency at least that of the matched sub-datapath (merge condition 1),
+// under a's chosen options. It searches b's pattern over a's nodes only and
+// stops at the first embedding that qualifies. A search that runs out of
+// budget answers no and counts in b's Truncated.
 func SubgraphOf(b, a *Candidate) bool {
-	qualifies := condition1(b, a)
-	if ruledOut(b, a, qualifies) {
-		return false
-	}
+	var assign sched.Assignment // built on the first embedding
 	ok := false
-	match.FindEach(b.DFG, b.ISE.Nodes, a.DFG, func(m match.Mapping) bool {
-		for _, t := range m {
-			if !a.ISE.Nodes.Contains(t) {
-				return true
-			}
-		}
-		ok = qualifies(m)
-		return !ok
-	})
-	return ok
-}
-
-// ruledOut reports whether b's pattern provably has no qualifying embedding
-// inside a's node set: a search restricted to those nodes met every such
-// embedding within its budget, and none qualified. That search yields
-// exactly the whole-block mappings inside a.ISE.Nodes, so when it is
-// complete no prefix of the whole-block enumeration holds a qualifying one
-// either, and SubgraphOf's no is the one the whole-block search would give.
-func ruledOut(b, a *Candidate, qualifies func(match.Mapping) bool) bool {
-	return match.FindEachIn(b.DFG, b.ISE.Nodes, a.DFG, a.ISE.Nodes, func(m match.Mapping) bool {
-		return !qualifies(m)
-	})
-}
-
-// condition1 returns merge condition 1 for embeddings of b into a: b's
-// cycles are at least those of the matched sub-datapath under a's chosen
-// options, which it builds on first use.
-func condition1(b, a *Candidate) func(match.Mapping) bool {
-	var assign sched.Assignment
-	return func(m match.Mapping) bool {
+	complete := match.FindEachIn(b.DFG, b.ISE.Nodes, a.DFG, a.ISE.Nodes, func(m match.Mapping) bool {
 		if assign == nil {
 			assign = core.BuildAssignment(a.DFG, []*core.ISE{a.ISE})
 		}
 		subDelay := sched.GroupDelayNS(a.DFG, m.Targets(a.DFG.Len()), assign)
-		return b.ISE.Cycles >= sched.CyclesForDelay(subDelay)
+		ok = b.ISE.Cycles >= sched.CyclesForDelay(subDelay)
+		return !ok
+	})
+	if !ok && !complete {
+		b.truncated.Add(1)
 	}
+	return ok
 }

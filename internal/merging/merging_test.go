@@ -116,8 +116,9 @@ func TestSubgraphOfLatencyCondition(t *testing.T) {
 
 // TestPreSearchReportsExhaustedBudget embeds 8 unconnected ANDs into 18:
 // far more injective mappings than match.DefaultLimit states, none meeting
-// merge condition 1 once b claims zero cycles. The pre-search must not take
-// that cut-short search for a proof, and SubgraphOf must still say no.
+// merge condition 1 once b claims zero cycles. SubgraphOf's in-ISE search
+// runs out of budget, so it must say no and count the search as truncated
+// on b, and only on b.
 func TestPreSearchReportsExhaustedBudget(t *testing.T) {
 	d := blockDFG(t, func(b *prog.Builder) {
 		for i := 0; i < 18; i++ {
@@ -131,11 +132,38 @@ func TestPreSearchReportsExhaustedBudget(t *testing.T) {
 	a := candOf(d, 10, all...)
 	b := candOf(d, 5, all[:8]...)
 	b.ISE.Cycles = 0
-	if ruledOut(b, a, condition1(b, a)) {
-		t.Fatal("a pre-search cut short by its budget ruled the embedding out")
-	}
 	if SubgraphOf(b, a) {
 		t.Fatal("a zero-cycle pattern embeds")
+	}
+	if b.Truncated() != 1 || a.Truncated() != 0 {
+		t.Fatalf("Truncated: b %d, a %d; want 1 and 0", b.Truncated(), a.Truncated())
+	}
+	// A connected pattern's search completes.
+	c := candOf(d, 5, 0)
+	if !SubgraphOf(c, a) || c.Truncated() != 0 {
+		t.Fatalf("one AND: SubgraphOf false or %d truncated searches", c.Truncated())
+	}
+}
+
+// TestMatchesCountsTruncation: a memoized occurrence search that runs out
+// of budget counts once in Truncated, however often its key is asked for.
+func TestMatchesCountsTruncation(t *testing.T) {
+	d := blockDFG(t, func(b *prog.Builder) {
+		for i := 0; i < 18; i++ {
+			b.R(isa.OpAND, prog.T0+prog.Reg(i), prog.A0, prog.A1)
+		}
+	})
+	c := candOf(d, 5, 0, 1, 2, 3, 4, 5, 6, 7)
+	for range 2 {
+		if got := len(c.Matches(d, 0)); got == 0 {
+			t.Fatal("no matches")
+		}
+	}
+	if c.Truncated() != 1 {
+		t.Fatalf("Truncated = %d after one truncated search, want 1", c.Truncated())
+	}
+	if c.Matches(d, 1); c.Truncated() != 1 {
+		t.Fatalf("Truncated = %d after a search that stopped at its cap, want 1", c.Truncated())
 	}
 }
 
@@ -248,9 +276,6 @@ func TestMatchesConcurrent(t *testing.T) {
 		}
 		if first := got[i%len(keys)]; &ms[0] != &first[0] {
 			t.Fatalf("key %d: callers got different backing arrays", i%len(keys))
-		}
-		if !c.Matched(k.d, k.cap) {
-			t.Fatalf("key %d: Matched = false after Matches", i%len(keys))
 		}
 	}
 }

@@ -6,16 +6,13 @@
 package replace
 
 import (
-	"context"
 	"fmt"
-	"runtime"
 	"sort"
 
 	"repro/internal/dfg"
 	"repro/internal/graph"
 	"repro/internal/machine"
 	"repro/internal/merging"
-	"repro/internal/parallel"
 	"repro/internal/sched"
 )
 
@@ -109,39 +106,6 @@ func deploy(d *dfg.DFG, cfg machine.Config, ordered []*merging.Candidate, schedu
 		}
 	}
 	return instances
-}
-
-// Prefetch fills the occurrence memo (merging.Candidate.Matches) of every
-// (candidate, block) pair that Apply of selected on blocks will search and
-// the memo lacks, on at most workers goroutines; workers <= 0 means one per
-// CPU. Each search is a pure function of its pair, so filling the memo
-// first and then deploying sequentially gives Apply's exact answer. Pairs
-// are many and unequal (a few truncated searches dominate), so the default
-// is GOMAXPROCS workers pulling pairs in block order rather than one
-// goroutine per pair, which would also hold every pair's search state at
-// once. Warm pairs start nothing. Returns ctx's error when it is canceled.
-func Prefetch(ctx context.Context, blocks []*dfg.DFG, selected []*merging.Candidate, workers int) error {
-	type pair struct {
-		d    *dfg.DFG
-		cand *merging.Candidate
-	}
-	var cold []pair
-	for _, d := range blocks {
-		for _, cand := range selected {
-			if !cand.Matched(d, maxMatchesPerISE) {
-				if cold == nil {
-					cold = make([]pair, 0, len(blocks)*len(selected))
-				}
-				cold = append(cold, pair{d, cand})
-			}
-		}
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return parallel.ForEachWorkerCtx(ctx, len(cold), workers, func(_, i int) {
-		cold[i].cand.Matches(cold[i].d, maxMatchesPerISE)
-	})
 }
 
 // assignment maps instance gi's nodes to hardware group gi.
