@@ -37,7 +37,9 @@ race: lint
 # cost without the restart fan-out), ExploreRestartMIAdpcm (the same MI
 # restart on adpcm/O3's hottest block, the block of every perfbench
 # fleet-jobs job), BuildPool, BuildMultiPool (a crc32/O3 +
-# adpcm/O3 suite pool and its suite-wide re-pricing) and Headline (the flow), and
+# adpcm/O3 suite pool and its suite-wide re-pricing), DesignPoint (one
+# perfbench flow-match design point each on crc32/O3 and adpcm/O3, MI and
+# SI: a pool build plus its 12 evaluations) and Headline (the flow), and
 # internal/core's instrumented round-loop pair
 # ExploreIter{Trace,Flight}{Off,On}, whose nil-path variants must stay at
 # 0 allocs/op (DESIGN.md §16), internal/core's BaselineIter (one
@@ -49,7 +51,7 @@ race: lint
 # `--trace 1` attributes time per layer. `make benchall` runs every root
 # benchmark.
 bench:
-	go test -bench 'Explore|Headline|BuildPool|BuildMultiPool|MatchFind|Merge|Evaluate|Convex|VMProfile|SchedSteadyState|BaselineIter|FleetJob' -benchmem -count 5 -run '^$$' . ./internal/core ./internal/baseline ./internal/cluster
+	go test -bench 'Explore|Headline|BuildPool|BuildMultiPool|DesignPoint|MatchFind|Merge|Evaluate|Convex|VMProfile|SchedSteadyState|BaselineIter|FleetJob' -benchmem -count 5 -run '^$$' . ./internal/core ./internal/baseline ./internal/cluster
 
 benchall:
 	go test -bench=. -benchmem

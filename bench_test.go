@@ -562,7 +562,8 @@ func BenchmarkExploreSI(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildPool measures the full profile+explore+merge pipeline, and
+// BenchmarkBuildPool measures the explore+price+merge pipeline (the
+// benchmark's shared profile and DFGs are built once, on the first build), and
 // reports the schedule-evaluation cache hit rate of the last build so the
 // cross-block cache behavior is visible in the benchmark output, like
 // BenchmarkHeadline's custom metrics.
@@ -603,6 +604,51 @@ func BenchmarkBuildMultiPool(b *testing.B) {
 		if _, err := flow.BuildMultiPool(benches, opts); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkDesignPoint measures one perfbench flow-match design point per
+// kernel, crc32/O3 and adpcm/O3 on the 2-issue 4/2 machine at ACO seed 1:
+// flow.BuildPool under core.FastParams and Pool.Evaluate at the
+// unconstrained point, the area caps of Fig. 5.2.1 and the ISE counts of
+// Fig. 5.2.2, once with MI and once with SI. Its allocations per op are the
+// per-design-point garbage; the shared profile and DFGs are built before
+// the timer starts.
+func BenchmarkDesignPoint(b *testing.B) {
+	points := []selection.Constraints{{}}
+	for _, a := range experiments.AreaCaps {
+		points = append(points, selection.Constraints{MaxAreaUM2: a})
+	}
+	for _, n := range experiments.ISECounts {
+		points = append(points, selection.Constraints{MaxISEs: n})
+	}
+	p := core.FastParams()
+	p.Seed = 1
+	for _, name := range []string{"crc32", "adpcm"} {
+		b.Run(name+"-O3", func(b *testing.B) {
+			bm, err := bench.Get(name, "O3")
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := bm.DFGs(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, algo := range []flow.Algorithm{flow.MI, flow.SI} {
+					pool, err := flow.BuildPool(bm, flow.Options{Machine: machine.Configs()[0], Params: p, Algorithm: algo, HotBlocks: 3})
+					if err != nil {
+						b.Fatal(err)
+					}
+					for _, c := range points {
+						if _, err := pool.Evaluate(c); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			}
+		})
 	}
 }
 

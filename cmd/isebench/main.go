@@ -22,6 +22,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/flow"
 	"repro/internal/obs"
 )
 
@@ -33,7 +34,7 @@ func main() {
 		table     = flag.Bool("table", false, "print Table 5.1.1 (hardware option settings)")
 		figure    = flag.Int("figure", 0, "regenerate one figure: 16, 17 or 18")
 		headline  = flag.Bool("headline", false, "compute the abstract's headline numbers")
-		stats     = flag.Bool("stats", false, "print benchmark characteristics and, last, the count of subgraph searches that ran out of budget")
+		stats     = flag.Bool("stats", false, "print benchmark characteristics and, last, the MI and SI rounds the iteration cap ended and the count of subgraph searches that ran out of budget")
 		breakdown = flag.Bool("breakdown", false, "per-benchmark reduction breakdown (2-issue 4/2, O3)")
 		csv       = flag.Bool("csv", false, "emit figure data as CSV instead of tables")
 		svgDir    = flag.String("svg", "", "also write figure SVGs into this directory")
@@ -151,6 +152,14 @@ func main() {
 		fmt.Println()
 	}
 	if *stats {
+		for _, algo := range []flow.Algorithm{flow.MI, flow.SI} {
+			rounds, capped := suite.Rounds(algo)
+			share := 0.0
+			if rounds > 0 {
+				share = 100 * float64(capped) / float64(rounds)
+			}
+			fmt.Printf("%s rounds ended by the iteration cap: %d of %d (%.1f%%)\n", algo, capped, rounds, share)
+		}
 		fmt.Printf("subgraph searches out of budget: %d\n\n", suite.Truncated())
 	}
 	fmt.Printf("done in %v\n", time.Since(start).Round(time.Millisecond))

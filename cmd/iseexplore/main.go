@@ -110,14 +110,13 @@ func main() {
 	params.Seed = *seed
 	params.Workers = *workers
 
-	var program *prog.Program
-	var prof *vm.Profile
+	var ds []*dfg.DFG
 	if *file != "" {
 		src, err := os.ReadFile(*file)
 		if err != nil {
 			log.Fatal(err)
 		}
-		program, err = prog.Parse(*file, string(src))
+		program, err := prog.Parse(*file, string(src))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -130,26 +129,28 @@ func main() {
 			fmt.Printf("optimizer: %d -> %d static instructions\n", before, program.NumInstrs())
 		}
 		m := vm.NewMachine(bench.MemSize)
-		prof, err = m.Run(program, bench.MaxSteps)
+		prof, err := m.Run(program, bench.MaxSteps)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("program %s on %s: %d dynamic instructions\n", *file, cfg.Name, prof.DynInstrs)
+		ds = dfg.BuildAll(program, prof.HotBlocks(program, *hot), prof.BlockCounts)
 	} else {
 		bm, err := bench.Get(*benchName, *optLevel)
 		if err != nil {
 			log.Fatal(err)
 		}
-		program = bm.Prog
-		prof, err = bm.Run()
+		prof, err := bm.Profile()
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("benchmark %s on %s: %d dynamic instructions\n", bm.FullName(), cfg.Name, prof.DynInstrs)
+		if ds, err = bm.HotDFGs(*hot); err != nil {
+			log.Fatal(err)
+		}
 	}
 
-	hotBlocks := prof.HotBlocks(program, *hot)
-	for bi, d := range dfg.BuildAll(program, hotBlocks, prof.BlockCounts) {
+	for bi, d := range ds {
 		fmt.Printf("\nblock %s: %d operations, weight %d, dependence depth %d\n",
 			d.Name, d.Len(), d.Weight, d.CriticalPathLen())
 		if *showDFG {

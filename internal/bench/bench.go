@@ -14,7 +14,9 @@ package bench
 
 import (
 	"fmt"
+	"sync"
 
+	"repro/internal/dfg"
 	"repro/internal/prog"
 	"repro/internal/vm"
 )
@@ -26,7 +28,9 @@ const MemSize = 1 << 16
 const MaxSteps = 5_000_000
 
 // Benchmark is one runnable workload: a program plus its input state and
-// result verification.
+// result verification. Get hands out one shared Benchmark per (name, opt),
+// so a Benchmark is immutable: callers read its fields and its profile and
+// DFGs and never write them.
 type Benchmark struct {
 	Name string // e.g. "crc32"
 	Opt  string // "O0" or "O3"
@@ -37,6 +41,16 @@ type Benchmark struct {
 	// Check verifies the machine state after Run against the Go reference
 	// model, returning a descriptive error on mismatch.
 	Check func(m *vm.Machine) error
+
+	// prof is Run's profile, computed once by Profile; profErr its error.
+	profOnce sync.Once
+	prof     *vm.Profile
+	profErr  error
+	// dfgs are the executed blocks' DFGs in ascending block order, built
+	// once by DFGs; byBlock indexes them by block (nil: never executed).
+	dfgOnce sync.Once
+	dfgs    []*dfg.DFG
+	byBlock []*dfg.DFG
 }
 
 // FullName returns "name/opt", e.g. "crc32/O3".
@@ -57,6 +71,55 @@ func (b *Benchmark) Run() (*vm.Profile, error) {
 		return nil, fmt.Errorf("bench %s: verification: %w", b.FullName(), err)
 	}
 	return prof, nil
+}
+
+// Profile returns the benchmark's profile: Run's result, computed on the
+// first call and shared by every later one (and by every caller of Get). A
+// profile is a pure function of (benchmark, opt level), so sharing it only
+// removes recomputation. Callers must not modify it.
+func (b *Benchmark) Profile() (*vm.Profile, error) {
+	b.profOnce.Do(func() { b.prof, b.profErr = b.Run() })
+	return b.prof, b.profErr
+}
+
+// DFGs returns the DFG of every executed block in ascending block order,
+// weighted by the shared profile. They are built on the first call and
+// shared: a DFG is immutable after dfg.Build and its lazy closure and
+// fingerprint are published through sync.Once, so concurrent readers are
+// safe. Callers must not modify the slice or the DFGs.
+func (b *Benchmark) DFGs() ([]*dfg.DFG, error) {
+	prof, err := b.Profile()
+	if err != nil {
+		return nil, err
+	}
+	b.dfgOnce.Do(func() {
+		var executed []int
+		for bi, c := range prof.BlockCounts {
+			if c > 0 {
+				executed = append(executed, bi)
+			}
+		}
+		b.dfgs = dfg.BuildAll(b.Prog, executed, prof.BlockCounts)
+		b.byBlock = make([]*dfg.DFG, len(b.Prog.Blocks))
+		for _, d := range b.dfgs {
+			b.byBlock[d.BlockIndex] = d
+		}
+	})
+	return b.dfgs, nil
+}
+
+// HotDFGs returns the shared DFGs of the n hottest blocks (vm.Profile's
+// HotBlocks), hottest first.
+func (b *Benchmark) HotDFGs(n int) ([]*dfg.DFG, error) {
+	if _, err := b.DFGs(); err != nil {
+		return nil, err
+	}
+	hot := b.prof.HotBlocks(b.Prog, n)
+	out := make([]*dfg.DFG, len(hot))
+	for i, bi := range hot {
+		out[i] = b.byBlock[bi]
+	}
+	return out, nil
 }
 
 // Names returns the paper's seven benchmark names in its order; the
@@ -88,7 +151,17 @@ var registry = map[string]func(opt string) *Benchmark{
 	"rijndael":     newRijndael,
 }
 
-// Get returns the benchmark with the given name and optimization level.
+// shared holds the one Benchmark per (name, opt) that Get hands out;
+// guarded by sharedMu.
+var (
+	sharedMu sync.Mutex
+	shared   = map[[2]string]*Benchmark{}
+)
+
+// Get returns the benchmark with the given name and optimization level. The
+// program is built on the first call, and every call for the same (name,
+// opt) returns the same *Benchmark, so its profile and DFGs (Profile, DFGs)
+// are computed once per process whichever caller asks first.
 func Get(name, opt string) (*Benchmark, error) {
 	mk, ok := registry[name]
 	if !ok {
@@ -97,7 +170,15 @@ func Get(name, opt string) (*Benchmark, error) {
 	if opt != "O0" && opt != "O3" {
 		return nil, fmt.Errorf("bench: unknown optimization level %q", opt)
 	}
-	return mk(opt), nil
+	key := [2]string{name, opt}
+	sharedMu.Lock()
+	defer sharedMu.Unlock()
+	b, ok := shared[key]
+	if !ok {
+		b = mk(opt)
+		shared[key] = b
+	}
+	return b, nil
 }
 
 // All returns every benchmark (including extensions) at every optimization

@@ -116,24 +116,23 @@ func (w Workload) Validate() error {
 	return nil
 }
 
-// BuildDFGs rebuilds the workload's dataflow graphs: parse or fetch the
-// kernel, profile it on the reference VM, and lift the hot blocks. Every
-// step is deterministic, so the coordinator and every worker — possibly on
-// different machines — explore byte-identical graphs. This is the same
-// first link in the resume-determinism chain the service layer relies on
-// (service.JobSpec delegates its own workload building here).
+// BuildDFGs returns the workload's hot-block dataflow graphs. A registry
+// benchmark's are the shared, read-only DFGs of bench.Benchmark.HotDFGs,
+// profiled and built once per process however many times a job asks (the
+// manager, the coordinator and every shard each call this). An inline
+// program is parsed, profiled on the reference VM and lifted afresh on each
+// call. Every step is deterministic, so the coordinator and every worker —
+// possibly on different machines — explore byte-identical graphs. This is
+// the same first link in the resume-determinism chain the service layer
+// relies on (service.JobSpec delegates its own workload building here).
 func (w Workload) BuildDFGs() ([]*dfg.DFG, error) {
-	var (
-		program *prog.Program
-		profile *vm.Profile
-		err     error
-	)
+	var ds []*dfg.DFG
 	if w.Program != "" {
 		name := w.Name
 		if name == "" {
 			name = "program"
 		}
-		program, err = prog.Parse(name, w.Program)
+		program, err := prog.Parse(name, w.Program)
 		if err != nil {
 			return nil, err
 		}
@@ -142,21 +141,20 @@ func (w Workload) BuildDFGs() ([]*dfg.DFG, error) {
 				return nil, err
 			}
 		}
-		profile, err = vm.NewMachine(bench.MemSize).Run(program, bench.MaxSteps)
+		profile, err := vm.NewMachine(bench.MemSize).Run(program, bench.MaxSteps)
 		if err != nil {
 			return nil, err
 		}
+		ds = dfg.BuildAll(program, profile.HotBlocks(program, w.hot()), profile.BlockCounts)
 	} else {
-		bm, berr := bench.Get(w.Bench, w.optLevel())
-		if berr != nil {
-			return nil, berr
+		bm, err := bench.Get(w.Bench, w.optLevel())
+		if err != nil {
+			return nil, err
 		}
-		program = bm.Prog
-		if profile, err = bm.Run(); err != nil {
+		if ds, err = bm.HotDFGs(w.hot()); err != nil {
 			return nil, err
 		}
 	}
-	ds := dfg.BuildAll(program, profile.HotBlocks(program, w.hot()), profile.BlockCounts)
 	if len(ds) == 0 {
 		return nil, fmt.Errorf("cluster: no explorable basic blocks")
 	}

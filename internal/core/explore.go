@@ -28,6 +28,9 @@ type Result struct {
 	BaseCycles, FinalCycles int
 	// Rounds and Iterations count algorithm work for reporting.
 	Rounds, Iterations int
+	// CappedRounds counts the Rounds that Params.MaxIterations ended before
+	// every free operation reached P_END (DESIGN.md §7's convergence cap).
+	CappedRounds int
 	// CacheHits and CacheMisses report the schedule-evaluation cache
 	// traffic of the whole exploration (all restarts), exactly (see
 	// EvalCache.Stats). With a caller-supplied cache (ResumeOptions.Cache)
@@ -203,7 +206,17 @@ func exploreResumable(ctx context.Context, d *dfg.DFG, cfg machine.Config, p Par
 	} else if cache == nil {
 		cache = NewEvalCache()
 	}
-	baseCycles, err := cache.Schedule(d, sched.AllSoftware(d.Len()), cfg)
+	scratch := opts.Scratch
+	if scratch == nil {
+		scratch = NewScratch()
+	}
+	// The base schedule borrows a pooled worker's kernel and its AllSoftware
+	// buffer. It stays untraced: the kernel may still carry the tracer of
+	// the last restart it ran.
+	bw := scratch.acquire()
+	bw.kern.SetTrace(nil, 0)
+	baseCycles, err := cache.ScheduleWith(bw.kern, d, bw.kern.AllSoftware(d.Len()), cfg)
+	scratch.release(bw)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: base schedule of %s: %w", d.Name, err)
 	}
@@ -255,10 +268,6 @@ func exploreResumable(ctx context.Context, d *dfg.DFG, cfg machine.Config, p Par
 	// supplied, so arenas warmed on an earlier block of the same run stay
 	// warm here (cross-block reuse, DESIGN.md §13); otherwise a private pool
 	// scopes the reuse to this exploration.
-	scratch := opts.Scratch
-	if scratch == nil {
-		scratch = NewScratch()
-	}
 	ws := make([]*workerScratch, parallel.Degree(p.Workers, len(todo)))
 	for i := range ws {
 		ws[i] = scratch.acquire()
@@ -333,6 +342,7 @@ func exploreResumable(ctx context.Context, d *dfg.DFG, cfg machine.Config, p Par
 		return nil, out, cancelErr
 	}
 	best := bestBy(results, d, k.key)
+	best.Assignment = BuildAssignment(d, best.ISEs)
 	best.CacheHits, best.CacheMisses = cache.Stats()
 	return best, nil, nil
 }
@@ -420,7 +430,7 @@ func (s *runState) reset(d *dfg.DFG, cfg machine.Config, p Params, rng *rand.Ran
 
 // fix accepts ise: its members stop making choices.
 func (s *runState) fix(ise *ISE) {
-	for _, v := range ise.Nodes.Values() {
+	for v := ise.Nodes.Next(0); v >= 0; v = ise.Nodes.Next(v + 1) {
 		s.fixedGroupOf[v] = len(s.fixed)
 	}
 	s.fixed = append(s.fixed, ise)
@@ -463,7 +473,7 @@ func runOnce(ctx context.Context, d *dfg.DFG, cfg machine.Config, p Params, k ki
 	ws.kern.SetTrace(tr, tid)
 	restartSpan := tr.Begin("restart", tid).Arg("restart", int64(restart))
 	defer restartSpan.End()
-	rng, rngSrc := aco.NewCountedRand(p.Seed + int64(restart)*k.stride)
+	rng, rngSrc := ws.seededRand(p.Seed + int64(restart)*k.stride)
 	st := k.step(ws)
 	e := st.state()
 	e.reset(d, cfg, p, rng, rngSrc, cache, ws.kern, tr, tid)
@@ -482,6 +492,7 @@ func runOnce(ctx context.Context, d *dfg.DFG, cfg machine.Config, p Params, k ki
 		}
 		e.rngSrc.Skip(resume.RNGDraws)
 		res.Rounds = resume.Rounds
+		res.CappedRounds = resume.CappedRounds
 		res.Iterations = resume.Iterations
 		cur = resume.CurLen
 		startRound = resume.Round
@@ -510,13 +521,16 @@ func runOnce(ctx context.Context, d *dfg.DFG, cfg machine.Config, p Params, k ki
 			cs.prevOrder = append([]int(nil), resume.PrevOrder...)
 		}
 		before := cs.iter
-		converged := converge(ctx, st)
+		end := converge(ctx, st)
 		res.Iterations += cs.iter - before
-		if !converged {
+		if end == roundCancelled {
 			roundSpan.End()
 			return nil, e.capture(round, res, cur), nil
 		}
 		res.Rounds++
+		if end == roundCapped {
+			res.CappedRounds++
+		}
 
 		cand := st.bestCandidate(cur)
 		roundSpan.Arg("iters", int64(cs.iter)).End()
@@ -534,9 +548,11 @@ func runOnce(ctx context.Context, d *dfg.DFG, cfg machine.Config, p Params, k ki
 		}
 	}
 
+	// The final schedule's assignment is arena scratch: only the restart
+	// exploreResumable keeps gets a Result.Assignment of its own.
 	res.ISEs = append(res.ISEs, e.fixed...)
-	res.Assignment = BuildAssignment(d, res.ISEs)
-	final, err := cache.ScheduleWith(ws.kern, d, res.Assignment, cfg)
+	e.evalAssign = BuildAssignmentWith(e.evalAssign, d, res.ISEs, nil)
+	final, err := cache.ScheduleWith(ws.kern, d, e.evalAssign, cfg)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: final schedule of %s: %w", d.Name, err)
 	}
@@ -550,13 +566,14 @@ func runOnce(ctx context.Context, d *dfg.DFG, cfg machine.Config, p Params, k ki
 func (s *runState) capture(round int, res *Result, cur int) *RestartPartial {
 	cs := &s.cs
 	p := &RestartPartial{
-		Round:      round,
-		Iter:       cs.iter,
-		Rounds:     res.Rounds,
-		Iterations: res.Iterations,
-		CurLen:     cur,
-		Fixed:      iseStates(s.fixed),
-		RNGDraws:   s.rngSrc.Draws(),
+		Round:        round,
+		Iter:         cs.iter,
+		Rounds:       res.Rounds,
+		CappedRounds: res.CappedRounds,
+		Iterations:   res.Iterations,
+		CurLen:       cur,
+		Fixed:        iseStates(s.fixed),
+		RNGDraws:     s.rngSrc.Draws(),
 	}
 	if cs.iter > 0 {
 		p.Trail = copyTables(s.tab.Trail)
@@ -625,24 +642,34 @@ type convergeState struct {
 	iter      int
 }
 
+// roundEnd says how a round's convergence loop stopped.
+type roundEnd int
+
+const (
+	// roundCancelled: ctx was done before an iteration; the run state's cs
+	// holds everything a resumed run needs.
+	roundCancelled roundEnd = iota
+	// roundConverged: every free operation reached P_END.
+	roundConverged
+	// roundCapped: Params.MaxIterations iterations ran without reaching it.
+	roundCapped
+)
+
 // converge runs ACO iterations until every free operation has one option
-// whose selected probability exceeds P_END, or the iteration cap is hit.
-// The context is checked before each iteration; converge returns false if
-// cancellation interrupted the round (the run state's cs then holds
-// everything a resumed run needs) and true once the round has converged or
-// hit the cap.
-func converge(ctx context.Context, st step) bool {
+// whose selected probability exceeds P_END, or the iteration cap is hit,
+// and says which. The context is checked before each iteration.
+func converge(ctx context.Context, st step) roundEnd {
 	e := st.state()
 	for e.cs.iter < e.p.MaxIterations {
 		if ctx.Err() != nil {
-			return false
+			return roundCancelled
 		}
 		iterate(st)
 		if e.convergedNow() {
-			return true
+			return roundConverged
 		}
 	}
-	return true
+	return roundCapped
 }
 
 // iterate runs one ACO iteration of st: construct a solution, then update

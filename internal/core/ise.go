@@ -54,12 +54,12 @@ func (e *ISE) String() string {
 func NewISE(d *dfg.DFG, nodes graph.NodeSet, opts map[int]int) *ISE {
 	option := map[int]int{}
 	area := 0.0
-	for _, v := range nodes.Values() {
+	for v := nodes.Next(0); v >= 0; v = nodes.Next(v + 1) {
 		o := opts[v]
 		option[v] = o
 		area += d.Nodes[v].HW[o].AreaUM2
 	}
-	delay := groupDelayNS(d, nodes, option)
+	delay := GroupDelayNS(d, nodes, option)
 	return &ISE{
 		Nodes:   nodes.Clone(),
 		Option:  option,
@@ -71,10 +71,10 @@ func NewISE(d *dfg.DFG, nodes graph.NodeSet, opts map[int]int) *ISE {
 	}
 }
 
-// groupDelayNS is the combinational depth of nodes with member v using
+// GroupDelayNS is the combinational depth of nodes with member v using
 // hardware option opts[v]: sched.GroupDelayNS without a whole-block
-// assignment.
-func groupDelayNS(d *dfg.DFG, nodes graph.NodeSet, opts map[int]int) float64 {
+// assignment, equal to it bit for bit.
+func GroupDelayNS(d *dfg.DFG, nodes graph.NodeSet, opts map[int]int) float64 {
 	// dist is node-indexed, on the stack for blocks of up to 256 nodes. Each
 	// member's entry is written before any later member reads it: members
 	// are visited in topological order.
@@ -160,7 +160,7 @@ func TrimPorts(d *dfg.DFG, s graph.NodeSet, nin, nout int, io *dfg.IOScratch) gr
 	cur := s.Clone()
 	var members []int
 	for cur.Len() > 0 {
-		if d.InScratch(cur, io) <= nin && d.OutScratch(cur, io) <= nout {
+		if d.InScratch(cur, io) <= nin && d.Out(cur) <= nout {
 			return cur
 		}
 		// Candidate removals: nodes with no predecessor inside (sources) or
@@ -186,7 +186,7 @@ func TrimPorts(d *dfg.DFG, s graph.NodeSet, nin, nout int, io *dfg.IOScratch) gr
 				continue
 			}
 			cur.Remove(v)
-			cost := d.InScratch(cur, io) + d.OutScratch(cur, io)
+			cost := d.InScratch(cur, io) + d.Out(cur)
 			cur.Add(v)
 			if cost < bestCost || (cost == bestCost && v > bestNode) {
 				bestCost, bestNode = cost, v
@@ -254,8 +254,8 @@ func TrimLatency(d *dfg.DFG, s graph.NodeSet, opts map[int]int, maxCycles int) g
 
 // BuildAssignmentWith is BuildAssignment(d, append(ises, cand)) built in
 // buf's array when it is large enough: the accepted ISEs are groups in
-// acceptance order, cand the last group. The result reuses buf, so it is
-// valid until buf's next use.
+// acceptance order, cand (when not nil) the last group. The result reuses
+// buf, so it is valid until buf's next use.
 func BuildAssignmentWith(buf sched.Assignment, d *dfg.DFG, ises []*ISE, cand *ISE) sched.Assignment {
 	n := d.Len()
 	if cap(buf) < n {
@@ -266,11 +266,14 @@ func BuildAssignmentWith(buf sched.Assignment, d *dfg.DFG, ises []*ISE, cand *IS
 		a[i] = sched.NodeChoice{Kind: sched.KindSW, Opt: 0, Group: -1}
 	}
 	for g, f := range ises {
-		for _, v := range f.Nodes.Values() {
+		for v := f.Nodes.Next(0); v >= 0; v = f.Nodes.Next(v + 1) {
 			a[v] = sched.NodeChoice{Kind: sched.KindHW, Opt: f.Option[v], Group: g}
 		}
 	}
-	for _, v := range cand.Nodes.Values() {
+	if cand == nil {
+		return a
+	}
+	for v := cand.Nodes.Next(0); v >= 0; v = cand.Nodes.Next(v + 1) {
 		a[v] = sched.NodeChoice{Kind: sched.KindHW, Opt: cand.Option[v], Group: len(ises)}
 	}
 	return a
@@ -281,7 +284,7 @@ func BuildAssignmentWith(buf sched.Assignment, d *dfg.DFG, ises []*ISE, cand *IS
 func BuildAssignment(d *dfg.DFG, ises []*ISE) sched.Assignment {
 	a := sched.AllSoftware(d.Len())
 	for g, e := range ises {
-		for _, v := range e.Nodes.Values() {
+		for v := e.Nodes.Next(0); v >= 0; v = e.Nodes.Next(v + 1) {
 			a[v] = sched.NodeChoice{Kind: sched.KindHW, Opt: e.Option[v], Group: g}
 		}
 	}

@@ -84,3 +84,57 @@ func TestLoopAccountingGolden(t *testing.T) {
 		t.Fatalf("loop accounting digest %s, want %s", got, loopGoldenDigest)
 	}
 }
+
+// TestCappedRoundsAccounting checks the capped-round count against what
+// the cap implies: a capped round ran exactly MaxIterations iterations, so
+// a result's Iterations cover CappedRounds × MaxIterations, and with a cap
+// of one iteration every round of a block with free multi-option rows is
+// capped. Under FastParams the cap binds on some blocks and not on others.
+func TestCappedRoundsAccounting(t *testing.T) {
+	ctx := context.Background()
+	cfg := machine.New(2, 4, 2)
+	p := core.FastParams()
+	capped, converged := 0, 0
+	for i, d := range loopGoldenBlocks(t) {
+		for _, algo := range []string{"MI", "SI"} {
+			var res *core.Result
+			var err error
+			if algo == "MI" {
+				res, err = core.Explore(ctx, d, cfg, p)
+			} else {
+				res, err = baseline.ExploreSharedCtx(ctx, d, cfg, p, nil)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.CappedRounds < 0 || res.CappedRounds > res.Rounds ||
+				res.Iterations < res.CappedRounds*p.MaxIterations {
+				t.Fatalf("%s block %d %s: %d of %d rounds capped in %d iterations (cap %d)",
+					algo, i, d.Name, res.CappedRounds, res.Rounds, res.Iterations, p.MaxIterations)
+			}
+			capped += res.CappedRounds
+			converged += res.Rounds - res.CappedRounds
+		}
+	}
+	if capped == 0 || converged == 0 {
+		t.Fatalf("FastParams: %d capped and %d converged rounds; want both", capped, converged)
+	}
+
+	bm, err := bench.Get("crc32", "O3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hot, err := bm.HotDFGs(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.MaxIterations = 1
+	res, err := core.Explore(ctx, hot[0], cfg, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rounds == 0 || res.CappedRounds != res.Rounds || res.Iterations != res.Rounds {
+		t.Fatalf("cap 1: %d of %d rounds capped in %d iterations; want every round capped after one",
+			res.CappedRounds, res.Rounds, res.Iterations)
+	}
+}

@@ -98,7 +98,7 @@ func (e *explorer) walkReference() *walkResult {
 }
 
 // scheduleHWReference is scheduleHW with the group IN and OUT of
-// dfg.InScratch and dfg.OutScratch over the grown member set.
+// dfg.InScratch and dfg.Out over the grown member set.
 func (e *explorer) scheduleHWReference(res *walkResult, x, opt, lts, lp int) {
 	delay := e.hwDelay(x, opt)
 	if lp >= 0 && res.groupOf[lp] >= 0 && e.tryPackReference(res, &res.groups[res.groupOf[lp]], x, delay) {
@@ -108,7 +108,7 @@ func (e *explorer) scheduleHWReference(res *walkResult, x, opt, lts, lp int) {
 	lat := sched.CyclesForDelay(delay)
 	g := e.appendGroup(res)
 	g.nodes.Add(x)
-	reads, writes := e.d.InScratch(g.nodes, &e.io), e.d.OutScratch(g.nodes, &e.io)
+	reads, writes := e.d.InScratch(g.nodes, &e.io), e.d.Out(g.nodes)
 	cts := lts + 1
 	for !e.table.FitsNewISE(cts, lat, reads, writes) {
 		cts++
@@ -148,7 +148,7 @@ func (e *explorer) tryPackReference(res *walkResult, g *walkGroup, x int, delay 
 		return false
 	}
 	g.nodes.Add(x)
-	newReads, newWrites := d.InScratch(g.nodes, &e.io), d.OutScratch(g.nodes, &e.io)
+	newReads, newWrites := d.InScratch(g.nodes, &e.io), d.Out(g.nodes)
 	if !e.table.FitsISEUpdate(c, g.lat, newLat, g.reads, newReads, g.writes, newWrites) {
 		g.nodes.Remove(x)
 		return false
@@ -377,7 +377,7 @@ func (e *explorer) hwMeritReference(res *walkResult, x int) {
 		return
 	}
 	violated := false
-	if e.d.InScratch(vs, &e.io) > e.cfg.ReadPorts || e.d.OutScratch(vs, &e.io) > e.cfg.WritePorts {
+	if e.d.InScratch(vs, &e.io) > e.cfg.ReadPorts || e.d.Out(vs) > e.cfg.WritePorts {
 		for j := range hw {
 			e.tab.Merit[x][base+j] *= p.BetaIO
 		}

@@ -1,24 +1,44 @@
 package core
 
 import (
+	"math/rand"
 	"sync"
 
+	"repro/internal/aco"
 	"repro/internal/dfg"
 	"repro/internal/parallel"
 	"repro/internal/sched"
 )
 
 // workerScratch bundles the reusable per-worker state of one exploration
-// worker: the scheduling kernel and the arenas of both explorers' steps
-// (MI's explorer, the SI baseline's siExplorer). All are pure scratch —
-// which worker (or which exploration) previously used them never affects a
-// restart's result, because every consumer resets or overwrites what it
-// reads (the driver's reset and the step's bind rebind per-DFG state; the
-// kernel versions its own tables per call).
+// worker: the scheduling kernel, the counted random generator and the
+// arenas of both explorers' steps (MI's explorer, the SI baseline's
+// siExplorer). All are pure scratch — which worker (or which exploration)
+// previously used them never affects a restart's result, because every
+// consumer resets or overwrites what it reads (runState.reset and the
+// step's bind rebind per-DFG state; the kernel versions its own tables per
+// call; seededRand re-seeds the generator).
 type workerScratch struct {
 	kern *sched.Scheduler
 	exp  explorer
 	si   siExplorer
+
+	// rng draws from rngSrc; both are made on first use and re-seeded per
+	// restart.
+	rng    *rand.Rand
+	rngSrc *aco.CountingSource
+}
+
+// seededRand returns the worker's generator re-seeded to seed: the stream
+// and draw count of aco.NewCountedRand(seed), without a new source (4.9 KB
+// of generator state) per restart.
+func (ws *workerScratch) seededRand(seed int64) (*rand.Rand, *aco.CountingSource) {
+	if ws.rng == nil {
+		ws.rng, ws.rngSrc = aco.NewCountedRand(seed)
+	} else {
+		ws.rng.Seed(seed)
+	}
+	return ws.rng, ws.rngSrc
 }
 
 // Scratch is a pool of worker scratch shared across the explorations of one

@@ -53,7 +53,7 @@ func (e *siExplorer) hwMeritReference(chosen []int, x int) {
 		return
 	}
 	violated := false
-	if e.d.InScratch(vs, &e.io) > e.cfg.ReadPorts || e.d.OutScratch(vs, &e.io) > e.cfg.WritePorts {
+	if e.d.InScratch(vs, &e.io) > e.cfg.ReadPorts || e.d.Out(vs) > e.cfg.WritePorts {
 		for j := range hw {
 			e.tab.Merit[x][base+j] *= p.BetaIO
 		}

@@ -61,11 +61,12 @@ type RestartState struct {
 // deterministic functions of the DFG and the member/option sets, so resume
 // recomputes them bit-identically via NewISE and BuildAssignment.
 type ResultState struct {
-	ISEs        []ISEState `json:"ises,omitempty"`
-	BaseCycles  int        `json:"base_cycles"`
-	FinalCycles int        `json:"final_cycles"`
-	Rounds      int        `json:"rounds"`
-	Iterations  int        `json:"iterations"`
+	ISEs         []ISEState `json:"ises,omitempty"`
+	BaseCycles   int        `json:"base_cycles"`
+	FinalCycles  int        `json:"final_cycles"`
+	Rounds       int        `json:"rounds"`
+	CappedRounds int        `json:"capped_rounds,omitempty"`
+	Iterations   int        `json:"iterations"`
 }
 
 // ISEState is the serializable form of one accepted ISE: the member nodes
@@ -82,19 +83,21 @@ type ISEState struct {
 // round boundary (Iter == 0, tables omitted — the round's Seed rebuilds them
 // deterministically). RNGDraws is the number of times the restart's random
 // source advanced; resume re-seeds and skips exactly that many draws, which
-// replays the random stream as if the run had never stopped.
+// replays the random stream as if the run had never stopped. Rounds and
+// CappedRounds are the Result counters of the rounds finished so far.
 type RestartPartial struct {
-	Round      int         `json:"round"`
-	Iter       int         `json:"iter"`
-	Rounds     int         `json:"rounds"`
-	Iterations int         `json:"iterations"`
-	CurLen     int         `json:"cur_len"`
-	Fixed      []ISEState  `json:"fixed,omitempty"`
-	Trail      [][]float64 `json:"trail,omitempty"`
-	Merit      [][]float64 `json:"merit,omitempty"`
-	TetOld     int         `json:"tet_old,omitempty"`
-	PrevOrder  []int       `json:"prev_order,omitempty"`
-	RNGDraws   uint64      `json:"rng_draws"`
+	Round        int         `json:"round"`
+	Iter         int         `json:"iter"`
+	Rounds       int         `json:"rounds"`
+	CappedRounds int         `json:"capped_rounds,omitempty"`
+	Iterations   int         `json:"iterations"`
+	CurLen       int         `json:"cur_len"`
+	Fixed        []ISEState  `json:"fixed,omitempty"`
+	Trail        [][]float64 `json:"trail,omitempty"`
+	Merit        [][]float64 `json:"merit,omitempty"`
+	TetOld       int         `json:"tet_old,omitempty"`
+	PrevOrder    []int       `json:"prev_order,omitempty"`
+	RNGDraws     uint64      `json:"rng_draws"`
 }
 
 // CompletedRestarts counts the restarts whose Result is already final.
@@ -206,11 +209,12 @@ func ResultFromState(d *dfg.DFG, st *ResultState) (*Result, error) {
 // resultState converts a finished restart's Result to its serializable form.
 func resultState(r *Result) *ResultState {
 	return &ResultState{
-		ISEs:        iseStates(r.ISEs),
-		BaseCycles:  r.BaseCycles,
-		FinalCycles: r.FinalCycles,
-		Rounds:      r.Rounds,
-		Iterations:  r.Iterations,
+		ISEs:         iseStates(r.ISEs),
+		BaseCycles:   r.BaseCycles,
+		FinalCycles:  r.FinalCycles,
+		Rounds:       r.Rounds,
+		CappedRounds: r.CappedRounds,
+		Iterations:   r.Iterations,
 	}
 }
 
@@ -221,12 +225,13 @@ func resultFromState(d *dfg.DFG, st *ResultState) (*Result, error) {
 		return nil, err
 	}
 	return &Result{
-		ISEs:        ises,
-		Assignment:  BuildAssignment(d, ises),
-		BaseCycles:  st.BaseCycles,
-		FinalCycles: st.FinalCycles,
-		Rounds:      st.Rounds,
-		Iterations:  st.Iterations,
+		ISEs:         ises,
+		Assignment:   BuildAssignment(d, ises),
+		BaseCycles:   st.BaseCycles,
+		FinalCycles:  st.FinalCycles,
+		Rounds:       st.Rounds,
+		CappedRounds: st.CappedRounds,
+		Iterations:   st.Iterations,
 	}, nil
 }
 

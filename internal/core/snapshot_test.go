@@ -22,9 +22,9 @@ func resultsEqual(t *testing.T, label string, want, got *Result) {
 		t.Fatalf("%s: cycles %d→%d, want %d→%d",
 			label, got.BaseCycles, got.FinalCycles, want.BaseCycles, want.FinalCycles)
 	}
-	if got.Rounds != want.Rounds || got.Iterations != want.Iterations {
-		t.Fatalf("%s: rounds/iterations %d/%d, want %d/%d",
-			label, got.Rounds, got.Iterations, want.Rounds, want.Iterations)
+	if got.Rounds != want.Rounds || got.Iterations != want.Iterations || got.CappedRounds != want.CappedRounds {
+		t.Fatalf("%s: rounds/iterations/capped %d/%d/%d, want %d/%d/%d",
+			label, got.Rounds, got.Iterations, got.CappedRounds, want.Rounds, want.Iterations, want.CappedRounds)
 	}
 	if len(got.ISEs) != len(want.ISEs) {
 		t.Fatalf("%s: %d ISEs, want %d", label, len(got.ISEs), len(want.ISEs))

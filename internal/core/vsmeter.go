@@ -99,7 +99,7 @@ func (m *VSMeter) Measure(d *dfg.DFG, cfg *machine.Config, vs graph.NodeSet, mem
 	if m.size == 1 {
 		return false
 	}
-	m.overPorts = d.InScratch(vs, io) > cfg.ReadPorts || d.OutScratch(vs, io) > cfg.WritePorts
+	m.overPorts = d.InScratch(vs, io) > cfg.ReadPorts || d.Out(vs) > cfg.WritePorts
 	m.nonConvex = !d.IsConvex(vs)
 	if m.overPorts || m.nonConvex {
 		return false

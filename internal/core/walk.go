@@ -591,7 +591,7 @@ func (e *explorer) tryPack(res *walkResult, g *walkGroup, x int, delay float64) 
 //     loses each distinct member feeding x that is not live out and whose
 //     only consumer outside g was x.
 //
-// The counts equal dfg.InScratch and dfg.OutScratch of the grown set; for a
+// The counts equal dfg.InScratch and dfg.Out of the grown set; for a
 // group with no members they are x's own IN and OUT (initDFG's solo).
 func (e *explorer) packIO(g *walkGroup, x int) portUse {
 	nodes := e.d.Nodes

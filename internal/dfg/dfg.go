@@ -226,7 +226,7 @@ func (d *DFG) In(s graph.NodeSet) int {
 		reg      prog.Reg
 	}
 	seen := map[key]bool{}
-	for _, id := range s.Values() {
+	for id := s.Next(0); id >= 0; id = s.Next(id + 1) {
 		for _, src := range d.Nodes[id].Inputs {
 			if src.Producer >= 0 && s.Contains(src.Producer) {
 				continue // internal value
@@ -242,20 +242,38 @@ func (d *DFG) In(s graph.NodeSet) int {
 }
 
 // Out returns OUT(S): the number of nodes in S whose value escapes S —
-// consumed by an outside node or live out of the block.
-func (d *DFG) Out(s graph.NodeSet) int { return d.out(s, s.Values()) }
+// consumed by an outside node or live out of the block. It allocates
+// nothing.
+func (d *DFG) Out(s graph.NodeSet) int {
+	out := 0
+	for id := s.Next(0); id >= 0; id = s.Next(id + 1) {
+		n := d.Nodes[id]
+		escapes := n.LiveOut
+		if !escapes {
+			for _, succ := range n.DataSuccs {
+				if !s.Contains(succ) {
+					escapes = true
+					break
+				}
+			}
+		}
+		if escapes {
+			out++
+		}
+	}
+	return out
+}
 
-// IOScratch holds reusable buffers for the allocation-free IN/OUT counters
-// InScratch and OutScratch. A zero IOScratch is ready to use; callers
-// reusing one across calls (an explorer's arena) amortize its buffers to
-// zero steady-state allocations. An IOScratch must not be shared between
+// IOScratch holds the reusable marks of InScratch, the allocation-free form
+// of In (Out needs none). A zero IOScratch is ready to use; callers reusing
+// one across calls (an explorer's arena) amortize its marks to zero
+// steady-state allocations. An IOScratch must not be shared between
 // goroutines.
 type IOScratch struct {
 	// mark era-stamps In's dedup keys (producer node id, or Len()+register
 	// for live-ins). Stale marks hold earlier eras and never collide: era
 	// only grows.
 	mark    []int // arena: era-stamped operand dedup marks
-	members []int // arena: member extraction buffer
 	era     int
 	markFor *DFG // DFG mark was sized for
 }
@@ -298,10 +316,8 @@ func (d *DFG) InScratch(s graph.NodeSet, sc *IOScratch) int {
 	}
 	sc.era++
 	era := sc.era
-	members := s.AppendValues(sc.members[:0])
-	sc.members = members
 	in := 0
-	for _, id := range members {
+	for id := s.Next(0); id >= 0; id = s.Next(id + 1) {
 		for _, src := range d.Nodes[id].Inputs {
 			if src.Producer >= 0 && s.Contains(src.Producer) {
 				continue // internal value
@@ -317,33 +333,6 @@ func (d *DFG) InScratch(s graph.NodeSet, sc *IOScratch) int {
 		}
 	}
 	return in
-}
-
-// OutScratch is Out with sc's member buffer in place of a fresh slice.
-func (d *DFG) OutScratch(s graph.NodeSet, sc *IOScratch) int {
-	sc.members = s.AppendValues(sc.members[:0])
-	return d.out(s, sc.members)
-}
-
-// out counts the members of s whose value escapes s.
-func (d *DFG) out(s graph.NodeSet, members []int) int {
-	out := 0
-	for _, id := range members {
-		n := d.Nodes[id]
-		escapes := n.LiveOut
-		if !escapes {
-			for _, succ := range n.DataSuccs {
-				if !s.Contains(succ) {
-					escapes = true
-					break
-				}
-			}
-		}
-		if escapes {
-			out++
-		}
-	}
-	return out
 }
 
 // closure returns G's closure, building it on first use.
@@ -402,7 +391,7 @@ func (d *DFG) AncestorsIn(v int, s graph.NodeSet) graph.NodeSet {
 // Reaches reports whether any node of from has a path to any node of to.
 func (d *DFG) Reaches(from, to graph.NodeSet) bool {
 	c := d.closure()
-	for _, v := range from.Values() {
+	for v := from.Next(0); v >= 0; v = from.Next(v + 1) {
 		if c.Reaches(v, to) {
 			return true
 		}
@@ -427,7 +416,7 @@ func (d *DFG) Interlocked(a, b graph.NodeSet) bool {
 
 // AllEligible reports whether every node of S may join an ISE.
 func (d *DFG) AllEligible(s graph.NodeSet) bool {
-	for _, id := range s.Values() {
+	for id := s.Next(0); id >= 0; id = s.Next(id + 1) {
 		if !d.Nodes[id].ISEEligible() {
 			return false
 		}

@@ -112,6 +112,21 @@ func (s *Suite) Truncated() int {
 	return n
 }
 
+// Rounds returns the exploration rounds algo's pools built so far ran, and
+// how many of them the iteration cap ended before P_END (flow.Pool.Rounds
+// and CappedRounds), summed over the pools.
+func (s *Suite) Rounds(algo flow.Algorithm) (rounds, capped int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for k, p := range s.pools {
+		if k.algo == algo {
+			rounds += p.Rounds
+			capped += p.CappedRounds
+		}
+	}
+	return rounds, capped
+}
+
 // ConfigLabel renders the paper's X-axis label, e.g. "MI(4/2, 2IS, O3)".
 func ConfigLabel(algo flow.Algorithm, cfg machine.Config, opt string) string {
 	return fmt.Sprintf("%s(%d/%d, %dIS, %s)", algo, cfg.ReadPorts, cfg.WritePorts, cfg.IssueWidth, opt)

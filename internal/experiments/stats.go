@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/bench"
-	"repro/internal/dfg"
 )
 
 // BenchStat summarizes one workload — the "benchmark characteristics" table
@@ -33,12 +32,15 @@ func CollectBenchStats() ([]BenchStat, error) {
 			if err != nil {
 				return nil, err
 			}
-			prof, err := bm.Run()
+			prof, err := bm.Profile()
 			if err != nil {
 				return nil, err
 			}
-			hot := prof.HotBlocks(bm.Prog, 1)
-			d := dfg.BuildAll(bm.Prog, hot, prof.BlockCounts)[0]
+			hot, err := bm.HotDFGs(1)
+			if err != nil {
+				return nil, err
+			}
+			d := hot[0]
 			eligible := 0
 			for _, n := range d.Nodes {
 				if n.ISEEligible() {

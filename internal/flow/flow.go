@@ -56,6 +56,8 @@ type Pool struct {
 	Algorithm Algorithm
 
 	// DFGs covers every executed basic block, indexed as in the program.
+	// The map is the pool's own; its DFGs are the benchmark's shared,
+	// read-only ones (bench.Benchmark.DFGs).
 	DFGs map[int]*dfg.DFG
 	// Hot lists the explored block indices.
 	Hot []int
@@ -63,6 +65,11 @@ type Pool struct {
 	BaseCycles float64
 	// Groups are the merged candidate groups with gains attached.
 	Groups []merging.Group
+
+	// Rounds and CappedRounds sum the hot-block explorations' core.Result
+	// counters: the rounds run and those the iteration cap ended before
+	// P_END.
+	Rounds, CappedRounds int
 
 	// CacheHits and CacheMisses report the schedule-evaluation cache
 	// traffic of the pool's exploration and pricing stages. The counts are
@@ -123,7 +130,7 @@ func (p *Pool) blockBase(d *dfg.DFG) (int, error) {
 	if p.kern == nil {
 		p.kern = sched.NewScheduler()
 	}
-	s, err := p.kern.Schedule(d, sched.AllSoftware(d.Len()), p.Machine)
+	s, err := p.kern.Schedule(d, p.kern.AllSoftware(d.Len()), p.Machine)
 	if err != nil {
 		return 0, err
 	}
@@ -155,9 +162,12 @@ func (r *Report) Reduction() float64 {
 	return (r.BaseCycles - r.FinalCycles) / r.BaseCycles
 }
 
-// BuildPool profiles the benchmark, builds DFGs for every executed block,
+// BuildPool takes the benchmark's profile and the DFGs of its executed
+// blocks (computed once per benchmark and shared, see bench.Benchmark.DFGs),
 // explores the hottest blocks with the chosen algorithm, measures each
-// candidate's gain, and merges candidates into hardware-sharing groups.
+// candidate's gain, and merges candidates into hardware-sharing groups. The
+// pool's DFGs map is its own, but its values are the shared DFGs, which
+// nothing in the flow writes.
 func BuildPool(bm *bench.Benchmark, opts Options) (*Pool, error) {
 	//lint:ignore ctxflow compat wrapper: BuildPool predates cancellation; BuildPoolCtx is the cancellable form
 	return BuildPoolCtx(context.Background(), bm, opts)
@@ -172,17 +182,14 @@ func BuildPoolCtx(ctx context.Context, bm *bench.Benchmark, opts Options) (*Pool
 	if opts.HotBlocks <= 0 {
 		opts.HotBlocks = 3
 	}
-	prof, err := bm.Run()
+	prof, err := bm.Profile()
 	if err != nil {
 		return nil, fmt.Errorf("flow: profiling: %w", err)
 	}
-	var executed []int
-	for bi, c := range prof.BlockCounts {
-		if c > 0 {
-			executed = append(executed, bi)
-		}
+	dfgs, err := bm.DFGs()
+	if err != nil {
+		return nil, fmt.Errorf("flow: profiling: %w", err)
 	}
-	dfgs := dfg.BuildAll(bm.Prog, executed, prof.BlockCounts)
 	pool := &Pool{
 		Benchmark: bm,
 		Machine:   opts.Machine,
@@ -203,7 +210,7 @@ func BuildPoolCtx(ctx context.Context, bm *bench.Benchmark, opts Options) (*Pool
 	defer putKern(baseKern)
 	for _, bi := range sortedBlocks(pool.DFGs) {
 		d := pool.DFGs[bi]
-		s, err := baseKern.Schedule(d, sched.AllSoftware(d.Len()), opts.Machine)
+		s, err := baseKern.Schedule(d, baseKern.AllSoftware(d.Len()), opts.Machine)
 		if err != nil {
 			return nil, fmt.Errorf("flow: base schedule %s: %w", d.Name, err)
 		}
@@ -240,6 +247,7 @@ func BuildPoolCtx(ctx context.Context, bm *bench.Benchmark, opts Options) (*Pool
 		exploreScratch.Prewarm(hotDFGs...)
 	}
 	perBlock := make([][]*merging.Candidate, len(pool.Hot))
+	rounds := make([][2]int, len(pool.Hot))
 	errs := make([]error, len(pool.Hot))
 	priceKerns := make([]*sched.Scheduler, parallel.Degree(opts.Params.Workers, len(pool.Hot)))
 	for i := range priceKerns {
@@ -252,27 +260,21 @@ func BuildPoolCtx(ctx context.Context, bm *bench.Benchmark, opts Options) (*Pool
 	}()
 	cancelErr := parallel.ForEachWorkerCtx(ctx, len(pool.Hot), opts.Params.Workers, func(w, hi int) {
 		d := pool.DFGs[pool.Hot[hi]]
-		var ises []*core.ISE
+		var r *core.Result
 		var err error
 		switch opts.Algorithm {
 		case MI:
-			var r *core.Result
 			r, _, err = core.ExploreResumable(ctx, d, opts.Machine, opts.Params,
 				core.ResumeOptions{Cache: cache, Scratch: exploreScratch})
-			if r != nil {
-				ises = r.ISEs
-			}
 		case SI:
-			var r *core.Result
 			r, err = baseline.ExploreSharedCtx(ctx, d, opts.Machine, opts.Params, baselineScratch)
-			if r != nil {
-				ises = r.ISEs
-			}
 		}
 		if err != nil {
 			errs[hi] = fmt.Errorf("flow: explore %s: %w", d.Name, err)
 			return
 		}
+		ises := r.ISEs
+		rounds[hi] = [2]int{r.Rounds, r.CappedRounds}
 		gains, err := realMarginalGains(d, opts.Machine, ises, cache, priceKerns[w])
 		if err != nil {
 			errs[hi] = err
@@ -291,6 +293,8 @@ func BuildPoolCtx(ctx context.Context, bm *bench.Benchmark, opts Options) (*Pool
 			return nil, errs[hi]
 		}
 		cands = append(cands, perBlock[hi]...)
+		pool.Rounds += rounds[hi][0]
+		pool.CappedRounds += rounds[hi][1]
 	}
 	pool.CacheHits, pool.CacheMisses = cache.Stats()
 	pool.Groups = merging.Merge(cands)
@@ -306,15 +310,18 @@ func BuildPoolCtx(ctx context.Context, bm *bench.Benchmark, opts Options) (*Pool
 // marginal gain for their extra area.
 // Evaluations go through the shared schedule-evaluation cache: the MI
 // exploration has already scheduled every cumulative prefix it accepted, so
-// pricing is normally all cache hits.
+// pricing is normally all cache hits. Every assignment is built in kern's
+// AllSoftware buffer.
 func realMarginalGains(d *dfg.DFG, cfg machine.Config, ises []*core.ISE, cache *core.EvalCache, kern *sched.Scheduler) ([]float64, error) {
-	prevLen, err := cache.ScheduleWith(kern, d, sched.AllSoftware(d.Len()), cfg)
+	a := kern.AllSoftware(d.Len())
+	prevLen, err := cache.ScheduleWith(kern, d, a, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("flow: pricing %s: %w", d.Name, err)
 	}
 	gains := make([]float64, len(ises))
 	for i := range ises {
-		n, err := cache.ScheduleWith(kern, d, core.BuildAssignment(d, ises[:i+1]), cfg)
+		a = core.BuildAssignmentWith(a, d, ises[:i], ises[i])
+		n, err := cache.ScheduleWith(kern, d, a, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("flow: pricing %s: %w", d.Name, err)
 		}

@@ -233,7 +233,7 @@ func (g *Graph) IsConvex(s NodeSet) bool {
 func (g *Graph) ConvexViolators(s NodeSet) []int {
 	reachFromS := NewNodeSet(g.Len())
 	var stack []int
-	for _, u := range s.Values() {
+	for u := s.Next(0); u >= 0; u = s.Next(u + 1) {
 		for _, w := range g.succs[u] {
 			if !s.Contains(w) && !reachFromS.Contains(w) {
 				reachFromS.Add(w)
@@ -253,7 +253,7 @@ func (g *Graph) ConvexViolators(s NodeSet) []int {
 	}
 	reachToS := NewNodeSet(g.Len())
 	stack = stack[:0]
-	for _, u := range s.Values() {
+	for u := s.Next(0); u >= 0; u = s.Next(u + 1) {
 		for _, w := range g.preds[u] {
 			if !s.Contains(w) && !reachToS.Contains(w) {
 				reachToS.Add(w)
@@ -286,7 +286,7 @@ func (g *Graph) ConvexViolators(s NodeSet) []int {
 func (g *Graph) ConnectedComponents(s NodeSet) []NodeSet {
 	var comps []NodeSet
 	visited := NewNodeSet(g.Len())
-	for _, start := range s.Values() {
+	for start := s.Next(0); start >= 0; start = s.Next(start + 1) {
 		if visited.Contains(start) {
 			continue
 		}

@@ -414,3 +414,44 @@ func TestNodeSetQuickSubtractDisjoint(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestNodeSetQuickNextWalksValues: walking a set with Next visits exactly
+// Values, in order, from any start, and allocates nothing.
+func TestNodeSetQuickNextWalksValues(t *testing.T) {
+	f := func(xs []uint8, capacity uint8, from int8) bool {
+		s := NewNodeSet(int(capacity) + 1)
+		for _, x := range xs {
+			if int(x) <= int(capacity) {
+				s.Add(int(x))
+			}
+		}
+		var got []int
+		for v := s.Next(0); v >= 0; v = s.Next(v + 1) {
+			got = append(got, v)
+		}
+		if !reflect.DeepEqual(got, s.Values()) && (len(got) > 0 || s.Len() > 0) {
+			return false
+		}
+		want := -1
+		for _, v := range s.Values() {
+			if v >= int(from) {
+				want = v
+				break
+			}
+		}
+		return s.Next(int(from)) == want
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+	s := NodeSetOf(200, 3, 64, 65, 199)
+	if n := testing.AllocsPerRun(100, func() {
+		for v := s.Next(0); v >= 0; v = s.Next(v + 1) {
+		}
+	}); n != 0 {
+		t.Fatalf("Next walk allocates %v times", n)
+	}
+	if s.Next(200) != -1 || s.Next(1000) != -1 || NewNodeSet(0).Next(0) != -1 {
+		t.Fatal("Next past the capacity must report no member")
+	}
+}

@@ -73,6 +73,31 @@ func (s NodeSet) Values() []int {
 	return out
 }
 
+// Next returns the smallest member not below from, or -1 when there is
+// none. It walks the members in increasing order without allocating:
+//
+//	for v := s.Next(0); v >= 0; v = s.Next(v + 1) { ... }
+//
+//alloc:free
+func (s NodeSet) Next(from int) int {
+	if from < 0 {
+		from = 0
+	}
+	w := from / 64
+	if w >= len(s.bits) {
+		return -1
+	}
+	word := s.bits[w] & (^uint64(0) << uint(from%64))
+	for word == 0 {
+		w++
+		if w == len(s.bits) {
+			return -1
+		}
+		word = s.bits[w]
+	}
+	return w*64 + bits.TrailingZeros64(word)
+}
+
 // AppendValues appends the members in increasing order to dst and returns
 // the extended slice. It is the allocation-free counterpart of Values for
 // arena-style callers that own a reusable buffer.

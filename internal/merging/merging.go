@@ -162,13 +162,9 @@ func Merge(cands []*Candidate) []Group {
 // stops at the first embedding that qualifies. A search that runs out of
 // budget answers no and counts in b's Truncated.
 func SubgraphOf(b, a *Candidate) bool {
-	var assign sched.Assignment // built on the first embedding
 	ok := false
 	complete := match.FindEachIn(b.DFG, b.ISE.Nodes, a.DFG, a.ISE.Nodes, func(m match.Mapping) bool {
-		if assign == nil {
-			assign = core.BuildAssignment(a.DFG, []*core.ISE{a.ISE})
-		}
-		subDelay := sched.GroupDelayNS(a.DFG, m.Targets(a.DFG.Len()), assign)
+		subDelay := core.GroupDelayNS(a.DFG, m.Targets(a.DFG.Len()), a.ISE.Option)
 		ok = b.ISE.Cycles >= sched.CyclesForDelay(subDelay)
 		return !ok
 	})

@@ -39,9 +39,10 @@ func Apply(d *dfg.DFG, cfg machine.Config, selected []*merging.Candidate) (*sche
 
 // ApplyWith is Apply scheduling on kern, the caller's reusable kernel. A nil
 // kern falls back to sched.ListSchedule. With a kernel the returned Schedule
-// aliases its arena — valid until kern's next call; callers that retain it
-// must Clone. The flow's constraint sweeps call this once per block per sweep
-// point, so arena reuse across those calls is the steady-state hot path.
+// and Assignment alias its arena — valid until kern's next call; callers
+// that retain them must copy them. The flow's constraint sweeps call this
+// once per block per sweep point, so arena reuse across those calls is the
+// steady-state hot path.
 func ApplyWith(kern *sched.Scheduler, d *dfg.DFG, cfg machine.Config, selected []*merging.Candidate) (*sched.Schedule, sched.Assignment, []Instance, error) {
 	ordered := append([]*merging.Candidate(nil), selected...)
 	sort.SliceStable(ordered, func(i, j int) bool {
@@ -49,7 +50,7 @@ func ApplyWith(kern *sched.Scheduler, d *dfg.DFG, cfg machine.Config, selected [
 	})
 
 	instances := deploy(d, cfg, ordered, nil)
-	a := assignment(d, instances)
+	a := assignment(kern, d, instances)
 	s, err := schedule(kern, d, a, cfg)
 	if err != nil {
 		// Instances pairwise free of mutual dependence can still close a
@@ -59,10 +60,10 @@ func ApplyWith(kern *sched.Scheduler, d *dfg.DFG, cfg machine.Config, selected [
 		// since a set that schedules has no unschedulable subset, and only
 		// a failing block pays for the checks.
 		instances = deploy(d, cfg, ordered, func(insts []Instance) bool {
-			_, err := schedule(kern, d, assignment(d, insts), cfg)
+			_, err := schedule(kern, d, assignment(kern, d, insts), cfg)
 			return err == nil
 		})
-		a = assignment(d, instances)
+		a = assignment(kern, d, instances)
 		s, err = schedule(kern, d, a, cfg)
 	}
 	if err != nil {
@@ -108,11 +109,18 @@ func deploy(d *dfg.DFG, cfg machine.Config, ordered []*merging.Candidate, schedu
 	return instances
 }
 
-// assignment maps instance gi's nodes to hardware group gi.
-func assignment(d *dfg.DFG, instances []Instance) sched.Assignment {
-	a := sched.AllSoftware(d.Len())
+// assignment maps instance gi's nodes to hardware group gi. With a kernel
+// it fills kern's AllSoftware buffer, valid until the kernel's next
+// AllSoftware call; without one it allocates.
+func assignment(kern *sched.Scheduler, d *dfg.DFG, instances []Instance) sched.Assignment {
+	var a sched.Assignment
+	if kern != nil {
+		a = kern.AllSoftware(d.Len())
+	} else {
+		a = sched.AllSoftware(d.Len())
+	}
 	for gi, inst := range instances {
-		for _, v := range inst.Nodes.Values() {
+		for v := inst.Nodes.Next(0); v >= 0; v = inst.Nodes.Next(v + 1) {
 			a[v] = sched.NodeChoice{Kind: sched.KindHW, Opt: inst.Option[v], Group: gi}
 		}
 	}

@@ -260,7 +260,7 @@ func GroupDelayNS(d *dfg.DFG, nodes graph.NodeSet, a Assignment) float64 {
 // hardware cells.
 func GroupAreaUM2(d *dfg.DFG, nodes graph.NodeSet, a Assignment) float64 {
 	area := 0.0
-	for _, v := range nodes.Values() {
+	for v := nodes.Next(0); v >= 0; v = nodes.Next(v + 1) {
 		area += d.Nodes[v].HW[a[v].Opt].AreaUM2
 	}
 	return area

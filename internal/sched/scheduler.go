@@ -119,6 +119,10 @@ type Scheduler struct {
 	regMark  []uint32
 	markEra  uint32
 
+	// sw backs AllSoftware's assignments. arena: valid until the next
+	// AllSoftware call.
+	sw Assignment
+
 	// out is the arena-owned result; its slices and critical set are reused.
 	// arena: aliased by the returned *Schedule until the next call.
 	out Schedule
@@ -141,6 +145,21 @@ func (s *Scheduler) SetTrace(tr *obs.Tracer, tid int) {
 // NewScheduler returns a kernel with an empty arena. The arena sizes itself
 // to the first workloads it sees and stays allocation-free afterwards.
 func NewScheduler() *Scheduler { return &Scheduler{} }
+
+// AllSoftware is sched.AllSoftware(n) built in the kernel's own buffer,
+// valid until the kernel's next AllSoftware call. Schedule never retains its
+// assignment, so the buffer may be scheduled on this kernel or any other,
+// and a caller may write hardware choices into it to build an assignment.
+//
+//alloc:amortized grows the buffer only when a larger block arrives; later calls reslice it
+func (s *Scheduler) AllSoftware(n int) Assignment {
+	s.sw = arena.Grow(s.sw, n)
+	for i := range s.sw {
+		s.sw[i] = NodeChoice{Kind: KindSW, Opt: 0, Group: -1}
+	}
+	//lint:ignore arenaescape returning the arena-owned buffer is AllSoftware's documented contract: valid until the next AllSoftware call
+	return s.sw
+}
 
 // Clone returns a deep copy of the schedule whose buffers are independent of
 // any scheduler arena.
