@@ -38,7 +38,8 @@ race: lint
 # restart on adpcm/O3's hottest block, the block of every perfbench
 # fleet-jobs job), BuildPool, BuildMultiPool (a crc32/O3 +
 # adpcm/O3 suite pool and its suite-wide re-pricing), DesignPoint (one
-# perfbench flow-match design point each on crc32/O3 and adpcm/O3, MI and
+# perfbench flow-match design point each on crc32/O3 and adpcm/O3 and one
+# flow-explore design point on jpeg/O3 under the paper's parameters, MI and
 # SI: a pool build plus its 12 evaluations) and Headline (the flow), and
 # internal/core's instrumented round-loop pair
 # ExploreIter{Trace,Flight}{Off,On}, whose nil-path variants must stay at

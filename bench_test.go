@@ -607,13 +607,14 @@ func BenchmarkBuildMultiPool(b *testing.B) {
 	}
 }
 
-// BenchmarkDesignPoint measures one perfbench flow-match design point per
-// kernel, crc32/O3 and adpcm/O3 on the 2-issue 4/2 machine at ACO seed 1:
-// flow.BuildPool under core.FastParams and Pool.Evaluate at the
-// unconstrained point, the area caps of Fig. 5.2.1 and the ISE counts of
-// Fig. 5.2.2, once with MI and once with SI. Its allocations per op are the
-// per-design-point garbage; the shared profile and DFGs are built before
-// the timer starts.
+// BenchmarkDesignPoint measures one perfbench design point per case: the
+// flow-match points crc32/O3 and adpcm/O3 on the 2-issue 4/2 machine under
+// core.FastParams, and the flow-explore point jpeg/O3 on the 2-issue 6/3
+// machine under core.DefaultParams, all at ACO seed 1: flow.BuildPool and
+// Pool.Evaluate at the unconstrained point, the area caps of Fig. 5.2.1 and
+// the ISE counts of Fig. 5.2.2, once with MI and once with SI. Its
+// allocations per op are the per-design-point garbage; the shared profile
+// and DFGs are built before the timer starts.
 func BenchmarkDesignPoint(b *testing.B) {
 	points := []selection.Constraints{{}}
 	for _, a := range experiments.AreaCaps {
@@ -622,11 +623,21 @@ func BenchmarkDesignPoint(b *testing.B) {
 	for _, n := range experiments.ISECounts {
 		points = append(points, selection.Constraints{MaxISEs: n})
 	}
-	p := core.FastParams()
-	p.Seed = 1
-	for _, name := range []string{"crc32", "adpcm"} {
-		b.Run(name+"-O3", func(b *testing.B) {
-			bm, err := bench.Get(name, "O3")
+	fast := core.FastParams()
+	fast.Seed = 1
+	paper := core.DefaultParams()
+	paper.Seed = 1
+	for _, c := range []struct {
+		name    string
+		machine machine.Config
+		params  core.Params
+	}{
+		{"crc32", machine.Configs()[0], fast},
+		{"adpcm", machine.Configs()[0], fast},
+		{"jpeg", machine.Configs()[1], paper},
+	} {
+		b.Run(c.name+"-O3", func(b *testing.B) {
+			bm, err := bench.Get(c.name, "O3")
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -637,12 +648,12 @@ func BenchmarkDesignPoint(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, algo := range []flow.Algorithm{flow.MI, flow.SI} {
-					pool, err := flow.BuildPool(bm, flow.Options{Machine: machine.Configs()[0], Params: p, Algorithm: algo, HotBlocks: 3})
+					pool, err := flow.BuildPool(bm, flow.Options{Machine: c.machine, Params: c.params, Algorithm: algo, HotBlocks: 3})
 					if err != nil {
 						b.Fatal(err)
 					}
-					for _, c := range points {
-						if _, err := pool.Evaluate(c); err != nil {
+					for _, pt := range points {
+						if _, err := pool.Evaluate(pt); err != nil {
 							b.Fatal(err)
 						}
 					}

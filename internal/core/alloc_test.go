@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/aco"
 	"repro/internal/machine"
+	"repro/internal/sched"
 )
 
 // TestExploreSteadyStateAllocs pins the zero-allocation contract of the
@@ -69,5 +70,57 @@ func BenchmarkBaselineIter(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		step()
+	}
+}
+
+// TestRoundShapingAllocs pins the allocation contract of a round's end
+// (DESIGN.md §13) for both explorers, with no evaluation cache and with one:
+// once the shaper, the kernel and the cache are warm, a round that accepts
+// nothing — shaping the converged selection into candidates and evaluating
+// them — allocates nothing, and a round that accepts allocates exactly what
+// materializing the winner's ISE does. Runs under -race via `make race`.
+func TestRoundShapingAllocs(t *testing.T) {
+	d := hotBenchDFG(t, "crc32", "O3")
+	cfg := machine.New(2, 4, 2)
+	for _, cache := range []*EvalCache{nil, NewEvalCache()} {
+		mi := &explorer{}
+		mi.reset(d, cfg, DefaultParams(), aco.NewRand(1), nil, cache, sched.NewScheduler(), nil, 0)
+		mi.bind()
+		base, err := cache.ScheduleWith(mi.kern, d, mi.kern.AllSoftware(d.Len()), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkRoundAllocs(t, "MI", mi, base)
+
+		si := &siExplorer{}
+		si.reset(d, cfg, DefaultParams(), aco.NewRand(1), nil, cache, sched.NewScheduler(), nil, 0)
+		si.bind()
+		checkRoundAllocs(t, "SI", si, d.Len())
+	}
+}
+
+// checkRoundAllocs converges one round of st from fresh tables and measures
+// its end under the objective cur.
+func checkRoundAllocs(t *testing.T, label string, st step, cur int) {
+	t.Helper()
+	e := st.state()
+	e.tab.Seed(e.d, e.p.Coefs())
+	e.cs = convergeState{tetOld: 1 << 30}
+	converge(t.Context(), st)
+	// The first round end warms the shaper, the kernel and the cache.
+	i, _ := st.bestCandidate(cur)
+	if i < 0 || len(e.sh.cands) < 2 {
+		t.Fatalf("%s: the converged round shaped %d candidates and accepted index %d; the gate needs a choice among several", label, len(e.sh.cands), i)
+	}
+	if n := testing.AllocsPerRun(20, func() { st.bestCandidate(cur) }); n != 0 {
+		t.Fatalf("%s: a warm round that accepts nothing allocates %v times, want 0", label, n)
+	}
+	winner := testing.AllocsPerRun(20, func() { e.sh.materialize(i) })
+	accept := testing.AllocsPerRun(20, func() {
+		j, _ := st.bestCandidate(cur)
+		e.sh.materialize(j)
+	})
+	if accept != winner {
+		t.Fatalf("%s: a warm round that accepts allocates %v times, its winner's ISE %v", label, accept, winner)
 	}
 }

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/aco"
 	"repro/internal/dfg"
-	"repro/internal/graph"
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -211,10 +210,9 @@ func exploreResumable(ctx context.Context, d *dfg.DFG, cfg machine.Config, p Par
 		scratch = NewScratch()
 	}
 	// The base schedule borrows a pooled worker's kernel and its AllSoftware
-	// buffer. It stays untraced: the kernel may still carry the tracer of
-	// the last restart it ran.
+	// buffer. It is untraced: runOnce detaches its tracer from the kernel
+	// when the restart returns.
 	bw := scratch.acquire()
-	bw.kern.SetTrace(nil, 0)
 	baseCycles, err := cache.ScheduleWith(bw.kern, d, bw.kern.AllSoftware(d.Len()), cfg)
 	scratch.release(bw)
 	if err != nil {
@@ -411,7 +409,7 @@ type runState struct {
 	cs  convergeState // the current round's convergence loop, reset each round
 
 	io         dfg.IOScratch    // IN/OUT counting without dfg.In/Out's per-call map
-	cands      []*ISE           // arena: bestCandidate's candidate list
+	sh         shaper           // the round's candidates, shaped in place (takenCandidates)
 	evalAssign sched.Assignment // arena: a candidate's assignment, valid until the next build
 }
 
@@ -453,9 +451,11 @@ type step interface {
 	construct() int
 	// update applies the trail and merit updates for the last solution.
 	update(improved bool)
-	// bestCandidate returns the ISE to accept this round under the
-	// explorer's objective cur, or nil when none qualifies.
-	bestCandidate(cur int) *candidate
+	// bestCandidate shapes the round's candidates in the run state's
+	// shaper and returns the index of the one to accept under the
+	// explorer's objective cur, with the objective after accepting it; the
+	// index is -1 when none qualifies.
+	bestCandidate(cur int) (i, objective int)
 }
 
 // runOnce performs one full exploration: rounds of ACO iterations, each
@@ -471,6 +471,9 @@ func runOnce(ctx context.Context, d *dfg.DFG, cfg machine.Config, p Params, k ki
 		tr.NameTrack(tid, fmt.Sprintf("restart %d", restart))
 	}
 	ws.kern.SetTrace(tr, tid)
+	// A pooled kernel must not keep this restart's tracer alive, or record
+	// into it, once the restart returns.
+	defer ws.kern.SetTrace(nil, 0)
 	restartSpan := tr.Begin("restart", tid).Arg("restart", int64(restart))
 	defer restartSpan.End()
 	rng, rngSrc := ws.seededRand(p.Seed + int64(restart)*k.stride)
@@ -502,7 +505,10 @@ func runOnce(ctx context.Context, d *dfg.DFG, cfg machine.Config, p Params, k ki
 		if e.tab.Seed(d, p.Coefs()) {
 			obsExploreArenaGrows.Inc()
 		}
-		e.cs = convergeState{tetOld: 1 << 30}
+		// The previous-order buffer keeps its backing array across rounds.
+		// It is empty until the round's first update, so ρ5's moved-earlier
+		// gate is off on the round's first iteration.
+		e.cs = convergeState{tetOld: 1 << 30, prevOrder: e.cs.prevOrder[:0]}
 		cs := &e.cs
 		if resume != nil && round == startRound && resume.Iter > 0 {
 			// Mid-round checkpoint: overwrite the fresh tables with the
@@ -518,7 +524,7 @@ func runOnce(ctx context.Context, d *dfg.DFG, cfg machine.Config, p Params, k ki
 			}
 			cs.iter = resume.Iter
 			cs.tetOld = resume.TetOld
-			cs.prevOrder = append([]int(nil), resume.PrevOrder...)
+			cs.prevOrder = append(cs.prevOrder, resume.PrevOrder...)
 		}
 		before := cs.iter
 		end := converge(ctx, st)
@@ -532,18 +538,19 @@ func runOnce(ctx context.Context, d *dfg.DFG, cfg machine.Config, p Params, k ki
 			res.CappedRounds++
 		}
 
-		cand := st.bestCandidate(cur)
+		i, next := st.bestCandidate(cur)
 		roundSpan.Arg("iters", int64(cs.iter)).End()
-		if cand != nil {
-			cand.ise.SavingCycles = cur - cand.cycles
-			e.fix(cand.ise)
-			cur = cand.cycles
+		if i >= 0 {
+			ise := e.sh.materialize(i)
+			ise.SavingCycles = cur - next
+			e.fix(ise)
+			cur = next
 		}
 		// Convergence sample: the objective after this round and the
 		// accepted-ISE count. Pure function of the exploration inputs, so a
 		// resumed run re-records identical samples for replayed rounds.
 		fl.Record(obs.FlightRound, restart, round, float64(cur), float64(len(e.fixed)))
-		if cand == nil {
+		if i < 0 {
 			break
 		}
 	}
@@ -551,7 +558,7 @@ func runOnce(ctx context.Context, d *dfg.DFG, cfg machine.Config, p Params, k ki
 	// The final schedule's assignment is arena scratch: only the restart
 	// exploreResumable keeps gets a Result.Assignment of its own.
 	res.ISEs = append(res.ISEs, e.fixed...)
-	e.evalAssign = BuildAssignmentWith(e.evalAssign, d, res.ISEs, nil)
+	e.evalAssign = BuildAssignmentWith(e.evalAssign, d, res.ISEs)
 	final, err := cache.ScheduleWith(ws.kern, d, e.evalAssign, cfg)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: final schedule of %s: %w", d.Name, err)
@@ -634,8 +641,9 @@ func (e *explorer) initPriority() {
 // convergeState is the inter-iteration state of one round's convergence
 // loop, held in the run state so an interrupted round checkpoints exactly
 // where it stopped: the best execution time seen (tetOld), the previous
-// iteration's scheduling order (MI's Rho5 moved-earlier signal; SI keeps
-// none), and the number of iterations performed so far this round.
+// iteration's scheduling order (MI's Rho5 moved-earlier signal, read from
+// the round's second iteration on; SI keeps none), and the number of
+// iterations performed so far this round.
 type convergeState struct {
 	tetOld    int
 	prevOrder []int
@@ -705,54 +713,66 @@ func (s *runState) convergedNow() bool {
 	return true
 }
 
-type candidate struct {
-	ise    *ISE
-	cycles int
-}
-
 // takenCandidates shapes the converged selection — the free eligible nodes
-// whose taken option is hardware — into ISE candidates (connected
-// components, made convex and port-feasible) in the cands arena.
+// whose taken option is hardware — into ISE candidates in the shaper's
+// arena (connected components, made convex and port-feasible).
+//
+//alloc:free
 func (s *runState) takenCandidates() {
 	d := s.d
-	taken := graph.NewNodeSet(d.Len())
-	optOf := map[int]int{}
+	sh := &s.sh
+	sh.taken.Reset(d.Len())
+	sh.optOf = grow(sh.optOf, d.Len())
 	for x := 0; x < d.Len(); x++ {
 		if s.fixedGroupOf[x] >= 0 || !d.Nodes[x].ISEEligible() {
 			continue
 		}
 		if o := s.tab.Taken(x); s.isHWOption(x, o) {
-			taken.Add(x)
-			optOf[x] = o - s.tab.NumSW[x]
+			sh.taken.Add(x)
+			sh.optOf[x] = o - s.tab.NumSW[x]
 		}
 	}
-	s.cands = Candidates(s.cands[:0], d, taken, optOf, s.cfg, s.p.MaxISECycles, &s.io)
+	sh.shape(d, s.cfg, s.p.MaxISECycles, &s.io)
+}
+
+// candidateAssignment builds, in the evalAssign arena, the assignment of
+// the accepted ISEs plus candidate i as the last group. It is valid until
+// the next build.
+func (s *runState) candidateAssignment(i int) sched.Assignment {
+	a := BuildAssignmentWith(s.evalAssign, s.d, s.fixed)
+	c := &s.sh.cands[i]
+	for v := c.nodes.Next(0); v >= 0; v = c.nodes.Next(v + 1) {
+		a[v] = sched.NodeChoice{Kind: sched.KindHW, Opt: s.sh.optOf[v], Group: len(s.fixed)}
+	}
+	s.evalAssign = a
+	return a
 }
 
 // bestCandidate evaluates each candidate of the converged selection by
 // rescheduling the DFG with the already-accepted ISEs plus the candidate,
-// and returns the one with the shortest schedule (area breaks ties).
-// Candidates that would lengthen the schedule are invalid; equal-length
-// candidates remain acceptable so later selection stages can still harvest
-// their cross-block reuse.
-func (e *explorer) bestCandidate(curLen int) *candidate {
+// and returns the one with the shortest schedule (area breaks ties, then
+// the earlier candidate) with that length. Candidates that would lengthen
+// the schedule are invalid; equal-length candidates remain acceptable so
+// later selection stages can still harvest their cross-block reuse.
+func (e *explorer) bestCandidate(curLen int) (int, int) {
 	e.takenCandidates()
-	var best *candidate
-	for _, ise := range e.cands {
-		cyc, err := e.evaluate(ise)
+	cands := e.sh.cands
+	best, bestLen := -1, 0
+	for i := range cands {
+		cyc, err := e.evaluate(i)
 		if err != nil || cyc > curLen {
 			continue
 		}
-		if best == nil || cyc < best.cycles ||
-			(cyc == best.cycles && ise.AreaUM2 < best.ise.AreaUM2) {
-			best = &candidate{ise: ise, cycles: cyc}
+		if best < 0 || cyc < bestLen ||
+			(cyc == bestLen && cands[i].areaUM2 < cands[best].areaUM2) {
+			best, bestLen = i, cyc
 		}
 	}
-	return best
+	return best, bestLen
 }
 
-// evaluate schedules the DFG with the accepted ISEs plus cand and returns
-// the resulting length. Evaluations go through the memo cache: across
+// evaluate schedules the DFG with the accepted ISEs plus candidate i and
+// returns the resulting length. Evaluations go through the memo cache: across
 // iterations and restarts the same accepted-prefix-plus-candidate
 // assignment recurs constantly, and the canonical key makes those replays
 // free. Misses run on the explorer's own kernel, whose arena and
@@ -760,10 +780,9 @@ func (e *explorer) bestCandidate(curLen int) *candidate {
 // evaluations of one round cheap: every candidate shares the kernel's
 // previous call's leading groups (the accepted ISEs), so only the candidate
 // group is validated and measured from scratch.
-func (e *explorer) evaluate(cand *ISE) (int, error) {
-	sp := e.tr.Begin("evaluate", e.tid).Arg("nodes", int64(cand.Nodes.Len()))
-	e.evalAssign = BuildAssignmentWith(e.evalAssign, e.d, e.fixed, cand)
-	n, err := e.cache.ScheduleWith(e.kern, e.d, e.evalAssign, e.cfg)
+func (e *explorer) evaluate(i int) (int, error) {
+	sp := e.tr.Begin("evaluate", e.tid).Arg("nodes", int64(e.sh.cands[i].nodes.Len()))
+	n, err := e.cache.ScheduleWith(e.kern, e.d, e.candidateAssignment(i), e.cfg)
 	sp.Arg("cycles", int64(n)).End()
 	return n, err
 }

@@ -4,13 +4,14 @@ import "repro/internal/graph"
 
 // trailUpdate applies Fig. 4.3.5 (aco.Tables.UpdateTrail) to every free
 // node; an operation whose execution order moved earlier than in the
-// previous iteration also pays ρ5 after a worsening iteration.
+// previous iteration also pays ρ5 after a worsening iteration. prevOrder is
+// empty on a round's first iteration, which has no previous order.
 //
 //alloc:free
 func (e *explorer) trailUpdate(res *walkResult, improved bool, prevOrder []int) {
 	for x := 0; x < e.d.Len(); x++ {
 		if e.fixedGroupOf[x] < 0 {
-			e.tab.UpdateTrail(x, res.chosen[x], improved, prevOrder != nil && res.orderPos[x] < prevOrder[x])
+			e.tab.UpdateTrail(x, res.chosen[x], improved, len(prevOrder) > 0 && res.orderPos[x] < prevOrder[x])
 		}
 	}
 }

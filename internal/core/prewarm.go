@@ -73,6 +73,7 @@ func (e *explorer) presize(b arenaBounds) {
 	e.asap = grow(e.asap, n)
 	e.tail = grow(e.tail, n)
 	e.solo = grow(e.solo, n)
+	e.sh.presize(n)
 	e.meter.presize(n, b.edges, b.row)
 	// At most n components, each a set over n nodes.
 	e.reserveComps(n)

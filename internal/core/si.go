@@ -271,41 +271,46 @@ func (e *siExplorer) ungroupedVS(x int) {
 
 // bestCandidate returns the candidate of the converged selection with the
 // best *serial* gain — the single-issue objective — with the resulting
-// serial cycle count. A part that the kernel rejects together with the
-// accepted ISEs is skipped: each part is convex on its own, but with the
+// serial cycle count. A candidate that the kernel rejects together with the
+// accepted ISEs is skipped: each is convex on its own, but with the
 // accepted groups it can still close a dependence cycle in the contracted
 // graph, and the final schedule would fail. Only the winner is checked, and
 // the next best is taken when it is rejected, so a round whose winner is
 // accepted schedules once.
-func (e *siExplorer) bestCandidate(curSerial int) *candidate {
+func (e *siExplorer) bestCandidate(curSerial int) (int, int) {
 	e.takenCandidates()
-	parts := e.cands
 	for {
-		i, serial := bestSerialPart(parts, curSerial)
+		i, serial := bestSerialPart(e.sh.cands, curSerial)
 		if i < 0 {
-			return nil
+			return -1, 0
 		}
-		e.evalAssign = BuildAssignmentWith(e.evalAssign, e.d, e.fixed, parts[i])
-		if _, err := e.kern.Schedule(e.d, e.evalAssign, e.cfg); err == nil {
-			return &candidate{ise: parts[i], cycles: serial}
+		if _, err := e.kern.Schedule(e.d, e.candidateAssignment(i), e.cfg); err == nil {
+			return i, serial
 		}
-		parts = append(parts[:i], parts[i+1:]...)
+		e.sh.cands[i].rejected = true
 	}
 }
 
-// bestSerialPart returns the index of the part with the lowest serial cycle
-// count that does not exceed curSerial, ties broken by smaller area and then
-// by position, with that count; the index is -1 when no part qualifies.
-func bestSerialPart(parts []*ISE, curSerial int) (int, int) {
+// bestSerialPart returns the index of the candidate not yet rejected with
+// the lowest serial cycle count that does not exceed curSerial, ties broken
+// by smaller area and then by position, with that count; the index is -1
+// when none qualifies.
+//
+//alloc:free
+func bestSerialPart(cands []candidate, curSerial int) (int, int) {
 	best, bestSerial := -1, curSerial
-	for i, ise := range parts {
+	for i := range cands {
+		c := &cands[i]
+		if c.rejected {
+			continue
+		}
 		// Serial gain: members leave the 1-cycle stream, ISE joins.
-		serial := curSerial - ise.Nodes.Len() + ise.Cycles
+		serial := curSerial - c.nodes.Len() + c.cycles
 		if serial > curSerial {
 			continue
 		}
 		if best < 0 || serial < bestSerial ||
-			(serial == bestSerial && ise.AreaUM2 < parts[best].AreaUM2) {
+			(serial == bestSerial && c.areaUM2 < cands[best].areaUM2) {
 			best, bestSerial = i, serial
 		}
 	}

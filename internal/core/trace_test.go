@@ -63,3 +63,30 @@ func TestTracingDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestRestartDetachesTracer: a restart detaches its tracer from the pooled
+// kernel when it returns, so a later untraced exploration on the same
+// Scratch records nothing into the earlier one's tracer — its base
+// schedule included, which runs on a pooled kernel outside any restart.
+func TestRestartDetachesTracer(t *testing.T) {
+	d := hotBenchDFG(t, "crc32", "O3")
+	cfg := machine.New(2, 4, 2)
+	p := FastParams()
+	p.Restarts = 2
+	p.Workers = 1
+	scr := NewScratch()
+	tr := obs.NewTracer()
+	if _, _, err := ExploreResumable(context.Background(), d, cfg, p, ResumeOptions{Trace: tr, Scratch: scr}); err != nil {
+		t.Fatal(err)
+	}
+	spans := tr.Len()
+	if spans == 0 {
+		t.Fatal("traced exploration recorded no spans")
+	}
+	if _, _, err := ExploreResumable(context.Background(), d, cfg, p, ResumeOptions{Scratch: scr}); err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.Len(); got != spans {
+		t.Fatalf("untraced exploration on the same scratch recorded %d spans into the earlier tracer", got-spans)
+	}
+}

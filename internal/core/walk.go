@@ -2,6 +2,7 @@ package core
 
 import (
 	"repro/internal/aco"
+	"repro/internal/arena"
 	"repro/internal/dfg"
 	"repro/internal/graph"
 	"repro/internal/prog"
@@ -96,8 +97,8 @@ func (e *explorer) construct() int { return e.walk().tet }
 
 // update applies Fig. 4.3.5 and Fig. 4.3.7 to the last walk and keeps its
 // scheduling order for the next iteration's ρ5 test. The walk's orderPos is
-// its arena, so it is copied into the round-local buffer (nil only before
-// the first iteration — the trailUpdate moved-earlier gate keys on that).
+// its arena, so it is copied into the round's buffer (empty only before the
+// round's first update — the trailUpdate moved-earlier gate keys on that).
 //
 //alloc:free
 func (e *explorer) update(improved bool) {
@@ -253,14 +254,9 @@ func (e *explorer) ensureUnits() {
 // appendGroup opens a fresh group slot in res.groups, reusing the pooled
 // member-set backing of a previously truncated slot when one is available.
 func (e *explorer) appendGroup(res *walkResult) *walkGroup {
-	gi := len(res.groups)
-	if gi < cap(res.groups) {
-		res.groups = res.groups[:gi+1]
-	} else {
-		res.groups = append(res.groups, walkGroup{})
-	}
-	g := &res.groups[gi]
-	g.index = gi
+	var g *walkGroup
+	res.groups, g = arena.Push(res.groups)
+	g.index = len(res.groups) - 1
 	g.nodes.Reset(e.d.Len())
 	g.first = -1
 	g.cycle, g.lat, g.portUse, g.delayNS = 0, 0, portUse{}, 0

@@ -62,7 +62,7 @@ func connectedSubset(r *rand.Rand, d *dfg.DFG, k int) graph.NodeSet {
 
 // TestClosureMatchesTraversal pins every closure-backed query of a DFG to
 // the traversal it replaces: IsConvex and ConvexViolator to graph.IsConvex
-// and graph.ConvexViolators, AncestorsIn to ReachingTo, ReachesFromNode,
+// and graph.ConvexViolators, AncestorsInto to ReachingTo, ReachesFromNode,
 // Reaches and Interlocked to ReachableFrom, and Topo/TopoPos to
 // G.TopoOrder. Connected subsets are mostly convex with internal paths, so a
 // closure that forgot to mask out S's own members fails them; random
@@ -71,6 +71,7 @@ func connectedSubset(r *rand.Rand, d *dfg.DFG, k int) graph.NodeSet {
 func TestClosureMatchesTraversal(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	convex, nonConvex := 0, 0
+	var above graph.NodeSet // reused across queries and DFGs
 	for _, d := range closureCorpus(t) {
 		n := d.Len()
 		want, err := d.G.TopoOrder()
@@ -121,8 +122,11 @@ func TestClosureMatchesTraversal(t *testing.T) {
 				convex++
 			} else {
 				nonConvex++
-				if got, want := d.AncestorsIn(wantV, s), d.G.ReachingTo(wantV).Intersect(s); !got.Equal(want) {
-					t.Fatalf("%s: AncestorsIn(%d, %v) = %v, want %v", d.Name, wantV, s, got, want)
+				// above keeps the previous answer's bits: AncestorsInto
+				// must overwrite them.
+				d.AncestorsInto(&above, wantV, s)
+				if want := d.G.ReachingTo(wantV).Intersect(s); !above.Equal(want) {
+					t.Fatalf("%s: AncestorsInto(%d, %v) = %v, want %v", d.Name, wantV, s, above, want)
 				}
 			}
 		}
@@ -168,7 +172,7 @@ func TestClosureRejectsOutOfRangeMembers(t *testing.T) {
 			"IsConvex":        func() { d.IsConvex(s) },
 			"ConvexViolator":  func() { d.ConvexViolator(s) },
 			"ReachesFromNode": func() { d.ReachesFromNode(id, s) },
-			"AncestorsIn":     func() { d.AncestorsIn(id, s) },
+			"AncestorsInto":   func() { d.AncestorsInto(new(graph.NodeSet), id, s) },
 		} {
 			func() {
 				defer func() {

@@ -383,9 +383,10 @@ func (d *DFG) IsConvex(s graph.NodeSet) bool { return d.closure().Violator(s) < 
 // convex.
 func (d *DFG) ConvexViolator(s graph.NodeSet) int { return d.closure().Violator(s) }
 
-// AncestorsIn returns the members of S that have a path to node v.
-func (d *DFG) AncestorsIn(v int, s graph.NodeSet) graph.NodeSet {
-	return d.closure().AncestorsIn(v, s)
+// AncestorsInto sets dst to the members of S that have a path to node v,
+// reusing dst's bitmap when it is large enough.
+func (d *DFG) AncestorsInto(dst *graph.NodeSet, v int, s graph.NodeSet) {
+	d.closure().AncestorsInto(dst, v, s)
 }
 
 // Reaches reports whether any node of from has a path to any node of to.

@@ -320,7 +320,7 @@ func realMarginalGains(d *dfg.DFG, cfg machine.Config, ises []*core.ISE, cache *
 	}
 	gains := make([]float64, len(ises))
 	for i := range ises {
-		a = core.BuildAssignmentWith(a, d, ises[:i], ises[i])
+		a = core.BuildAssignmentWith(a, d, ises[:i+1])
 		n, err := cache.ScheduleWith(kern, d, a, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("flow: pricing %s: %w", d.Name, err)

@@ -132,17 +132,17 @@ func (c *Closure) Reaches(v int, to NodeSet) bool {
 	return false
 }
 
-// AncestorsIn returns the members of s that have a path to node v.
-func (c *Closure) AncestorsIn(v int, s NodeSet) NodeSet {
+// AncestorsInto sets dst to the members of s that have a path to node v,
+// reusing dst's bitmap when it is large enough.
+func (c *Closure) AncestorsInto(dst *NodeSet, v int, s NodeSet) {
 	if v < 0 || v >= c.n {
 		panic(fmt.Sprintf("graph: node %d out of range [0,%d)", v, c.n))
 	}
-	out := NewNodeSet(c.n)
+	dst.Reset(c.n)
 	for w, word := range c.anc(v) {
 		if w < len(s.bits) {
-			out.bits[w] = word & s.bits[w]
+			dst.bits[w] = word & s.bits[w]
 		}
 	}
-	out.recount()
-	return out
+	dst.recount()
 }

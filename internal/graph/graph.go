@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+
+	"repro/internal/arena"
 )
 
 // Graph is a directed graph over dense integer node IDs.
@@ -280,38 +282,54 @@ func (g *Graph) ConvexViolators(s NodeSet) []int {
 	return out
 }
 
-// ConnectedComponents partitions the subset s into weakly connected
-// components (treating edges as undirected, restricted to s). Components are
-// returned in order of their smallest member.
-func (g *Graph) ConnectedComponents(s NodeSet) []NodeSet {
-	var comps []NodeSet
-	visited := NewNodeSet(g.Len())
+// Components is the arena form of the weakly connected component split of
+// a node subset: its pooled member sets, visited marks and DFS stack are
+// reused by every Split, so a warm Components allocates nothing. A zero
+// Components is ready to use; it must not be shared between goroutines.
+type Components struct {
+	sets    []NodeSet // arena: the last Split's components, pooled beyond its length
+	visited NodeSet   // arena: members already placed in a component
+	stack   []int     // arena: the DFS stack
+}
+
+// Split partitions the subset s into weakly connected components (edges
+// treated as undirected, restricted to s), in order of their smallest
+// member. The returned sets are c's own and are valid until c's next Split.
+//
+//alloc:amortized grows the pooled sets, marks and stack only while they warm up to the graph; later splits reuse them
+func (c *Components) Split(g *Graph, s NodeSet) []NodeSet {
+	n := g.Len()
+	c.visited.Reset(n)
+	comps := c.sets[:0]
+	stack := c.stack[:0]
 	for start := s.Next(0); start >= 0; start = s.Next(start + 1) {
-		if visited.Contains(start) {
+		if c.visited.Contains(start) {
 			continue
 		}
-		comp := NewNodeSet(g.Len())
-		stack := []int{start}
-		visited.Add(start)
+		var comp *NodeSet
+		comps, comp = arena.Push(comps)
+		comp.Reset(n)
+		stack = append(stack, start)
+		c.visited.Add(start)
 		for len(stack) > 0 {
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			comp.Add(v)
 			for _, w := range g.succs[v] {
-				if s.Contains(w) && !visited.Contains(w) {
-					visited.Add(w)
+				if s.Contains(w) && !c.visited.Contains(w) {
+					c.visited.Add(w)
 					stack = append(stack, w)
 				}
 			}
 			for _, w := range g.preds[v] {
-				if s.Contains(w) && !visited.Contains(w) {
-					visited.Add(w)
+				if s.Contains(w) && !c.visited.Contains(w) {
+					c.visited.Add(w)
 					stack = append(stack, w)
 				}
 			}
 		}
-		comps = append(comps, comp)
 	}
+	c.sets, c.stack = comps, stack
 	return comps
 }
 

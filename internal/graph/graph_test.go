@@ -178,16 +178,87 @@ func TestConvexViolatorsIdentifiesMiddle(t *testing.T) {
 
 func TestConnectedComponents(t *testing.T) {
 	g := diamond()
+	var c Components
 	// {1,2} are not connected to each other inside the subset (their only
 	// connections run through 0 and 3, which are outside).
-	comps := g.ConnectedComponents(NodeSetOf(4, 1, 2))
+	comps := c.Split(g, NodeSetOf(4, 1, 2))
 	if len(comps) != 2 {
 		t.Fatalf("got %d components, want 2", len(comps))
 	}
 	// {0,1,3} is a single weak component.
-	comps = g.ConnectedComponents(NodeSetOf(4, 0, 1, 3))
+	comps = c.Split(g, NodeSetOf(4, 0, 1, 3))
 	if len(comps) != 1 || comps[0].Len() != 3 {
 		t.Fatalf("got %v, want one 3-node component", comps)
+	}
+}
+
+// connectedComponentsReference is the allocating component split
+// Components.Split replaced: fresh sets, marks and stack per call.
+func connectedComponentsReference(g *Graph, s NodeSet) []NodeSet {
+	var comps []NodeSet
+	visited := NewNodeSet(g.Len())
+	for start := s.Next(0); start >= 0; start = s.Next(start + 1) {
+		if visited.Contains(start) {
+			continue
+		}
+		comp := NewNodeSet(g.Len())
+		stack := []int{start}
+		visited.Add(start)
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			comp.Add(v)
+			for _, w := range g.succs[v] {
+				if s.Contains(w) && !visited.Contains(w) {
+					visited.Add(w)
+					stack = append(stack, w)
+				}
+			}
+			for _, w := range g.preds[v] {
+				if s.Contains(w) && !visited.Contains(w) {
+					visited.Add(w)
+					stack = append(stack, w)
+				}
+			}
+		}
+		comps = append(comps, comp)
+	}
+	return comps
+}
+
+// TestComponentsMatchReference: one Components reused across random DAGs
+// of varying size and random subsets splits every subset into the
+// reference's components in the reference's order, and a warm split
+// allocates nothing.
+func TestComponentsMatchReference(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	var c Components
+	for trial := 0; trial < 300; trial++ {
+		g := randomDAG(r, 1+r.Intn(150))
+		s := NewNodeSet(g.Len())
+		for v := 0; v < g.Len(); v++ {
+			if r.Intn(3) > 0 {
+				s.Add(v)
+			}
+		}
+		got, want := c.Split(g, s), connectedComponentsReference(g, s)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d components, reference %d", trial, len(got), len(want))
+		}
+		for i := range want {
+			if !got[i].Equal(want[i]) {
+				t.Fatalf("trial %d: component %d = %v, reference %v", trial, i, got[i], want[i])
+			}
+		}
+	}
+	g := randomDAG(r, 120)
+	s := NewNodeSet(g.Len())
+	for v := 0; v < g.Len(); v += 2 {
+		s.Add(v)
+	}
+	c.Split(g, s)
+	if n := testing.AllocsPerRun(100, func() { c.Split(g, s) }); n != 0 {
+		t.Fatalf("warm Split allocates %v times", n)
 	}
 }
 
@@ -392,6 +463,31 @@ func TestNodeSetQuickUnionWith(t *testing.T) {
 		}
 		want := a.Union(b)
 		a.UnionWith(b)
+		return a.Equal(want) && a.Len() == len(want.Values())
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestNodeSetQuickInPlace: SubtractWith has Subtract's members and count,
+// and CopyFrom into a set holding other members yields an equal set.
+func TestNodeSetQuickInPlace(t *testing.T) {
+	f := func(xs, ys []uint8) bool {
+		a, b := NewNodeSet(256), NewNodeSet(256)
+		for _, x := range xs {
+			a.Add(int(x))
+		}
+		for _, y := range ys {
+			b.Add(int(y))
+		}
+		want := a.Subtract(b)
+		c := b.Clone()
+		c.CopyFrom(a)
+		if !c.Equal(a) || c.Len() != a.Len() {
+			return false
+		}
+		a.SubtractWith(b)
 		return a.Equal(want) && a.Len() == len(want.Values())
 	}
 	if err := quick.Check(f, nil); err != nil {

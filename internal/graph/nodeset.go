@@ -130,6 +130,21 @@ func (s *NodeSet) Reset(capacity int) {
 	s.n = 0
 }
 
+// CopyFrom makes s an independent copy of t, reusing s's backing array
+// when it is large enough: the allocation-free counterpart of Clone for
+// arena-style reuse.
+//
+//alloc:amortized grows the backing bitmap only when a larger set arrives; later copies reuse it
+func (s *NodeSet) CopyFrom(t NodeSet) {
+	if cap(s.bits) < len(t.bits) {
+		s.bits = make([]uint64, len(t.bits))
+	} else {
+		s.bits = s.bits[:len(t.bits)]
+	}
+	copy(s.bits, t.bits)
+	s.n = t.n
+}
+
 // Intersects reports whether s and t share at least one member, without
 // allocating (unlike Intersect, which clones).
 func (s NodeSet) Intersects(t NodeSet) bool {
@@ -168,6 +183,15 @@ func (s NodeSet) Union(t NodeSet) NodeSet {
 func (s *NodeSet) UnionWith(t NodeSet) {
 	for w, word := range t.bits {
 		s.bits[w] |= word
+	}
+	s.recount()
+}
+
+// SubtractWith removes every member of t from s in place, a word-wise
+// AND NOT: the allocation-free counterpart of Subtract.
+func (s *NodeSet) SubtractWith(t NodeSet) {
+	for w := 0; w < len(s.bits) && w < len(t.bits); w++ {
+		s.bits[w] &^= t.bits[w]
 	}
 	s.recount()
 }

@@ -20,7 +20,8 @@ import (
 // loops rarely contain more instances.
 const maxMatchesPerISE = 64
 
-// Instance is one deployed ISE occurrence inside a DFG.
+// Instance is one deployed ISE occurrence inside a DFG. Nodes and Option
+// are read-only: the candidate's own instance shares both with Cand.ISE.
 type Instance struct {
 	Cand   *merging.Candidate
 	Nodes  graph.NodeSet
@@ -146,16 +147,12 @@ func legalInstance(d *dfg.DFG, cfg machine.Config, nodes, used graph.NodeSet) bo
 }
 
 // ownInstance deploys the exploration-proved occurrence of cand in its own
-// source DFG.
+// source DFG. The instance shares cand's node set and option map.
 func ownInstance(d *dfg.DFG, cfg machine.Config, cand *merging.Candidate, used graph.NodeSet) (Instance, bool) {
 	if !legalInstance(d, cfg, cand.ISE.Nodes, used) {
 		return Instance{}, false
 	}
-	opt := make(map[int]int, len(cand.ISE.Option))
-	for k, v := range cand.ISE.Option {
-		opt[k] = v
-	}
-	return Instance{Cand: cand, Nodes: cand.ISE.Nodes, Option: opt}, true
+	return Instance{Cand: cand, Nodes: cand.ISE.Nodes, Option: cand.ISE.Option}, true
 }
 
 // crossMatches finds additional legal, non-overlapping occurrences of cand's
