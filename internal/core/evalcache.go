@@ -110,8 +110,8 @@ func (c *EvalCache) Schedule(d *dfg.DFG, a sched.Assignment, cfg machine.Config)
 }
 
 // ScheduleWith is Schedule evaluating misses on kern, the caller's reusable
-// scheduling kernel, so the miss path inherits the kernel's arena reuse and
-// prefix-delta optimizations. A nil kern falls back to a pooled kernel.
+// scheduling kernel, so the miss path inherits the kernel's arena reuse. A
+// nil kern falls back to a pooled kernel.
 func (c *EvalCache) ScheduleWith(kern *sched.Scheduler, d *dfg.DFG, a sched.Assignment, cfg machine.Config) (int, error) {
 	if c == nil {
 		return scheduleLen(kern, d, a, cfg)

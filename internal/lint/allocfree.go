@@ -7,7 +7,7 @@ import (
 )
 
 // AllocFree statically re-proves the zero-allocation contracts that
-// TestSchedulerDeltaSteadyStateAllocs and TestExploreSteadyStateAllocs pin at
+// TestSchedulerSteadyStateAllocs and TestExploreSteadyStateAllocs pin at
 // runtime (DESIGN.md §10/§13). A function annotated
 //
 //	//alloc:free <note>

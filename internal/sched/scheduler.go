@@ -25,30 +25,11 @@ import (
 // between goroutines; the parallel stages hand one to each worker
 // (parallel.ForEachWorkerCtx).
 //
-// Across consecutive calls the kernel also reuses the contraction prologue
-// incrementally: when the same DFG and machine are scheduled under an
-// assignment whose leading ISE groups are identical to the previous
-// (successful) call's — the exploration's accepted-prefix-plus-one-candidate
-// pattern — the prefix groups' eligibility, convexity and mutual-dependence
-// checks and their latency/port metrics are reused instead of recomputed.
-// Only the candidate group is validated and measured from scratch. Reuse is
-// keyed on group membership and option choices, never on group numbering, and
-// is dropped entirely after an error, so a failed call can never poison the
-// next one.
-//
-// The same baseline drives delta-scheduling (see delta.go): the cycle loop
-// resumes at the first cycle the previous successful schedule can differ at,
-// replaying the unaffected prefix of that schedule verbatim instead of
-// re-deriving it. Both reuses are pure optimizations — results and errors
-// are byte-identical to a from-scratch run, pinned differentially against
-// listScheduleReference.
+// Every call validates, measures, contracts and list-schedules from scratch;
+// the kernel carries nothing from one call to the next except its scratch
+// buffers, so a failed call can never affect the next one. Results and
+// errors are pinned differentially against listScheduleReference.
 type Scheduler struct {
-	// Prologue-reuse identity: the (DFG, machine) of the last successful
-	// call, plus its group table snapshot. lastOK gates every reuse.
-	lastDFG *dfg.DFG
-	lastCfg machine.Config
-	lastOK  bool
-
 	// Group table of the current call, CSR layout: gids are the distinct
 	// raw group IDs ascending, members of group gi are
 	// gMembers[gStart[gi]:gStart[gi+1]] ascending. arena: rebuilt per call.
@@ -61,37 +42,6 @@ type Scheduler struct {
 	gSet     []graph.NodeSet // arena: per-group member sets for convexity/interlock
 	// nodeGroup maps node -> group index (position in gids) or -1. arena.
 	nodeGroup []int
-
-	// Previous successful call's group table, for prefix reuse. arena.
-	prevStart   []int
-	prevMembers []int
-	prevOpt     []int
-	prevLat     []int
-	prevReads   []int
-	prevWrites  []int
-
-	// Previous successful call's macro table, issue cycles and contracted
-	// edges — the delta-scheduling baseline (see deltaFrom). CSR layouts over
-	// that call's macro IDs; prevMacAtMin maps minNode -> previous macro.
-	// arena: rebuilt by snapshotMacros after every successful schedule.
-	prevMacStart     []int
-	prevMacNodes     []int
-	prevMacLat       []int
-	prevMacReads     []int
-	prevMacWrites    []int
-	prevMacClass     []int
-	prevMacISE       []bool
-	prevMacIssue     []int
-	prevMacSuccStart []int
-	prevMacSuccs     []int
-	prevMacAtMin     []int
-
-	// Delta-repair scratch: old<->new macro matching, the affected flags and
-	// the dependence-only issue lower bound. arena: rebuilt per call.
-	matchOld []int
-	newOfOld []int
-	affected []bool
-	asap     []int
 
 	// Macro contraction. arena: macroNodes backs every macro's node list.
 	macros     []macro
@@ -181,23 +131,15 @@ func (s *Scheduler) Schedule(d *dfg.DFG, a Assignment, cfg machine.Config) (*Sch
 	obsScheduleCalls.Inc()
 	sp := s.tr.Begin("sched", s.tid)
 	defer sp.End()
-	reuse := s.lastOK && s.lastDFG == d && s.lastCfg == cfg
-	s.lastOK = false
-	s.lastDFG = d
-	s.lastCfg = cfg
 
 	if err := s.validateNodes(d, a); err != nil {
 		return nil, err
 	}
 	s.buildGroups(d, a)
-	prefix := 0
-	if reuse {
-		prefix = s.matchedPrefix(a)
-	}
-	if err := s.validateGroups(d, a, prefix); err != nil {
+	if err := s.validateGroups(d, a); err != nil {
 		return nil, err
 	}
-	s.measureGroups(d, a, prefix)
+	s.measureGroups(d, a)
 	if err := s.buildMacroArena(d, a, cfg); err != nil {
 		return nil, err
 	}
@@ -205,13 +147,10 @@ func (s *Scheduler) Schedule(d *dfg.DFG, a Assignment, cfg machine.Config) (*Sch
 	if s.topoMacrosArena() != len(s.macros) {
 		return nil, fmt.Errorf("sched: ISE groups are mutually dependent (contracted graph is cyclic)")
 	}
-	if err := s.listSchedule(d, cfg, s.deltaFrom(reuse)); err != nil {
+	if err := s.listSchedule(d, cfg); err != nil {
 		return nil, err
 	}
 	s.criticalArena(d)
-	s.snapshotGroups(a)
-	s.snapshotMacros(d)
-	s.lastOK = true
 	//lint:ignore arenaescape returning the arena-owned Schedule is the kernel's documented contract: valid until the next call, Clone to retain
 	return &s.out, nil
 }
@@ -323,69 +262,12 @@ func (s *Scheduler) buildGroups(d *dfg.DFG, a Assignment) {
 	}
 }
 
-// matchedPrefix returns how many leading groups of the current call are
-// structurally identical — same members, same hardware options — to the
-// previous successful call's groups, making their validation and metrics
-// reusable. Group numbering is irrelevant: both tables are in canonical
-// (ascending raw ID) order and compared by content.
-func (s *Scheduler) matchedPrefix(a Assignment) int {
-	ng := len(s.gids)
-	prev := len(s.prevStart) - 1
-	k := 0
-	for k < ng && k < prev {
-		lo, hi := s.gStart[k], s.gStart[k+1]
-		plo, phi := s.prevStart[k], s.prevStart[k+1]
-		if hi-lo != phi-plo {
-			break
-		}
-		same := true
-		for i := 0; i < hi-lo; i++ {
-			v := s.gMembers[lo+i]
-			if v != s.prevMembers[plo+i] || a[v].Opt != s.prevOpt[plo+i] {
-				same = false
-				break
-			}
-		}
-		if !same {
-			break
-		}
-		s.gLat[k] = s.prevLat[k]
-		s.gReads[k] = s.prevReads[k]
-		s.gWrites[k] = s.prevWrites[k]
-		k++
-	}
-	return k
-}
-
-// snapshotGroups records the current group table for the next call's prefix
-// matching. Called only after a fully successful schedule.
-func (s *Scheduler) snapshotGroups(a Assignment) {
-	ng := len(s.gids)
-	s.prevStart = arena.Grow(s.prevStart, ng+1)
-	copy(s.prevStart, s.gStart[:ng+1])
-	nm := s.gStart[ng]
-	s.prevMembers = arena.Grow(s.prevMembers, nm)
-	copy(s.prevMembers, s.gMembers[:nm])
-	s.prevOpt = arena.Grow(s.prevOpt, nm)
-	for i, v := range s.gMembers[:nm] {
-		s.prevOpt[i] = a[v].Opt
-	}
-	s.prevLat = arena.Grow(s.prevLat, ng)
-	copy(s.prevLat, s.gLat[:ng])
-	s.prevReads = arena.Grow(s.prevReads, ng)
-	copy(s.prevReads, s.gReads[:ng])
-	s.prevWrites = arena.Grow(s.prevWrites, ng)
-	copy(s.prevWrites, s.gWrites[:ng])
-}
-
 // validateGroups performs the group-level checks of Assignment.Validate —
 // eligibility and convexity per group, then pairwise mutual dependence — in
-// the same order with the same messages. Groups below prefix passed these
-// checks verbatim on the previous call and are skipped; pairs are skipped
-// only when both sides are prefix groups.
-func (s *Scheduler) validateGroups(d *dfg.DFG, a Assignment, prefix int) error {
+// the same order with the same messages.
+func (s *Scheduler) validateGroups(d *dfg.DFG, a Assignment) error {
 	ng := len(s.gids)
-	for gi := prefix; gi < ng; gi++ {
+	for gi := 0; gi < ng; gi++ {
 		for _, v := range s.gMembers[s.gStart[gi]:s.gStart[gi+1]] {
 			if !d.Nodes[v].ISEEligible() {
 				return fmt.Errorf("sched: group %d contains an ISE-ineligible node", s.gids[gi])
@@ -397,9 +279,6 @@ func (s *Scheduler) validateGroups(d *dfg.DFG, a Assignment, prefix int) error {
 	}
 	for i := 0; i < ng; i++ {
 		for j := i + 1; j < ng; j++ {
-			if i < prefix && j < prefix {
-				continue
-			}
 			if s.interlocked(d, i, j) {
 				return fmt.Errorf("sched: groups %d and %d are mutually dependent", s.gids[i], s.gids[j])
 			}
@@ -423,18 +302,14 @@ func (s *Scheduler) reaches(d *dfg.DFG, from, to int) bool {
 	return false
 }
 
-// measureGroups fills gLat/gReads/gWrites for every group at or beyond
-// prefix, reproducing GroupCycles, d.In and d.Out arithmetic exactly.
-func (s *Scheduler) measureGroups(d *dfg.DFG, a Assignment, prefix int) {
+// measureGroups fills gLat/gReads/gWrites for every group, reproducing
+// GroupCycles, d.In and d.Out arithmetic exactly.
+func (s *Scheduler) measureGroups(d *dfg.DFG, a Assignment) {
 	n := d.Len()
-	ng := len(s.gids)
-	if prefix >= ng {
-		return
-	}
 	s.depth = arena.Grow(s.depth, n)
 	s.prodMark = arena.Grow(s.prodMark, n)
 	s.regMark = arena.Grow(s.regMark, 64)
-	for gi := prefix; gi < ng; gi++ {
+	for gi := range s.gids {
 		members := s.gMembers[s.gStart[gi]:s.gStart[gi+1]]
 		s.gLat[gi] = CyclesForDelay(s.groupDelay(d, a, gi))
 		s.gReads[gi] = s.groupIn(d, gi, members)
@@ -550,11 +425,8 @@ func (s *Scheduler) buildMacroArena(d *dfg.DFG, a Assignment, cfg machine.Config
 	// macroNodes is pre-grown to n so the per-macro subslices taken below
 	// never move under a later append.
 	s.macroNodes = arena.Grow(s.macroNodes, n)[:0]
-	if cap(s.macros) < ng+n {
-		//lint:ignore allocfree cap-guarded arena growth; reused once warmed to the DFG size
-		s.macros = make([]macro, 0, ng+n)
-	}
-	s.macros = s.macros[:0]
+	// Every group has at least one member, so there are at most n macros.
+	s.macros = arena.Grow(s.macros, n)[:0]
 	for gi := 0; gi < ng; gi++ {
 		members := s.gMembers[s.gStart[gi]:s.gStart[gi+1]]
 		start := len(s.macroNodes)
@@ -677,12 +549,7 @@ func (s *Scheduler) topoMacrosArena() int {
 }
 
 // listSchedule is the core scheduling loop of ListSchedule over the arena.
-// from is the delta-scheduling resume cycle computed by deltaFrom: 1 runs the
-// loop from scratch; from > 1 first replays the previous successful call's
-// matched macros issued before that cycle (deltaFrom guarantees the
-// from-scratch run would issue exactly those macros at exactly those cycles)
-// and re-enters the cycle loop at from.
-func (s *Scheduler) listSchedule(d *dfg.DFG, cfg machine.Config, from int) error {
+func (s *Scheduler) listSchedule(d *dfg.DFG, cfg machine.Config) error {
 	nm := len(s.macros)
 	s.sp = arena.Grow(s.sp, nm)
 	s.earliest = arena.Grow(s.earliest, nm)
@@ -692,7 +559,6 @@ func (s *Scheduler) listSchedule(d *dfg.DFG, cfg machine.Config, from int) error
 		s.sp[m] = len(s.succs[m])
 		s.indeg[m] = len(s.preds[m])
 		s.earliest[m] = 1
-		s.issue[m] = 0
 	}
 	if s.table == nil {
 		s.table = NewTable(cfg)
@@ -702,58 +568,9 @@ func (s *Scheduler) listSchedule(d *dfg.DFG, cfg machine.Config, from int) error
 	scheduled := 0
 	cycle := 1
 	limit := 2*totalLatency(s.macros) + 2*nm + 16
-	if from > limit+1 {
-		// The repair point lies beyond the deadlock guard: replay stops at
-		// the guard so the resumed loop reproduces the from-scratch error
-		// (cycle and progress counts included) instead of skipping it.
-		from = limit + 1
-	}
-	if from > 1 {
-		// Replay the unaffected prefix of the previous schedule: matched
-		// macros issued before the repair point keep their cycles and
-		// reservations verbatim. Reservations are commutative, so reserving
-		// them macro-by-macro reproduces the table state the from-scratch
-		// loop would have reached entering cycle `from`.
-		for m := 0; m < nm; m++ {
-			o := s.matchOld[m]
-			if o < 0 || s.prevMacIssue[o] >= from {
-				continue
-			}
-			mc := &s.macros[m]
-			c := s.prevMacIssue[o]
-			if mc.isISE {
-				s.table.ReserveNewISE(c, mc.lat, mc.reads, mc.writes)
-			} else {
-				s.table.ReserveSW(c, isa.Class(mc.class), mc.reads, mc.writes)
-			}
-			s.issue[m] = c
-			scheduled++
-		}
-		// Rebuild the loop state the from-scratch run maintains
-		// incrementally: for unissued macros, indeg counts unissued
-		// predecessors and earliest is the max completion of issued ones.
-		for m := 0; m < nm; m++ {
-			if s.issue[m] > 0 {
-				continue
-			}
-			cnt, earl := 0, 1
-			for _, p := range s.preds[m] {
-				if s.issue[p] > 0 {
-					if v := s.issue[p] + s.macros[p].lat; v > earl {
-						earl = v
-					}
-				} else {
-					cnt++
-				}
-			}
-			s.indeg[m] = cnt
-			s.earliest[m] = earl
-		}
-		cycle = from
-	}
 	s.ready = s.ready[:0]
 	for m := 0; m < nm; m++ {
-		if s.issue[m] == 0 && s.indeg[m] == 0 {
+		if s.indeg[m] == 0 {
 			s.ready = append(s.ready, m)
 		}
 	}
