@@ -44,15 +44,17 @@ race: lint
 # internal/core's instrumented round-loop pair
 # ExploreIter{Trace,Flight}{Off,On}, whose nil-path variants must stay at
 # 0 allocs/op (DESIGN.md §16), internal/core's BaselineIter (one
-# steady-state SI iteration, 0 allocs/op), and internal/cluster's
-# FleetJob/{Untraced,Traced} (one two-shard adpcm/O3 job on two loopback
-# workers; the untraced job ships no spans, so it allocates several times
-# less than the traced one). End-to-end numbers come from perfbench:
+# steady-state SI iteration, 0 allocs/op), internal/core's
+# EvalCache/{Hit,Miss} (the schedule memo's lookup, 0 allocs/op, and a miss
+# on a warm kernel, whose only allocation is its share of map growth), and
+# internal/cluster's FleetJob/{Untraced,Traced} (one two-shard adpcm/O3 job
+# on two loopback workers; the untraced job ships no spans, so it allocates
+# several times less than the traced one). End-to-end numbers come from perfbench:
 # `bash perfbench/run.sh --steady K` interleaves two sets of runs and
 # `--trace 1` attributes time per layer. `make benchall` runs every root
 # benchmark.
 bench:
-	go test -bench 'Explore|Headline|BuildPool|BuildMultiPool|DesignPoint|MatchFind|Merge|Evaluate|Convex|VMProfile|SchedSteadyState|BaselineIter|FleetJob' -benchmem -count 5 -run '^$$' . ./internal/core ./internal/baseline ./internal/cluster
+	go test -bench 'Explore|Headline|BuildPool|BuildMultiPool|DesignPoint|MatchFind|Merge|Evaluate|Convex|VMProfile|SchedSteadyState|BaselineIter|EvalCache|FleetJob' -benchmem -count 5 -run '^$$' . ./internal/core ./internal/baseline ./internal/cluster
 
 benchall:
 	go test -bench=. -benchmem

@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"repro/internal/aco"
+	"repro/internal/dfg"
 	"repro/internal/machine"
+	"repro/internal/prog"
 	"repro/internal/sched"
 )
 
@@ -123,4 +125,126 @@ func checkRoundAllocs(t *testing.T, label string, st step, cur int) {
 	if accept != winner {
 		t.Fatalf("%s: a warm round that accepts allocates %v times, its winner's ISE %v", label, accept, winner)
 	}
+}
+
+// evalCacheJobs returns logic chains of 2 to 40 operations, each with its
+// all-software assignment, and one assignment per eligible node that puts
+// that node alone in hardware: several hundred distinct keys.
+func evalCacheJobs(t testing.TB) (warm, rest []evalJob) {
+	for k := 2; k <= 40; k++ {
+		d := blockDFG(t, func(b *prog.Builder) { logicChain(b, k) })
+		warm = append(warm, evalJob{d, sched.AllSoftware(d.Len())})
+		for v := 0; v < d.Len(); v++ {
+			if !d.Nodes[v].ISEEligible() {
+				continue
+			}
+			a := sched.AllSoftware(d.Len())
+			a[v] = sched.NodeChoice{Kind: sched.KindHW, Group: 0}
+			if v == 0 {
+				warm = append(warm, evalJob{d, a})
+			} else {
+				rest = append(rest, evalJob{d, a})
+			}
+		}
+	}
+	return warm, rest
+}
+
+type evalJob struct {
+	d *dfg.DFG
+	a sched.Assignment
+}
+
+// TestEvalCacheSteadyStateAllocs pins that the schedule memo stores lengths
+// by value: a hit allocates nothing, and a miss allocates nothing but its
+// map's growth, which amortizes to 0 per miss over a few hundred misses. The
+// warm-up misses size the kernel's arena for the largest block and both
+// group shapes, so the measured misses allocate only in the cache.
+func TestEvalCacheSteadyStateAllocs(t *testing.T) {
+	warm, rest := evalCacheJobs(t)
+	cfg := machine.New(2, 4, 2)
+	kern := sched.NewScheduler()
+	c := NewEvalCache()
+	for _, j := range warm {
+		if _, err := c.ScheduleWith(kern, j.d, j.a, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, before := c.Stats()
+	next := 0
+	miss := testing.AllocsPerRun(len(rest)-1, func() {
+		j := rest[next]
+		next++
+		if _, err := c.ScheduleWith(kern, j.d, j.a, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if _, after := c.Stats(); after-before != uint64(len(rest)) {
+		t.Fatalf("%d misses measured, want %d: the keys are not distinct", after-before, len(rest))
+	}
+	if miss != 0 {
+		t.Errorf("a miss into a warmed cache allocates %v times, want 0 amortized", miss)
+	}
+	next = 0
+	hit := testing.AllocsPerRun(len(rest)-1, func() {
+		j := rest[next]
+		next++
+		if _, err := c.ScheduleWith(kern, j.d, j.a, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if hits, _ := c.Stats(); hits != uint64(len(rest)) {
+		t.Fatalf("%d hits, want %d", hits, len(rest))
+	}
+	if hit != 0 {
+		t.Errorf("a hit allocates %v times, want 0", hit)
+	}
+}
+
+// BenchmarkEvalCache measures the schedule memo's two paths over
+// evalCacheJobs' keys. Hit looks up a memoized length: the assignment's
+// canonical hash, the machine lookup and one map probe. Miss schedules on a
+// warm kernel and stores the length, its share of map growth included: the
+// cache is replaced, off the clock, once every key has missed.
+func BenchmarkEvalCache(b *testing.B) {
+	warm, rest := evalCacheJobs(b)
+	cfg := machine.New(2, 4, 2)
+	kern := sched.NewScheduler()
+	run := func(c *EvalCache, j evalJob) {
+		if _, err := c.ScheduleWith(kern, j.d, j.a, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	fresh := func() *EvalCache {
+		c := NewEvalCache()
+		for _, j := range warm {
+			run(c, j)
+		}
+		return c
+	}
+	b.Run("Hit", func(b *testing.B) {
+		c := fresh()
+		for _, j := range rest {
+			run(c, j)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			run(c, rest[i%len(rest)])
+		}
+	})
+	b.Run("Miss", func(b *testing.B) {
+		var c *EvalCache
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k := i % len(rest)
+			if k == 0 {
+				b.StopTimer()
+				c = fresh()
+				b.StartTimer()
+			}
+			run(c, rest[k])
+		}
+	})
 }

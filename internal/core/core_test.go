@@ -12,7 +12,7 @@ import (
 	"repro/internal/sched"
 )
 
-func blockDFG(t *testing.T, emit func(b *prog.Builder)) *dfg.DFG {
+func blockDFG(t testing.TB, emit func(b *prog.Builder)) *dfg.DFG {
 	t.Helper()
 	b := prog.NewBuilder("t")
 	emit(b)

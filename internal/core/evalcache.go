@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -16,49 +17,119 @@ const evalShards = 16
 
 // evalKey identifies one schedule evaluation: the DFG by its 128-bit content
 // fingerprint (never by name — two distinct DFGs may share one; see
-// dfg.Fingerprint), the machine by its full comparable Config value, and the
-// assignment by its canonical 128-bit hash. Distinct canonical assignments
-// (or distinct DFG contents) collide with probability ~2^-128 (see
-// sched.KeyHash and DESIGN.md §10), so equality on evalKey is equality on
-// the evaluation for every practical purpose.
+// dfg.Fingerprint), the assignment by its canonical 128-bit hash, and the
+// machine by its index in the cache's table of scheduling shapes (see
+// EvalCache.machineID). Distinct canonical assignments (or distinct DFG
+// contents) collide with probability ~2^-128 (see sched.KeyHash and
+// DESIGN.md §10), so equality on evalKey is equality on the evaluation for
+// every practical purpose. The key is 36 plain bytes, the 64-bit words split
+// low half first: with its int32 length a map slot takes 40 bytes, where
+// 64-bit fields would pad it to 48.
 type evalKey struct {
-	dfp [2]uint64
-	cfg machine.Config
-	h   sched.KeyHash
+	dfp  [4]uint32
+	h    [4]uint32
+	mach uint32
 }
 
-// shard maps the key to its shard index. The assignment hash alone would put
-// every block's all-software evaluation — the single hottest key shape — in
-// one shard, so the DFG fingerprint and machine shape are folded in.
-func (k evalKey) shard() int {
-	h := k.h[0] ^ (k.h[1] >> 7)
-	h = h*131 + k.dfp[0]
-	h = h*131 + k.dfp[1]
-	h = h*131 + uint64(k.cfg.IssueWidth)
-	h = h*131 + uint64(k.cfg.ReadPorts)
-	h = h*131 + uint64(k.cfg.WritePorts)
-	h = h*131 + uint64(k.cfg.ASFUs)
-	for _, n := range k.cfg.FUs {
-		h = h*131 + uint64(n)
+func newEvalKey(dfp [2]uint64, h sched.KeyHash, mach uint32) evalKey {
+	return evalKey{
+		dfp:  [4]uint32{uint32(dfp[0]), uint32(dfp[0] >> 32), uint32(dfp[1]), uint32(dfp[1] >> 32)},
+		h:    [4]uint32{uint32(h[0]), uint32(h[0] >> 32), uint32(h[1]), uint32(h[1] >> 32)},
+		mach: mach,
 	}
-	for i := 0; i < len(k.cfg.Name); i++ {
-		h = h*131 + uint64(k.cfg.Name[i])
-	}
-	return int(h & (evalShards - 1))
 }
 
-// evalEntry is one memoized (or in-flight) evaluation. done is closed when n
-// and err are final; waiters block on it instead of re-scheduling, so
-// concurrent misses on one key cost exactly one schedule (singleflight).
-type evalEntry struct {
-	done chan struct{}
-	n    int
-	err  error
+// evalShardOf maps a key's parts to its shard index. The assignment hash
+// alone would put every block's all-software evaluation — the single
+// hottest key shape — in one shard, so the DFG fingerprint and machine are
+// folded in.
+func evalShardOf(dfp [2]uint64, h sched.KeyHash, mach uint32) int {
+	x := h[0] ^ (h[1] >> 7)
+	x = x*131 + dfp[0]
+	x = x*131 + dfp[1]
+	x = x*131 + uint64(mach)
+	return int(x & (evalShards - 1))
 }
 
+// evalFlight is the outcome of one in-flight evaluation that other lookups
+// wait on. Flights are recycled within their shard, zeroed while idle, so
+// once a shard has seen its peak number of concurrent misses a miss
+// allocates none.
+type evalFlight struct {
+	n       int
+	err     error
+	done    bool
+	waiters int
+}
+
+// evalShard holds one shard's lengths by value. A key whose evaluation is
+// in flight maps to ^i (negative), where i indexes its flight; a finished
+// key maps to its length (never negative, and memoized only when it fits
+// an int32).
 type evalShard struct {
-	mu sync.Mutex
-	m  map[evalKey]*evalEntry // guarded by mu
+	mu      sync.Mutex
+	landed  sync.Cond         // broadcast when a flight with waiters finishes; L is &mu
+	m       map[evalKey]int32 // guarded by mu
+	flights []evalFlight      // guarded by mu
+	free    []int32           // guarded by mu; indexes of idle flights
+}
+
+// lookup serves key k from the shard. found reports a memoized length, or
+// the outcome of the in-flight evaluation it waited for (err is that
+// evaluation's error). Otherwise k is now in flight under flight fi, which
+// the caller must pass to finish.
+func (sh *evalShard) lookup(k evalKey) (n int, fi int32, found bool, err error) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	v, ok := sh.m[k]
+	if ok && v >= 0 {
+		return int(v), 0, true, nil
+	}
+	if ok {
+		// Wait for the flight, re-indexing it after every wake: a miss may
+		// have grown the slice meanwhile. The last waiter out recycles it.
+		fi = ^v
+		sh.flights[fi].waiters++
+		for !sh.flights[fi].done {
+			sh.landed.Wait()
+		}
+		f := &sh.flights[fi]
+		n, err = f.n, f.err
+		if f.waiters--; f.waiters == 0 {
+			*f = evalFlight{}
+			sh.free = append(sh.free, fi)
+		}
+		return n, 0, true, err
+	}
+	if last := len(sh.free) - 1; last >= 0 {
+		fi = sh.free[last]
+		sh.free = sh.free[:last]
+	} else {
+		fi = int32(len(sh.flights))
+		sh.flights = append(sh.flights, evalFlight{})
+	}
+	sh.m[k] = ^fi
+	return 0, fi, false, nil
+}
+
+// finish records the outcome of k's evaluation under flight fi: the length
+// is memoized, an error (or a length the slot cannot hold) removes k. The
+// flight's waiters are woken; with none it is recycled at once.
+func (sh *evalShard) finish(k evalKey, fi int32, n int, err error) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if err != nil || n > math.MaxInt32 {
+		delete(sh.m, k)
+	} else {
+		sh.m[k] = int32(n)
+	}
+	f := &sh.flights[fi]
+	if f.waiters == 0 {
+		sh.free = append(sh.free, fi)
+		return
+	}
+	f.n, f.err, f.done = n, err, true
+	sh.landed.Broadcast()
 }
 
 // EvalCache memoizes schedule evaluations. The exploration loop and the
@@ -86,8 +157,17 @@ type evalShard struct {
 // entry before publishing the error, so a failing assignment never pollutes
 // the memo (waiters of that in-flight computation still receive the same
 // deterministic error).
+//
+// Lengths are stored by value and in-flight records are recycled, so a hit
+// allocates nothing and a miss allocates only its map's growth.
 type EvalCache struct {
 	shards [evalShards]evalShard
+
+	// machines is the table of scheduling shapes keys index: each distinct
+	// machine.Config seen, its Name cleared (the scheduler never reads it).
+	// It is copied on write; machMu serializes writers.
+	machines atomic.Pointer[[]machine.Config]
+	machMu   sync.Mutex
 
 	hits, misses atomic.Uint64
 }
@@ -96,10 +176,40 @@ type EvalCache struct {
 func NewEvalCache() *EvalCache {
 	c := &EvalCache{}
 	for i := range c.shards {
+		sh := &c.shards[i]
 		//lint:ignore lockguard the cache is still private to its constructor; it is not published until return
-		c.shards[i].m = make(map[evalKey]*evalEntry)
+		sh.m = make(map[evalKey]int32)
+		sh.landed.L = &sh.mu
 	}
 	return c
+}
+
+// machineID returns cfg's index in the table of scheduling shapes, adding it
+// on first sight. A cache meets one machine or a handful, so the lookup is
+// a short scan of a table read without locking.
+func (c *EvalCache) machineID(cfg machine.Config) uint32 {
+	cfg.Name = ""
+	if ms := c.machines.Load(); ms != nil {
+		for i := range *ms {
+			if (*ms)[i] == cfg {
+				return uint32(i)
+			}
+		}
+	}
+	c.machMu.Lock()
+	defer c.machMu.Unlock()
+	var ms []machine.Config
+	if p := c.machines.Load(); p != nil {
+		ms = *p
+	}
+	for i := range ms {
+		if ms[i] == cfg {
+			return uint32(i)
+		}
+	}
+	next := append(ms[:len(ms):len(ms)], cfg)
+	c.machines.Store(&next)
+	return uint32(len(ms))
 }
 
 // Schedule returns the list-schedule length of d under assignment a on cfg,
@@ -116,38 +226,28 @@ func (c *EvalCache) ScheduleWith(kern *sched.Scheduler, d *dfg.DFG, a sched.Assi
 	if c == nil {
 		return scheduleLen(kern, d, a, cfg)
 	}
-	k := evalKey{dfp: d.Fingerprint(), cfg: cfg, h: a.KeyHash()}
-	si := k.shard()
+	dfp, h, mach := d.Fingerprint(), a.KeyHash(), c.machineID(cfg)
+	k := newEvalKey(dfp, h, mach)
+	si := evalShardOf(dfp, h, mach)
 	sh := &c.shards[si]
-	sh.mu.Lock()
-	if e, ok := sh.m[k]; ok {
-		sh.mu.Unlock()
-		<-e.done
-		if e.err != nil {
+	n, fi, found, err := sh.lookup(k)
+	if found {
+		if err != nil {
 			// The in-flight computation failed: this lookup was served the
 			// propagated error, not a result. It ran no scheduler, so it is
 			// not a miss; it got no result, so it is not a hit either.
-			return 0, e.err
+			return 0, err
 		}
 		c.hits.Add(1)
 		obsCacheHits[si].Inc()
-		return e.n, nil
+		return n, nil
 	}
-	e := &evalEntry{done: make(chan struct{})}
-	sh.m[k] = e
-	sh.mu.Unlock()
 	c.misses.Add(1)
-	n, err := scheduleLen(kern, d, a, cfg)
+	n, err = scheduleLen(kern, d, a, cfg)
+	sh.finish(k, fi, n, err)
 	if err != nil {
-		sh.mu.Lock()
-		delete(sh.m, k)
-		sh.mu.Unlock()
-		e.err = err
-		close(e.done)
 		return 0, err
 	}
-	e.n = n
-	close(e.done)
 	return n, nil
 }
 

@@ -775,11 +775,9 @@ func (e *explorer) bestCandidate(curLen int) (int, int) {
 // returns the resulting length. Evaluations go through the memo cache: across
 // iterations and restarts the same accepted-prefix-plus-candidate
 // assignment recurs constantly, and the canonical key makes those replays
-// free. Misses run on the explorer's own kernel, whose arena and
-// accepted-prefix contraction reuse make the back-to-back candidate
-// evaluations of one round cheap: every candidate shares the kernel's
-// previous call's leading groups (the accepted ISEs), so only the candidate
-// group is validated and measured from scratch.
+// free. Misses schedule from scratch on the explorer's own kernel, whose
+// arena makes them allocation-free; the kernel keeps nothing else between
+// calls.
 func (e *explorer) evaluate(i int) (int, error) {
 	sp := e.tr.Begin("evaluate", e.tid).Arg("nodes", int64(e.sh.cands[i].nodes.Len()))
 	n, err := e.cache.ScheduleWith(e.kern, e.d, e.candidateAssignment(i), e.cfg)

@@ -10,7 +10,9 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/dfg"
 	"repro/internal/machine"
+	"repro/internal/sched"
 	"repro/internal/selection"
 )
 
@@ -549,6 +551,54 @@ func TestMultiPoolEvaluateWorkerCountInvariance(t *testing.T) {
 				for i, app := range rep.PerApp {
 					reportsEqual(t, fmt.Sprintf("%s app %d", what, i), want[k].PerApp[i], app)
 				}
+			}
+		}
+	}
+}
+
+// TestPricingAddsNoMisses pins realMarginalGains' premise: MI exploration
+// has already scheduled every cumulative prefix that pricing replays, so
+// with the pool's one cache, pricing the hot blocks of crc32, adpcm and jpeg
+// O3 adds one hit per prefix and no miss. It guards the cache key's sharing
+// between exploration and pricing.
+func TestPricingAddsNoMisses(t *testing.T) {
+	cfg := machine.New(2, 4, 2)
+	p := core.FastParams()
+	cache := core.NewEvalCache()
+	kern := sched.NewScheduler()
+	for _, name := range []string{"crc32", "adpcm", "jpeg"} {
+		bm, err := bench.Get(name, "O3")
+		if err != nil {
+			t.Fatal(err)
+		}
+		prof, err := bm.Profile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dfgs, err := bm.DFGs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		byBlock := make(map[int]*dfg.DFG, len(dfgs))
+		for _, d := range dfgs {
+			byBlock[d.BlockIndex] = d
+		}
+		for _, bi := range prof.HotBlocks(bm.Prog, 3) {
+			d := byBlock[bi]
+			r, _, err := core.ExploreResumable(context.Background(), d, cfg, p, core.ResumeOptions{Cache: cache})
+			if err != nil {
+				t.Fatal(err)
+			}
+			hits, misses := cache.Stats()
+			if _, err := realMarginalGains(d, cfg, r.ISEs, cache, kern); err != nil {
+				t.Fatal(err)
+			}
+			h, m := cache.Stats()
+			if m != misses {
+				t.Errorf("%s: pricing %d ISEs missed the cache %d times, want 0", d.Name, len(r.ISEs), m-misses)
+			}
+			if want := uint64(len(r.ISEs) + 1); h-hits != want {
+				t.Errorf("%s: pricing hit the cache %d times, want %d", d.Name, h-hits, want)
 			}
 		}
 	}

@@ -7,7 +7,7 @@ package replace
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/dfg"
 	"repro/internal/graph"
@@ -45,10 +45,11 @@ func Apply(d *dfg.DFG, cfg machine.Config, selected []*merging.Candidate) (*sche
 // once per block per sweep point, so arena reuse across those calls is the
 // steady-state hot path.
 func ApplyWith(kern *sched.Scheduler, d *dfg.DFG, cfg machine.Config, selected []*merging.Candidate) (*sched.Schedule, sched.Assignment, []Instance, error) {
-	ordered := append([]*merging.Candidate(nil), selected...)
-	sort.SliceStable(ordered, func(i, j int) bool {
-		return ordered[i].Gain > ordered[j].Gain
-	})
+	ordered := selected
+	if !slices.IsSortedFunc(selected, byGain) {
+		ordered = slices.Clone(selected)
+		slices.SortStableFunc(ordered, byGain)
+	}
 
 	instances := deploy(d, cfg, ordered, nil)
 	a := assignment(kern, d, instances)
@@ -73,6 +74,18 @@ func ApplyWith(kern *sched.Scheduler, d *dfg.DFG, cfg machine.Config, selected [
 	return s, a, instances, nil
 }
 
+// byGain orders candidates by decreasing Gain, equal gains keeping their
+// order under a stable sort.
+func byGain(a, b *merging.Candidate) int {
+	switch {
+	case a.Gain > b.Gain:
+		return -1
+	case a.Gain < b.Gain:
+		return 1
+	}
+	return 0
+}
+
 // deploy places the instances of the gain-ordered candidates in Apply's two
 // passes. An instance is skipped when it is mutually dependent with one
 // already placed, or when schedulable is non-nil and rejects the placed
@@ -94,16 +107,23 @@ func deploy(d *dfg.DFG, cfg machine.Config, ordered []*merging.Candidate, schedu
 		if schedulable != nil && !schedulable(append(instances[:len(instances):len(instances)], inst)) {
 			return
 		}
+		if instances == nil {
+			// Most blocks that deploy anything deploy about one instance
+			// per candidate.
+			instances = make([]Instance, 0, len(ordered))
+		}
 		instances = append(instances, inst)
-		used = used.Union(inst.Nodes)
+		used.UnionWith(inst.Nodes)
 	}
 	for _, cand := range ordered {
 		if cand.DFG == d {
 			place(ownInstance(d, cfg, cand, used))
 		}
 	}
+	var claim, nodes graph.NodeSet
 	for _, cand := range ordered {
-		for _, inst := range crossMatches(d, cfg, cand, used) {
+		claim.CopyFrom(used)
+		for _, inst := range crossMatches(d, cfg, cand, &claim, &nodes) {
 			place(inst, true)
 		}
 	}
@@ -136,8 +156,10 @@ func schedule(kern *sched.Scheduler, d *dfg.DFG, a sched.Assignment, cfg machine
 }
 
 // legalInstance checks non-overlap, eligibility, convexity and port limits.
+// It allocates nothing for a set that reads at most 8 distinct values; past
+// that, dfg.In's map leaves the stack.
 func legalInstance(d *dfg.DFG, cfg machine.Config, nodes, used graph.NodeSet) bool {
-	if nodes.Intersect(used).Len() > 0 {
+	if nodes.Intersects(used) {
 		return false
 	}
 	if !d.AllEligible(nodes) || !d.IsConvex(nodes) {
@@ -156,21 +178,30 @@ func ownInstance(d *dfg.DFG, cfg machine.Config, cand *merging.Candidate, used g
 }
 
 // crossMatches finds additional legal, non-overlapping occurrences of cand's
-// pattern in d.
-func crossMatches(d *dfg.DFG, cfg machine.Config, cand *merging.Candidate, used graph.NodeSet) []Instance {
+// pattern in d. claim holds the nodes already taken and grows by each
+// occurrence returned; nodes is the caller's scratch set. Only a returned
+// occurrence gets its own node set, so a rejected mapping allocates nothing
+// (beyond legalInstance's bound).
+func crossMatches(d *dfg.DFG, cfg machine.Config, cand *merging.Candidate, claim, nodes *graph.NodeSet) []Instance {
 	var out []Instance
-	claim := used.Clone()
 	for _, m := range cand.Matches(d, maxMatchesPerISE) {
-		nodes := m.Targets(d.Len())
-		if !legalInstance(d, cfg, nodes, claim) {
+		if m.Overlaps(*claim) {
+			continue
+		}
+		nodes.Reset(d.Len())
+		for _, t := range m {
+			nodes.Add(t)
+		}
+		if !legalInstance(d, cfg, *nodes, *claim) {
 			continue
 		}
 		option := make(map[int]int, len(m))
 		for p, t := range m {
 			option[t] = cand.ISE.Option[p]
 		}
-		out = append(out, Instance{Cand: cand, Nodes: nodes, Option: option})
-		claim = claim.Union(nodes)
+		inst := Instance{Cand: cand, Nodes: nodes.Clone(), Option: option}
+		out = append(out, inst)
+		claim.UnionWith(inst.Nodes)
 	}
 	return out
 }

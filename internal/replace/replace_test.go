@@ -173,3 +173,87 @@ func TestApplyPriorityOrdering(t *testing.T) {
 		t.Fatalf("priority order violated: %+v", insts)
 	}
 }
+
+// TestCrossMatchRejectionAllocs pins that crossMatches allocates nothing for
+// a mapping it rejects: overlap is caught on the mapping itself, and the
+// convexity and port checks run in the caller's scratch set. Each case
+// first checks that the pattern does match and why the match is illegal.
+func TestCrossMatchRejectionAllocs(t *testing.T) {
+	pair := func(emit func(b *prog.Builder)) (pd, td *dfg.DFG) {
+		return blockDFG(t, emit), blockDFG(t, emit)
+	}
+	// Overlap: every occurrence of the crc step in a 2-step block lies on
+	// claimed nodes.
+	crcP, crcT := pair(func(b *prog.Builder) {
+		crcStep(b, prog.S3, prog.S2)
+		crcStep(b, prog.S3, prog.S2)
+	})
+	// Convexity: the pattern and→or matches the target's n0→n2, but the
+	// target's n1 lies on a path between them.
+	convP := blockDFG(t, func(b *prog.Builder) {
+		b.R(isa.OpAND, prog.T0, prog.A0, prog.A1)
+		b.R(isa.OpOR, prog.T2, prog.T0, prog.A1)
+	})
+	convT := blockDFG(t, func(b *prog.Builder) {
+		b.R(isa.OpAND, prog.T0, prog.A0, prog.A1) // n0
+		b.R(isa.OpXOR, prog.T1, prog.T0, prog.A0) // n1
+		b.R(isa.OpOR, prog.T2, prog.T0, prog.T1)  // n2
+	})
+	// Ports: an add tree reads 4 registers, one more than the machine has.
+	portP, portT := pair(func(b *prog.Builder) {
+		b.R(isa.OpADD, prog.T0, prog.A0, prog.A1)
+		b.R(isa.OpADD, prog.T1, prog.A2, prog.A3)
+		b.R(isa.OpADD, prog.T2, prog.T0, prog.T1)
+	})
+	cases := []struct {
+		name   string
+		pd, td *dfg.DFG
+		cfg    machine.Config
+		claim  func(td *dfg.DFG) graph.NodeSet
+		why    func(td *dfg.DFG, cfg machine.Config, nodes, claim graph.NodeSet) bool
+	}{
+		{"overlap", crcP, crcT, machine.New(2, 4, 2),
+			func(td *dfg.DFG) graph.NodeSet { return graph.NodeSetOf(td.Len(), 0, 5) },
+			func(_ *dfg.DFG, _ machine.Config, nodes, claim graph.NodeSet) bool { return nodes.Intersects(claim) }},
+		{"convexity", convP, convT, machine.New(2, 4, 2),
+			func(td *dfg.DFG) graph.NodeSet { return graph.NewNodeSet(td.Len()) },
+			func(td *dfg.DFG, _ machine.Config, nodes, _ graph.NodeSet) bool { return !td.IsConvex(nodes) }},
+		{"ports", portP, portT, machine.New(2, 3, 2),
+			func(td *dfg.DFG) graph.NodeSet { return graph.NewNodeSet(td.Len()) },
+			func(td *dfg.DFG, cfg machine.Config, nodes, _ graph.NodeSet) bool {
+				return td.In(nodes) > cfg.ReadPorts
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var members []int
+			for v := 0; v < tc.pd.Len(); v++ {
+				if tc.pd.Nodes[v].ISEEligible() {
+					members = append(members, v)
+				}
+			}
+			ise := core.NewISE(tc.pd, graph.NodeSetOf(tc.pd.Len(), members...), map[int]int{})
+			cand := &merging.Candidate{ISE: ise, DFG: tc.pd, Gain: 1}
+			ms := cand.Matches(tc.td, maxMatchesPerISE)
+			if len(ms) == 0 {
+				t.Fatal("pattern has no occurrence in the target; the case tests nothing")
+			}
+			claim := tc.claim(tc.td)
+			for _, m := range ms {
+				if !tc.why(tc.td, tc.cfg, m.Targets(tc.td.Len()), claim) {
+					t.Fatalf("occurrence %v is not rejected for %s", m, tc.name)
+				}
+			}
+			var nodes graph.NodeSet
+			if got := crossMatches(tc.td, tc.cfg, cand, &claim, &nodes); len(got) != 0 {
+				t.Fatalf("%d illegal occurrences deployed", len(got))
+			}
+			allocs := testing.AllocsPerRun(100, func() {
+				crossMatches(tc.td, tc.cfg, cand, &claim, &nodes)
+			})
+			if allocs != 0 {
+				t.Errorf("rejecting %d occurrences allocates %.1f times per call, want 0", len(ms), allocs)
+			}
+		})
+	}
+}
