@@ -127,9 +127,16 @@ func checkRoundAllocs(t *testing.T, label string, st step, cur int) {
 	}
 }
 
-// evalCacheJobs returns logic chains of 2 to 40 operations, each with its
-// all-software assignment, and one assignment per eligible node that puts
-// that node alone in hardware: several hundred distinct keys.
+// evalJob is one schedule-memo lookup: a block and an assignment of it.
+type evalJob struct {
+	d *dfg.DFG
+	a sched.Assignment
+}
+
+// evalCacheJobs builds logic chains of 2 to 40 operations and assignments
+// that put one eligible node alone in hardware. warm holds each chain's
+// all-software assignment and its first node in hardware, rest the other
+// 780 single-node assignments, all distinct keys.
 func evalCacheJobs(t testing.TB) (warm, rest []evalJob) {
 	for k := 2; k <= 40; k++ {
 		d := blockDFG(t, func(b *prog.Builder) { logicChain(b, k) })
@@ -148,11 +155,6 @@ func evalCacheJobs(t testing.TB) (warm, rest []evalJob) {
 		}
 	}
 	return warm, rest
-}
-
-type evalJob struct {
-	d *dfg.DFG
-	a sched.Assignment
 }
 
 // TestEvalCacheSteadyStateAllocs pins that the schedule memo stores lengths
