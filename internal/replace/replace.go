@@ -107,11 +107,6 @@ func deploy(d *dfg.DFG, cfg machine.Config, ordered []*merging.Candidate, schedu
 		if schedulable != nil && !schedulable(append(instances[:len(instances):len(instances)], inst)) {
 			return
 		}
-		if instances == nil {
-			// Most blocks that deploy anything deploy about one instance
-			// per candidate.
-			instances = make([]Instance, 0, len(ordered))
-		}
 		instances = append(instances, inst)
 		used.UnionWith(inst.Nodes)
 	}
